@@ -171,9 +171,8 @@ def _check_input(x: Tensor, config: ModelConfig) -> None:
         raise ValueError(f"spatial extent {h}x{w} not divisible by 2^levels = {div}")
 
 
-def _cbr(store, conv_name, bn_name, x, stride, pad, train):
+def _bn_relu(store, bn_name, y, train):
     cfg = store.config
-    y = ad.conv2d(x, store[f"{conv_name}.w"], store[f"{conv_name}.b"], (stride, stride), (pad, pad))
     y = ad.batchnorm2d(
         y,
         store[f"{bn_name}.gamma"],
@@ -185,22 +184,16 @@ def _cbr(store, conv_name, bn_name, x, stride, pad, train):
         cfg.bn_momentum,
     )
     return ad.relu(y)
+
+
+def _cbr(store, conv_name, bn_name, x, stride, pad, train):
+    y = ad.conv2d(x, store[f"{conv_name}.w"], store[f"{conv_name}.b"], (stride, stride), (pad, pad))
+    return _bn_relu(store, bn_name, y, train)
 
 
 def _cbr_transpose(store, conv_name, bn_name, x, train):
-    cfg = store.config
     y = ad.conv2d_transpose(x, store[f"{conv_name}.w"], store[f"{conv_name}.b"], (2, 2), (0, 0))
-    y = ad.batchnorm2d(
-        y,
-        store[f"{bn_name}.gamma"],
-        store[f"{bn_name}.beta"],
-        store[f"{bn_name}.mean"],
-        store[f"{bn_name}.var"],
-        train,
-        cfg.bn_eps,
-        cfg.bn_momentum,
-    )
-    return ad.relu(y)
+    return _bn_relu(store, bn_name, y, train)
 
 
 def forward_unet(store: ParamStore, x: Tensor, train: bool = False, taps=None) -> Tensor:

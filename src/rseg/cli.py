@@ -5,8 +5,14 @@ Every subcommand resolves its options as defaults, overridden by an optional
 by explicit flags, and prints the resolved configuration before doing any
 work, so each run is reproducible from its own output.
 
+Each option is declared once, as one row of the ``_OPTIONS`` table: key,
+type, default, choices, required mark and help text. Both the parser and the
+config-file resolution loop over that table.
+
 Heavy imports happen inside the command handlers so that ``--threads`` can pin
-the BLAS thread-count environment variables before numpy first loads.
+the BLAS thread-count environment variables before numpy first loads. For the
+same reason the table's defaults are literals rather than imports from the
+model modules; a test keeps them equal to the library defaults.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import argparse
 import glob
 import os
 import sys
+from typing import Callable, NamedTuple
 
 _THREAD_ENV = (
     "OMP_NUM_THREADS",
@@ -43,96 +50,96 @@ def _flag(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_SCHEMAS = {
-    "synth": {"out": str, "count": int, "size": str, "seed": int, "decoys": _flag,
-              "noise": float, "threads": int},
-    "train": {"data": str, "val": str, "out": str, "backbone": str, "levels": int,
-              "base_channels": int, "recurrent": _flag, "bptt": str,
-              "teacher_forcing": _flag, "lr": float, "epochs": int, "patience": int,
-              "seed": int, "threshold": float, "max_seq_len": int, "threads": int},
-    "segment": {"model": str, "in": str, "out": str, "threshold": float, "threads": int},
-    "evaluate": {"pred": str, "gt": str, "csv": str, "threads": int},
-    "gradcheck": {"backbone": str, "eps": float, "dtype": str, "threads": int},
+_BACKBONES = ("unet", "segunet", "attunet")
+
+
+class _Opt(NamedTuple):
+    """One option: flag ``--key`` (dashes for underscores) and config key ``key``.
+
+    ``coerce`` types both the flag and the config value; ``_flag`` makes a
+    ``store_true`` flag that a config file can still set to false. Choices
+    are checked on the flag only.
+    """
+
+    key: str
+    coerce: Callable = str
+    default: object = None
+    choices: tuple = None
+    required: bool = False
+    help: str = None
+    dest: str = None
+
+
+# shared by every subcommand; its flag follows --config
+_THREADS = _Opt("threads", int, 1,
+                help="BLAS thread cap; 1 (the default) is bit-deterministic; "
+                     "takes full effect when set at process start")
+
+_OPTIONS = {
+    "synth": ("generate phantom volume/mask pairs", (
+        _Opt("out", required=True, help="output directory"),
+        _Opt("count", int, 4, help="number of volumes"),
+        _Opt("size", str, "16x48x48", help="volume extents as DxHxW"),
+        _Opt("seed", int, 0, help="base seed; volume i uses a derived stream"),
+        _Opt("decoys", _flag, False,
+             help="add a same-shape decoy that teleports between slices"),
+        _Opt("noise", float, 30.0, help="Gaussian noise sigma"),
+    )),
+    "train": ("train a model on vol_*/mask_* pairs", (
+        _Opt("data", required=True, help="training directory"),
+        _Opt("val", required=True, help="validation directory"),
+        _Opt("out", required=True, help="checkpoint path (.rsck); CSV goes beside it"),
+        _Opt("backbone", str, "unet", choices=_BACKBONES),
+        _Opt("levels", int, 4),
+        _Opt("base_channels", int, 16),
+        _Opt("recurrent", _flag, False, help="feed each prediction into the next slice"),
+        _Opt("bptt", str, "detach", choices=("detach", "full"),
+             help="gradient handling across the feedback edge"),
+        _Opt("teacher_forcing", _flag, False),
+        _Opt("lr", float, 1e-4),
+        _Opt("epochs", int, 40),
+        _Opt("patience", int, 10),
+        _Opt("seed", int, 0),
+        _Opt("threshold", float, 0.5, help="validation Dice threshold"),
+        _Opt("max_seq_len", int, 8, help="BPTT chunk length"),
+    )),
+    "segment": ("segment a volume with a checkpoint", (
+        _Opt("model", required=True, help="checkpoint path"),
+        _Opt("in", required=True, help="input volume (.mvf)", dest="in_path"),
+        _Opt("out", required=True, help="output mask (.mvf)"),
+        _Opt("threshold", float, 0.5),
+    )),
+    "evaluate": ("compare a predicted mask against a reference", (
+        _Opt("pred", required=True, help="predicted mask (.mvf)"),
+        _Opt("gt", required=True, help="reference mask (.mvf)"),
+        _Opt("csv", required=True, help="report destination"),
+    )),
+    "gradcheck": ("finite-difference check of a tiny backbone", (
+        _Opt("backbone", str, "unet", choices=_BACKBONES),
+        _Opt("eps", float, 1e-5, help="finite-difference step"),
+        _Opt("dtype", str, "f64", choices=("f32", "f64")),
+    )),
 }
 
-_DEFAULTS = {
-    "synth": {"count": 4, "size": "16x48x48", "seed": 0, "decoys": False,
-              "noise": 30.0, "threads": 1},
-    "train": {"backbone": "unet", "levels": 4, "base_channels": 16, "recurrent": False,
-              "bptt": "detach", "teacher_forcing": False, "lr": 1e-4, "epochs": 40,
-              "patience": 10, "seed": 0, "threshold": 0.5, "max_seq_len": 8,
-              "threads": 1},
-    "segment": {"threshold": 0.5, "threads": 1},
-    "evaluate": {"threads": 1},
-    "gradcheck": {"backbone": "unet", "eps": 1e-5, "dtype": "f64", "threads": 1},
-}
 
-_REQUIRED = {
-    "synth": ("out",),
-    "train": ("data", "val", "out"),
-    "segment": ("model", "in", "out"),
-    "evaluate": ("pred", "gt", "csv"),
-    "gradcheck": (),
-}
-
-
-def _dest(key: str) -> str:
-    return "in_path" if key == "in" else key
+def _add_option(parser: argparse.ArgumentParser, opt: _Opt) -> None:
+    flag = "--" + opt.key.replace("_", "-")
+    if opt.coerce is _flag:
+        parser.add_argument(flag, action="store_true", default=None, help=opt.help)
+    else:
+        parser.add_argument(flag, type=opt.coerce, choices=opt.choices, default=None,
+                            help=opt.help, dest=opt.dest)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="rseg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    synth = sub.add_parser("synth", help="generate phantom volume/mask pairs")
-    synth.add_argument("--out", default=None, help="output directory")
-    synth.add_argument("--count", type=int, default=None, help="number of volumes")
-    synth.add_argument("--size", default=None, help="volume extents as DxHxW")
-    synth.add_argument("--seed", type=int, default=None, help="base seed; volume i uses a derived stream")
-    synth.add_argument("--decoys", action="store_true", default=None,
-                       help="add a same-shape decoy that teleports between slices")
-    synth.add_argument("--noise", type=float, default=None, help="Gaussian noise sigma")
-
-    tr = sub.add_parser("train", help="train a model on vol_*/mask_* pairs")
-    tr.add_argument("--data", default=None, help="training directory")
-    tr.add_argument("--val", default=None, help="validation directory")
-    tr.add_argument("--out", default=None, help="checkpoint path (.rsck); CSV goes beside it")
-    tr.add_argument("--backbone", choices=("unet", "segunet", "attunet"), default=None)
-    tr.add_argument("--levels", type=int, default=None)
-    tr.add_argument("--base-channels", type=int, default=None)
-    tr.add_argument("--recurrent", action="store_true", default=None,
-                    help="feed each prediction into the next slice")
-    tr.add_argument("--bptt", choices=("detach", "full"), default=None,
-                    help="gradient handling across the feedback edge")
-    tr.add_argument("--teacher-forcing", action="store_true", default=None)
-    tr.add_argument("--lr", type=float, default=None)
-    tr.add_argument("--epochs", type=int, default=None)
-    tr.add_argument("--patience", type=int, default=None)
-    tr.add_argument("--seed", type=int, default=None)
-    tr.add_argument("--threshold", type=float, default=None, help="validation Dice threshold")
-    tr.add_argument("--max-seq-len", type=int, default=None, help="BPTT chunk length")
-
-    seg = sub.add_parser("segment", help="segment a volume with a checkpoint")
-    seg.add_argument("--model", default=None, help="checkpoint path")
-    seg.add_argument("--in", dest="in_path", default=None, help="input volume (.mvf)")
-    seg.add_argument("--out", default=None, help="output mask (.mvf)")
-    seg.add_argument("--threshold", type=float, default=None)
-
-    ev = sub.add_parser("evaluate", help="compare a predicted mask against a reference")
-    ev.add_argument("--pred", default=None, help="predicted mask (.mvf)")
-    ev.add_argument("--gt", default=None, help="reference mask (.mvf)")
-    ev.add_argument("--csv", default=None, help="report destination")
-
-    gc = sub.add_parser("gradcheck", help="finite-difference check of a tiny backbone")
-    gc.add_argument("--backbone", choices=("unet", "segunet", "attunet"), default=None)
-    gc.add_argument("--eps", type=float, default=None, help="finite-difference step")
-    gc.add_argument("--dtype", choices=("f32", "f64"), default=None)
-
-    for p in (synth, tr, seg, ev, gc):
+    for command, (summary, options) in _OPTIONS.items():
+        p = sub.add_parser(command, help=summary)
+        for opt in options:
+            _add_option(p, opt)
         p.add_argument("--config", default=None, help="key = value file; flags override it")
-        p.add_argument("--threads", type=int, default=None,
-                       help="BLAS thread cap; 1 (the default) is bit-deterministic; "
-                            "takes full effect when set at process start")
+        _add_option(p, _THREADS)
     return parser
 
 
@@ -151,18 +158,18 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
-    schema = _SCHEMAS[command]
-    eff = dict(_DEFAULTS[command])
+    options = {opt.key: opt for opt in _OPTIONS[command][1] + (_THREADS,)}
+    eff = {key: opt.default for key, opt in options.items()}
     if args.config is not None:
         for key, text in _read_config_file(args.config).items():
-            if key not in schema:
+            if key not in options:
                 raise ValueError(f"unknown config key {key!r} for {command}")
-            eff[key] = schema[key](text)
-    for key in schema:
-        value = getattr(args, _dest(key))
+            eff[key] = options[key].coerce(text)
+    for key, opt in options.items():
+        value = getattr(args, opt.dest or key)
         if value is not None:
             eff[key] = value
-    missing = [k for k in _REQUIRED[command] if eff.get(k) is None]
+    missing = [key for key, opt in options.items() if opt.required and eff[key] is None]
     if missing:
         flags = ", ".join("--" + k.replace("_", "-") for k in missing)
         raise ValueError(f"missing required option(s): {flags}")

@@ -210,8 +210,10 @@ def load_volume(path):
         raw = f.read()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}, expected {_MAGIC!r}")
-    code, d, h, w, sz, sy, sx = _HEADER.unpack_from(raw, 4)
     offset = 4 + _HEADER.size
+    if len(raw) < offset:
+        raise ValueError(f"{path}: truncated header, {len(raw)} bytes, expected at least {offset}")
+    code, d, h, w, sz, sy, sx = _HEADER.unpack_from(raw, 4)
     count = d * h * w
     if code == _DTYPE_F32:
         expected = offset + 4 * count

@@ -25,18 +25,7 @@ def numeric_grad(f, arr: np.ndarray, h: float = 1e-5) -> np.ndarray:
     f must re-run the forward pass reading arr; arr is perturbed in place
     and restored.
     """
-    g = np.zeros_like(arr, dtype=np.float64)
-    flat = arr.reshape(-1)
-    gf = g.reshape(-1)
-    for i in range(flat.size):
-        old = flat[i]
-        flat[i] = old + h
-        fp = f()
-        flat[i] = old - h
-        fm = f()
-        flat[i] = old
-        gf[i] = (fp - fm) / (2.0 * h)
-    return g
+    return numeric_grad_sampled(f, arr, np.arange(arr.size), h).reshape(arr.shape)
 
 
 def numeric_grad_sampled(f, arr: np.ndarray, flat_indices, h: float = 1e-5) -> np.ndarray:

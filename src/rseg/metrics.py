@@ -96,37 +96,10 @@ def _nearest_distances(a_pts: np.ndarray, b_pts: np.ndarray) -> np.ndarray:
     return np.asarray(d, dtype=np.float64)
 
 
-def directed_avg_distance(a_pts: np.ndarray, b_pts: np.ndarray) -> float:
-    return float(np.mean(_nearest_distances(a_pts, b_pts)))
-
-
 def _directed_stats(a: VolumeMask, b: VolumeMask):
     sa = extract_surface(a)
     sb = extract_surface(b)
     return _nearest_distances(sa, sb), _nearest_distances(sb, sa)
-
-
-def asd(a: VolumeMask, b: VolumeMask) -> float:
-    """Average symmetric surface distance in mm."""
-    _check_dims(a, b, "asd")
-    dab, dba = _directed_stats(a, b)
-    return 0.5 * (float(np.mean(dab)) + float(np.mean(dba)))
-
-
-def hausdorff(a: VolumeMask, b: VolumeMask) -> float:
-    _check_dims(a, b, "hausdorff")
-    dab, dba = _directed_stats(a, b)
-    return max(float(np.max(dab)), float(np.max(dba)))
-
-
-def hd95(a: VolumeMask, b: VolumeMask) -> float:
-    """Max over both directions of the 95th-percentile nearest distance."""
-    _check_dims(a, b, "hd95")
-    dab, dba = _directed_stats(a, b)
-    return max(
-        float(np.percentile(dab, 95, method="linear")),
-        float(np.percentile(dba, 95, method="linear")),
-    )
 
 
 def evaluate(pred: VolumeMask, gt: VolumeMask, scan_id: str) -> MetricsReport:

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -5,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from rseg.cli import run_cli
-from rseg.data import load_volume, Volume
+from rseg.backbones import BACKBONES, ModelConfig
+from rseg.cli import _OPTIONS, _parse_size, run_cli
+from rseg.data import PhantomSpec, load_volume, Volume
 from rseg.metrics import VolumeMask
-from rseg.trainer import load_checkpoint
+from rseg.recurrent import MODES, segment_volume
+from rseg.trainer import TrainConfig, load_checkpoint
 
 
 def read_tree(root):
@@ -213,6 +216,37 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         assert run_cli(["segment"]) == 1
         assert "--model" in capsys.readouterr().err
+
+    def test_truncated_header_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "cut.mvf"
+        path.write_bytes(b"MVF1\x01\x02")
+        assert run_cli(["evaluate", "--pred", str(path), "--gt", str(path),
+                        "--csv", str(tmp_path / "r.csv")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
+class TestOptionTable:
+    """The table's literal defaults must track the library's own."""
+
+    def test_literal_defaults_match_library(self):
+        rows = {cmd: {o.key: o for o in opts} for cmd, (_, opts) in _OPTIONS.items()}
+        train = {key: o.default for key, o in rows["train"].items()}
+        mconfig, tconfig = ModelConfig(), TrainConfig()
+        for key in ("backbone", "levels", "base_channels", "recurrent"):
+            assert train[key] == getattr(mconfig, key), key
+        for key in ("lr", "epochs", "patience", "seed", "teacher_forcing", "threshold",
+                    "max_seq_len"):
+            assert train[key] == getattr(tconfig, key), key
+        assert train["bptt"] == tconfig.bptt_mode
+        threshold = inspect.signature(segment_volume).parameters["threshold"].default
+        assert rows["segment"]["threshold"].default == threshold
+        spec = PhantomSpec()
+        assert rows["synth"]["noise"].default == spec.noise_sigma
+        assert rows["synth"]["decoys"].default == spec.decoys
+        assert _parse_size(rows["synth"]["size"].default) == spec.dims
+        for cmd in ("train", "gradcheck"):
+            assert rows[cmd]["backbone"].choices == BACKBONES
+        assert rows["train"]["bptt"].choices == MODES
 
 
 class TestThreads:

@@ -143,13 +143,20 @@ class TestVolumeIO:
         save_volume(vol, path)
         assert path.stat().st_size == 4 + 1 + 12 + 12 + 32 * 64 * 64 * 4
 
-    def test_truncated_payload_rejected(self, tmp_path):
+    # the header ends at byte 29: magic (4) plus <B3I3f (25)
+    @pytest.mark.parametrize("keep, match", [
+        (6, "truncated header"),
+        (28, "truncated header"),
+        (29, "payload length"),
+        (-10, "payload length"),
+    ], ids=["header_6", "header_28", "payload_0", "payload_minus_10"])
+    def test_truncated_payload_rejected(self, tmp_path, keep, match):
         vol = Volume(np.zeros((8, 8, 8), dtype=np.float32), (1.0, 1.0, 1.0))
         path = tmp_path / "v.mvf"
         save_volume(vol, path)
         raw = path.read_bytes()
-        path.write_bytes(raw[:-10])
-        with pytest.raises(ValueError, match="payload length"):
+        path.write_bytes(raw[:keep])
+        with pytest.raises(ValueError, match=match):
             load_volume(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -4,13 +4,9 @@ import pytest
 from rseg.metrics import (
     EmptyMaskError,
     VolumeMask,
-    asd,
     dice_coefficient,
-    directed_avg_distance,
     evaluate,
     extract_surface,
-    hausdorff,
-    hd95,
     write_report_csv,
 )
 
@@ -100,59 +96,68 @@ class TestSurface:
             extract_surface(VolumeMask(np.zeros((3, 3, 3), dtype=np.uint8), UNIT))
 
 
+def distances(a, b):
+    """(asd, hd95, hd) in mm from the library's one surface-distance path."""
+    r = evaluate(a, b, "s")
+    return r.asd_mm, r.hd95_mm, r.hd_mm
+
+
 class TestDirectedDistance:
+    # single voxels are their own surfaces, so masks stand in for point sets
     def test_identical_sets(self):
-        pts = np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])
-        assert directed_avg_distance(pts, pts) == 0.0
+        m = mask_from_indices((4, 4, 4), [(0, 0, 0), (1, 2, 3)])
+        assert distances(m, m) == (0.0, 0.0, 0.0)
 
     def test_single_points(self):
-        a = np.array([[0.0, 0.0, 0.0]])
-        b = np.array([[0.0, 0.0, 3.0]])
-        assert directed_avg_distance(a, b) == pytest.approx(3.0, abs=1e-12)
+        a = mask_from_indices((1, 1, 4), [(0, 0, 0)])
+        b = mask_from_indices((1, 1, 4), [(0, 0, 3)])
+        assert distances(a, b) == pytest.approx((3.0, 3.0, 3.0), abs=1e-12)
 
     def test_asymmetry(self):
-        a = np.array([[0.0, 0.0, 0.0]])
-        b = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 10.0]])
-        assert directed_avg_distance(a, b) == 0.0
-        assert directed_avg_distance(b, a) == pytest.approx(5.0, abs=1e-12)
+        # A -> B averages 0, B -> A averages 5; ASD is the mean of the two
+        a = mask_from_indices((1, 1, 11), [(0, 0, 0)])
+        b = mask_from_indices((1, 1, 11), [(0, 0, 0), (0, 0, 10)])
+        asd_v, _, hd_v = distances(a, b)
+        assert asd_v == pytest.approx(2.5, abs=1e-12)
+        assert hd_v == pytest.approx(10.0, abs=1e-12)
 
 
 class TestAsd:
     def test_identical_masks(self):
         m = mask_from_indices((4, 4, 4), [(1, 1, 1), (2, 3, 2)])
-        assert asd(m, m) == 0.0
+        assert distances(m, m)[0] == 0.0
 
     def test_single_voxels_three_mm_apart(self):
         a = mask_from_indices((6, 3, 3), [(0, 1, 1)])
         b = mask_from_indices((6, 3, 3), [(3, 1, 1)])
-        assert asd(a, b) == pytest.approx(3.0, abs=1e-12)
+        assert distances(a, b)[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_symmetric(self):
         rng = np.random.default_rng(12)
         a = VolumeMask(random_structured_mask(rng, (10, 10, 10)), UNIT)
         b = VolumeMask(random_structured_mask(rng, (10, 10, 10)), UNIT)
-        assert asd(a, b) == asd(b, a)
+        assert distances(a, b)[0] == distances(b, a)[0]
 
     def test_empty_mask_is_an_error(self):
         e = VolumeMask(np.zeros((3, 3, 3), dtype=np.uint8), UNIT)
         m = mask_from_indices((3, 3, 3), [(1, 1, 1)])
         with pytest.raises(EmptyMaskError):
-            asd(e, m)
+            evaluate(e, m, "s")
         with pytest.raises(EmptyMaskError):
-            asd(m, e)
+            evaluate(m, e, "s")
 
 
 class TestHausdorff:
     def test_identical_masks(self):
         m = mask_from_indices((4, 4, 4), [(1, 1, 1), (2, 3, 2)])
-        assert hausdorff(m, m) == 0.0
-        assert hd95(m, m) == 0.0
+        assert distances(m, m)[1:] == (0.0, 0.0)
 
     def test_single_voxels_three_mm_apart(self):
         a = mask_from_indices((6, 3, 3), [(0, 1, 1)])
         b = mask_from_indices((6, 3, 3), [(3, 1, 1)])
-        assert hausdorff(a, b) == pytest.approx(3.0, abs=1e-12)
-        assert hd95(a, b) == pytest.approx(3.0, abs=1e-12)
+        _, hd95_v, hd_v = distances(a, b)
+        assert hd_v == pytest.approx(3.0, abs=1e-12)
+        assert hd95_v == pytest.approx(3.0, abs=1e-12)
 
     def test_outlier_robustness(self):
         # a 100-voxel line vs the same line plus one voxel 50 mm away:
@@ -160,15 +165,15 @@ class TestHausdorff:
         line = [(0, 0, x) for x in range(100)]
         a = mask_from_indices((1, 60, 160), line)
         b = mask_from_indices((1, 60, 160), line + [(0, 50, 0)])
-        assert hausdorff(a, b) == pytest.approx(50.0, abs=1e-12)
-        assert hd95(a, b) < 5.0
+        _, hd95_v, hd_v = distances(a, b)
+        assert hd_v == pytest.approx(50.0, abs=1e-12)
+        assert hd95_v < 5.0
 
     def test_symmetric(self):
         rng = np.random.default_rng(13)
         a = VolumeMask(random_structured_mask(rng, (12, 12, 12)), UNIT)
         b = VolumeMask(random_structured_mask(rng, (12, 12, 12)), UNIT)
-        assert hausdorff(a, b) == hausdorff(b, a)
-        assert hd95(a, b) == hd95(b, a)
+        assert distances(a, b)[1:] == distances(b, a)[1:]
 
 
 class TestEvaluate:
