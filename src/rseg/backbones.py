@@ -6,6 +6,11 @@ net with L levels needs input extents divisible by 2^L. Channel width at
 level l is base_channels * 2^l. Forward passes emit 1-channel logits;
 callers apply the sigmoid.
 
+The forward pass is the only declaration of each architecture. A layer
+takes its output channel count and reads its input channels off the input;
+while a store is being built, it creates its own parameters on first use,
+so one forward pass lays out the whole store, in checkpoint order.
+
 Skip concatenation order is decoder features first, then encoder
 features; pinned so checkpoints stay compatible.
 """
@@ -55,6 +60,7 @@ class ParamStore:
     def __init__(self, config: ModelConfig):
         self.config = config
         self._tensors: dict = {}
+        self._source = None  # set only while build_store lays the store out
 
     def add(self, name: str, data: np.ndarray, trainable: bool) -> Tensor:
         if name in self._tensors:
@@ -62,6 +68,13 @@ class ParamStore:
         t = Tensor(data, requires_grad=trainable)
         self._tensors[name] = t
         return t
+
+    def param(self, name: str, shape: tuple, fan_in: int = None, fill: float = 0.0,
+              trainable: bool = True) -> Tensor:
+        """Look ``name`` up; during a build, first create it from the value source."""
+        if self._source is not None and name not in self._tensors:
+            return self.add(name, self._source(name, shape, fan_in, fill), trainable)
+        return self[name]
 
     def __getitem__(self, name: str) -> Tensor:
         try:
@@ -89,75 +102,32 @@ class ParamStore:
             t.grad = None
 
 
+def build_store(config: ModelConfig, source) -> ParamStore:
+    """Lay out every parameter by one eval-mode forward pass over a zero input.
+
+    ``source(name, shape, fan_in, fill)`` gives each array as its layer first
+    asks for it: He-normal for weights (``fan_in`` set), else constant ``fill``.
+    The pass's output is discarded and eval mode leaves every array unchanged.
+    """
+    store = ParamStore(config)
+    store._source = source
+    side = 2 ** config.levels
+    with ad.no_grad():
+        forward(store, Tensor(np.zeros((1, config.in_channels, side, side), dtype=np.float32)))
+    store._source = None
+    return store
+
+
 def build_model(config: ModelConfig, seed: int, dtype=np.float32) -> ParamStore:
     """He-normal conv weights, zero biases, identity BN, from seeded Philox."""
     rng = np.random.Generator(np.random.Philox(seed))
-    store = ParamStore(config)
 
-    def conv(name, cout, cin, k):
-        fan_in = cin * k * k
-        std = np.sqrt(2.0 / fan_in)
-        store.add(f"{name}.w", rng.normal(0.0, std, size=(cout, cin, k, k)).astype(dtype), True)
-        store.add(f"{name}.b", np.zeros(cout, dtype=dtype), True)
+    def draw(name, shape, fan_in, fill):
+        if fan_in is None:
+            return np.full(shape, fill, dtype=dtype)
+        return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
 
-    def conv_t(name, cin, cout, k):
-        fan_in = cin * k * k
-        std = np.sqrt(2.0 / fan_in)
-        store.add(f"{name}.w", rng.normal(0.0, std, size=(cin, cout, k, k)).astype(dtype), True)
-        store.add(f"{name}.b", np.zeros(cout, dtype=dtype), True)
-
-    def bn(name, c):
-        store.add(f"{name}.gamma", np.ones(c, dtype=dtype), True)
-        store.add(f"{name}.beta", np.zeros(c, dtype=dtype), True)
-        store.add(f"{name}.mean", np.zeros(c, dtype=dtype), False)
-        store.add(f"{name}.var", np.ones(c, dtype=dtype), False)
-
-    levels = config.levels
-    ch = config.channels
-    bottom = ch(levels - 1)
-
-    if config.backbone == "unet":
-        prev = config.in_channels
-        for l in range(levels):
-            conv(f"enc{l}.conv_a", ch(l), prev, 3)
-            bn(f"enc{l}.bn_a", ch(l))
-            conv(f"enc{l}.conv_b", ch(l), ch(l), 3)
-            bn(f"enc{l}.bn_b", ch(l))
-            prev = ch(l)
-        for l in range(levels - 1, -1, -1):
-            up_in = bottom if l == levels - 1 else ch(l + 1)
-            conv_t(f"dec{l}.up", up_in, ch(l), 2)
-            bn(f"dec{l}.bn_up", ch(l))
-            conv(f"dec{l}.conv", ch(l), 2 * ch(l), 3)
-            bn(f"dec{l}.bn", ch(l))
-    else:
-        prev = config.in_channels
-        for l in range(levels):
-            conv(f"enc{l}.conv1", ch(l), prev, 3)
-            bn(f"enc{l}.bn1", ch(l))
-            conv(f"enc{l}.conv2", ch(l), ch(l), 3)
-            bn(f"enc{l}.bn2", ch(l))
-            prev = ch(l)
-        if config.backbone == "segunet":
-            for l in range(levels - 1, -1, -1):
-                out_c = ch(l - 1) if l > 0 else ch(0)
-                conv(f"dec{l}.conv1", ch(l), 2 * ch(l), 3)
-                bn(f"dec{l}.bn1", ch(l))
-                conv(f"dec{l}.conv2", out_c, ch(l), 3)
-                bn(f"dec{l}.bn2", out_c)
-        else:
-            for l in range(levels - 1, -1, -1):
-                up_in = bottom if l == levels - 1 else ch(l + 1)
-                f_int = max(ch(l) // 2, 1)
-                conv(f"dec{l}.up_conv", ch(l), up_in, 3)
-                bn(f"dec{l}.bn_up", ch(l))
-                conv(f"att{l}.wg", f_int, ch(l), 1)
-                conv(f"att{l}.wx", f_int, ch(l), 1)
-                conv(f"att{l}.psi", 1, f_int, 1)
-                conv(f"dec{l}.conv", ch(l), 2 * ch(l), 3)
-                bn(f"dec{l}.bn", ch(l))
-    conv("head", 1, ch(0), 1)
-    return store
+    return build_store(config, draw)
 
 
 def _check_input(x: Tensor, config: ModelConfig) -> None:
@@ -171,14 +141,24 @@ def _check_input(x: Tensor, config: ModelConfig) -> None:
         raise ValueError(f"spatial extent {h}x{w} not divisible by 2^levels = {div}")
 
 
+def _conv(store, name, x, cout, k, stride=1, pad=0, transpose=False):
+    cin = x.shape[1]
+    shape = (cin, cout, k, k) if transpose else (cout, cin, k, k)
+    w = store.param(f"{name}.w", shape, fan_in=cin * k * k)
+    b = store.param(f"{name}.b", (cout,))
+    op = ad.conv2d_transpose if transpose else ad.conv2d
+    return op(x, w, b, (stride, stride), (pad, pad))
+
+
 def _bn_relu(store, bn_name, y, train):
     cfg = store.config
+    c = y.shape[1]
     y = ad.batchnorm2d(
         y,
-        store[f"{bn_name}.gamma"],
-        store[f"{bn_name}.beta"],
-        store[f"{bn_name}.mean"],
-        store[f"{bn_name}.var"],
+        store.param(f"{bn_name}.gamma", (c,), fill=1.0),
+        store.param(f"{bn_name}.beta", (c,)),
+        store.param(f"{bn_name}.mean", (c,), trainable=False),
+        store.param(f"{bn_name}.var", (c,), fill=1.0, trainable=False),
         train,
         cfg.bn_eps,
         cfg.bn_momentum,
@@ -186,14 +166,9 @@ def _bn_relu(store, bn_name, y, train):
     return ad.relu(y)
 
 
-def _cbr(store, conv_name, bn_name, x, stride, pad, train):
-    y = ad.conv2d(x, store[f"{conv_name}.w"], store[f"{conv_name}.b"], (stride, stride), (pad, pad))
-    return _bn_relu(store, bn_name, y, train)
-
-
-def _cbr_transpose(store, conv_name, bn_name, x, train):
-    y = ad.conv2d_transpose(x, store[f"{conv_name}.w"], store[f"{conv_name}.b"], (2, 2), (0, 0))
-    return _bn_relu(store, bn_name, y, train)
+def _cbr(store, conv_name, bn_name, x, cout, train, stride=1):
+    """3x3 "same" conv, batch norm, relu."""
+    return _bn_relu(store, bn_name, _conv(store, conv_name, x, cout, 3, stride, 1), train)
 
 
 def forward_unet(store: ParamStore, x: Tensor, train: bool = False, taps=None) -> Tensor:
@@ -202,14 +177,15 @@ def forward_unet(store: ParamStore, x: Tensor, train: bool = False, taps=None) -
     skips = []
     h = x
     for l in range(cfg.levels):
-        a = _cbr(store, f"enc{l}.conv_a", f"enc{l}.bn_a", h, 1, 1, train)
+        a = _cbr(store, f"enc{l}.conv_a", f"enc{l}.bn_a", h, cfg.channels(l), train)
         skips.append(a)
-        h = _cbr(store, f"enc{l}.conv_b", f"enc{l}.bn_b", a, 2, 1, train)
+        h = _cbr(store, f"enc{l}.conv_b", f"enc{l}.bn_b", a, cfg.channels(l), train, stride=2)
     for l in range(cfg.levels - 1, -1, -1):
-        h = _cbr_transpose(store, f"dec{l}.up", f"dec{l}.bn_up", h, train)
+        up = _conv(store, f"dec{l}.up", h, cfg.channels(l), 2, stride=2, transpose=True)
+        h = _bn_relu(store, f"dec{l}.bn_up", up, train)
         h = ad.concat_channels(h, skips[l])
-        h = _cbr(store, f"dec{l}.conv", f"dec{l}.bn", h, 1, 1, train)
-    return ad.conv2d(h, store["head.w"], store["head.b"], (1, 1), (0, 0))
+        h = _cbr(store, f"dec{l}.conv", f"dec{l}.bn", h, cfg.channels(l), train)
+    return _conv(store, "head", h, 1, 1)
 
 
 def _segstyle_encoder(store, x, train):
@@ -218,8 +194,8 @@ def _segstyle_encoder(store, x, train):
     indices = []
     h = x
     for l in range(cfg.levels):
-        h = _cbr(store, f"enc{l}.conv1", f"enc{l}.bn1", h, 1, 1, train)
-        h = _cbr(store, f"enc{l}.conv2", f"enc{l}.bn2", h, 1, 1, train)
+        h = _cbr(store, f"enc{l}.conv1", f"enc{l}.bn1", h, cfg.channels(l), train)
+        h = _cbr(store, f"enc{l}.conv2", f"enc{l}.bn2", h, cfg.channels(l), train)
         skips.append(h)
         h, idx = ad.maxpool2d(h)
         indices.append(idx)
@@ -235,17 +211,19 @@ def forward_segunet(store: ParamStore, x: Tensor, train: bool = False, taps=None
         if taps is not None:
             taps[f"dec{l}.unpooled"] = h
         h = ad.concat_channels(h, skips[l])
-        h = _cbr(store, f"dec{l}.conv1", f"dec{l}.bn1", h, 1, 1, train)
-        h = _cbr(store, f"dec{l}.conv2", f"dec{l}.bn2", h, 1, 1, train)
-    return ad.conv2d(h, store["head.w"], store["head.b"], (1, 1), (0, 0))
+        h = _cbr(store, f"dec{l}.conv1", f"dec{l}.bn1", h, cfg.channels(l), train)
+        # narrow to the next level's width, so its unpooled map matches its skip
+        h = _cbr(store, f"dec{l}.conv2", f"dec{l}.bn2", h, cfg.channels(max(l - 1, 0)), train)
+    return _conv(store, "head", h, 1, 1)
 
 
 def attention_gate(store: ParamStore, prefix: str, g: Tensor, x_skip: Tensor):
     """alpha = sigmoid(psi(relu(Wg.g + Wx.x))); returns (x_skip * alpha, alpha)."""
-    zg = ad.conv2d(g, store[f"{prefix}.wg.w"], store[f"{prefix}.wg.b"], (1, 1), (0, 0))
-    zx = ad.conv2d(x_skip, store[f"{prefix}.wx.w"], store[f"{prefix}.wx.b"], (1, 1), (0, 0))
+    f_int = x_skip.shape[1] // 2
+    zg = _conv(store, f"{prefix}.wg", g, f_int, 1)
+    zx = _conv(store, f"{prefix}.wx", x_skip, f_int, 1)
     s = ad.relu(ad.add(zg, zx))
-    alpha = ad.sigmoid(ad.conv2d(s, store[f"{prefix}.psi.w"], store[f"{prefix}.psi.b"], (1, 1), (0, 0)))
+    alpha = ad.sigmoid(_conv(store, f"{prefix}.psi", s, 1, 1))
     gated = ad.mul(x_skip, ad.expand_channels(alpha, x_skip.shape[1]))
     return gated, alpha
 
@@ -256,13 +234,13 @@ def forward_attunet(store: ParamStore, x: Tensor, train: bool = False, taps=None
     h, skips, _ = _segstyle_encoder(store, x, train)
     for l in range(cfg.levels - 1, -1, -1):
         h = ad.upsample_nearest2x(h)
-        h = _cbr(store, f"dec{l}.up_conv", f"dec{l}.bn_up", h, 1, 1, train)
+        h = _cbr(store, f"dec{l}.up_conv", f"dec{l}.bn_up", h, cfg.channels(l), train)
         gated, alpha = attention_gate(store, f"att{l}", h, skips[l])
         if taps is not None:
             taps[f"att{l}.alpha"] = alpha
         h = ad.concat_channels(h, gated)
-        h = _cbr(store, f"dec{l}.conv", f"dec{l}.bn", h, 1, 1, train)
-    return ad.conv2d(h, store["head.w"], store["head.b"], (1, 1), (0, 0))
+        h = _cbr(store, f"dec{l}.conv", f"dec{l}.bn", h, cfg.channels(l), train)
+    return _conv(store, "head", h, 1, 1)
 
 
 _FORWARDS = {

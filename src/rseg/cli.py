@@ -58,7 +58,7 @@ class _Opt(NamedTuple):
 
     ``coerce`` types both the flag and the config value; ``_flag`` makes a
     ``store_true`` flag that a config file can still set to false. Choices
-    are checked on the flag only.
+    are checked on the flag and on the config value alike.
     """
 
     key: str
@@ -164,7 +164,11 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
         for key, text in _read_config_file(args.config).items():
             if key not in options:
                 raise ValueError(f"unknown config key {key!r} for {command}")
-            eff[key] = options[key].coerce(text)
+            opt = options[key]
+            eff[key] = opt.coerce(text)
+            if opt.choices is not None and eff[key] not in opt.choices:
+                raise ValueError(f"config key {key!r}: invalid choice {eff[key]!r} "
+                                 f"(choose from {', '.join(map(repr, opt.choices))})")
     for key, opt in options.items():
         value = getattr(args, opt.dest or key)
         if value is not None:

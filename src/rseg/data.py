@@ -11,12 +11,13 @@ so the same spec and seed reproduce bit-identical data on any platform.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import VolumeMask
+from .metrics import VolumeMask, check_spacing
 
 STREAK_INTENSITY = 2600.0
 
@@ -46,8 +47,7 @@ class Volume:
             raise ValueError(f"volume must be 3-d, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("volume intensities must be finite")
-        if len(self.spacing_mm) != 3 or any(s <= 0 for s in self.spacing_mm):
-            raise ValueError(f"spacing must be 3 positive reals, got {self.spacing_mm}")
+        check_spacing(self.spacing_mm)
 
     @property
     def dims(self) -> tuple:
@@ -186,8 +186,17 @@ def _paint_decoy(rng, vol_z, mask_z, yy, xx, h, w,
 # volume file I/O
 
 
+def _write_atomic(path, data: bytes) -> None:
+    """Write to a temp file beside ``path``, then rename it over ``path``."""
+    target = os.fspath(path)
+    tmp = target + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, target)
+
+
 def save_volume(obj, path) -> None:
-    """Write a Volume (f32) or VolumeMask (u8) in the MVF1 layout."""
+    """Atomic write of a Volume (f32) or VolumeMask (u8) in the MVF1 layout."""
     if isinstance(obj, Volume):
         code = _DTYPE_F32
         payload = np.ascontiguousarray(obj.intensities, dtype="<f4").tobytes()
@@ -198,10 +207,7 @@ def save_volume(obj, path) -> None:
         raise TypeError(f"save_volume: expected Volume or VolumeMask, got {type(obj)!r}")
     d, h, w = (obj.intensities.shape if code == _DTYPE_F32 else obj.voxels.shape)
     sz, sy, sx = obj.spacing_mm
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(_HEADER.pack(code, d, h, w, sz, sy, sx))
-        f.write(payload)
+    _write_atomic(path, _MAGIC + _HEADER.pack(code, d, h, w, sz, sy, sx) + payload)
 
 
 def load_volume(path):

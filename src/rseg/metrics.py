@@ -19,6 +19,12 @@ class EmptyMaskError(ValueError):
     """Distance metrics are undefined when a mask has no surface."""
 
 
+def check_spacing(spacing_mm) -> None:
+    """Voxel spacing must be three positive, finite reals (mm)."""
+    if len(spacing_mm) != 3 or not all(np.isfinite(s) and s > 0 for s in spacing_mm):
+        raise ValueError(f"spacing must be 3 positive finite reals, got {spacing_mm}")
+
+
 @dataclass(frozen=True)
 class VolumeMask:
     """Binary (D, H, W) voxel grid with per-axis spacing in mm."""
@@ -32,8 +38,7 @@ class VolumeMask:
             raise ValueError(f"mask must be 3-d, got shape {v.shape}")
         if not np.all((v == 0) | (v == 1)):
             raise ValueError("mask voxels must be binary")
-        if len(self.spacing_mm) != 3 or any(s <= 0 for s in self.spacing_mm):
-            raise ValueError(f"spacing must be 3 positive reals, got {self.spacing_mm}")
+        check_spacing(self.spacing_mm)
 
     @property
     def dims(self) -> tuple:

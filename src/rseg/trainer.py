@@ -14,23 +14,20 @@ parameters and BN running statistics alike) as f32 little-endian payloads.
 
 from __future__ import annotations
 
-import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .backbones import ModelConfig, ParamStore, build_model
-from .data import SliceSequence
+from .backbones import ModelConfig, ParamStore, build_store
+from .data import SliceSequence, _write_atomic
 from .loss import LossWeights, combined_loss, sequence_loss
 from .recurrent import MODES, unroll_forward
 
 CHECKPOINT_MAGIC = b"RSCK"
 CHECKPOINT_VERSION = 1
-
-_CONFIG_KEYS = ("backbone", "levels", "base_channels", "recurrent", "bn_eps", "bn_momentum")
 
 
 @dataclass(frozen=True)
@@ -219,11 +216,13 @@ def train(params: ParamStore, tconfig: TrainConfig, train_set, val_set):
 
 
 def _config_blob(config: ModelConfig) -> bytes:
-    lines = [f"{key} = {getattr(config, key)}" for key in _CONFIG_KEYS]
+    lines = [f"{f.name} = {getattr(config, f.name)}" for f in fields(ModelConfig)]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 def _parse_config(blob: bytes) -> ModelConfig:
+    # each key's type is that of its ModelConfig default: str, int, bool or float
+    kinds = {f.name: type(f.default) for f in fields(ModelConfig)}
     kwargs = {}
     for raw in blob.decode("utf-8").splitlines():
         line = raw.strip()
@@ -234,18 +233,15 @@ def _parse_config(blob: bytes) -> ModelConfig:
         value = value.strip()
         if not sep:
             raise ValueError(f"malformed config line {raw!r} in checkpoint")
-        if key == "backbone":
-            kwargs[key] = value
-        elif key in ("levels", "base_channels"):
-            kwargs[key] = int(value)
-        elif key == "recurrent":
+        kind = kinds.get(key)
+        if kind is None:
+            raise ValueError(f"unknown config key {key!r} in checkpoint")
+        if kind is bool:
             if value not in ("True", "False"):
                 raise ValueError(f"bad boolean {value!r} for config key {key!r}")
             kwargs[key] = value == "True"
-        elif key in ("bn_eps", "bn_momentum"):
-            kwargs[key] = float(value)
         else:
-            raise ValueError(f"unknown config key {key!r} in checkpoint")
+            kwargs[key] = kind(value)
     return ModelConfig(**kwargs)
 
 
@@ -267,11 +263,7 @@ def save_checkpoint(params: ParamStore, path) -> None:
         out += struct.pack("<B", arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += arr.tobytes()
-    target = os.fspath(path)
-    tmp = target + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(bytes(out))
-    os.replace(tmp, target)
+    _write_atomic(path, bytes(out))
 
 
 class _Reader:
@@ -291,7 +283,7 @@ class _Reader:
 
 
 def load_checkpoint(path) -> ParamStore:
-    """Rebuild the architecture from the config echo and fill in every array."""
+    """Rebuild the architecture from the config echo, taking every array from the file."""
     with open(path, "rb") as fh:
         reader = _Reader(fh.read())
     if reader.take(4) != CHECKPOINT_MAGIC:
@@ -301,28 +293,34 @@ def load_checkpoint(path) -> ParamStore:
         raise ValueError(f"unsupported checkpoint version {version}")
     (blob_len,) = reader.unpack("<I")
     config = _parse_config(reader.take(blob_len))
-    params = build_model(config, seed=0)
     (count,) = reader.unpack("<I")
-    loaded = set()
+    arrays = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
         name = reader.take(name_len).decode("utf-8")
-        if name in loaded:
+        if name in arrays:
             raise ValueError(f"duplicate parameter {name!r} in checkpoint")
-        if name not in params:
-            raise ValueError(f"unknown parameter {name!r} for this architecture")
         (rank,) = reader.unpack("<B")
         shape = reader.unpack(f"<{rank}I")
-        tens = params[name]
-        if shape != tens.data.shape:
-            raise ValueError(
-                f"parameter {name!r} has shape {shape} in file, expected {tens.data.shape}"
-            )
         n_vals = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(reader.take(4 * n_vals), dtype="<f4").reshape(shape)
-        tens.data[...] = arr
-        loaded.add(name)
-    missing = [n for n in params.names() if n not in loaded]
+        arrays[name] = np.frombuffer(reader.take(4 * n_vals), dtype="<f4").reshape(shape)
+    missing = []
+
+    def from_file(name, shape, fan_in, fill):
+        arr = arrays.get(name)
+        if arr is None:
+            missing.append(name)
+            return np.zeros(shape, dtype=np.float32)
+        if arr.shape != shape:
+            raise ValueError(f"parameter {name!r} has shape {arr.shape} in file, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"parameter {name!r} has non-finite values in checkpoint")
+        return arr.astype(np.float32)
+
+    params = build_store(config, from_file)
+    unknown = [n for n in arrays if n not in params]
+    if unknown:
+        raise ValueError(f"unknown parameter {unknown[0]!r} for this architecture")
     if missing:
         raise ValueError(f"checkpoint is missing parameters: {missing[:3]}...")
     if reader.off != len(reader.buf):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,17 @@ from rseg.gradcheck import max_rel_error, numeric_grad
 from _opchecks import backbone_fd_worst
 
 TINY = dict(levels=2, base_channels=4)
+
+# sha256 of repr([(name, shape, requires_grad), ...]) of each TINY store; a
+# changed name, shape or creation order changes every checkpoint
+LAYOUT_SHA256 = {
+    ("unet", False): "48f3b913d2351bcd8c66bdf71801bf9f6c7b7819427f567233f72699fd985e50",
+    ("unet", True): "f881d5b26aa9abc7b47c253a2134dfdbe147014f74823a070ce9a061426f6a6f",
+    ("segunet", False): "ded5e4b27ad91879c9ba1adf6be360ef70cfdfc9103144211bf3b8eb8d114134",
+    ("segunet", True): "82feaeaff06c5697369944515d559bb3a9d5d6f69185fc85af9be0792ec6c7d4",
+    ("attunet", False): "ef46dad8e25dfc8c31a865b3ad22e01005a5839d2d80b0e9367f7eef02c7692f",
+    ("attunet", True): "0b069d9c527e41be9ee0654d0d907f237315e09b2e5a0357317ea6d6230bcbe1",
+}
 
 
 def rand_input(rng, cfg, hw=64, dtype=np.float32):
@@ -87,6 +100,13 @@ class TestBuild:
         store = build_model(ModelConfig(**TINY), seed=0)
         with pytest.raises(ValueError):
             store.add("head.w", np.zeros(1), True)
+
+    @pytest.mark.parametrize("backbone, recurrent", list(LAYOUT_SHA256))
+    def test_parameter_layout_pinned(self, backbone, recurrent):
+        store = build_model(ModelConfig(backbone=backbone, recurrent=recurrent, **TINY), seed=0)
+        layout = [(n, t.shape, t.requires_grad) for n, t in store.items()]
+        digest = hashlib.sha256(repr(layout).encode()).hexdigest()
+        assert digest == LAYOUT_SHA256[backbone, recurrent]
 
     def test_channel_doubling(self):
         cfg = ModelConfig(backbone="segunet", levels=3, base_channels=4)

@@ -1,17 +1,18 @@
 import inspect
 import os
+import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from rseg.backbones import BACKBONES, ModelConfig
+from rseg.backbones import BACKBONES, ModelConfig, build_model
 from rseg.cli import _OPTIONS, _parse_size, run_cli
 from rseg.data import PhantomSpec, load_volume, Volume
 from rseg.metrics import VolumeMask
 from rseg.recurrent import MODES, segment_volume
-from rseg.trainer import TrainConfig, load_checkpoint
+from rseg.trainer import TrainConfig, load_checkpoint, save_checkpoint
 
 
 def read_tree(root):
@@ -88,6 +89,13 @@ class TestConfigFile:
         cfg.write_text("count 3\n")
         assert run_cli(["synth", "--out", str(tmp_path / "d"), "--config", str(cfg)]) == 1
         assert "malformed" in capsys.readouterr().err
+
+    def test_value_outside_choices_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dtype = f16\n")
+        assert run_cli(["gradcheck", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'f16'" in err
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert run_cli(["synth", "--out", str(tmp_path / "d"),
@@ -223,6 +231,28 @@ class TestExitCodes:
         assert run_cli(["evaluate", "--pred", str(path), "--gt", str(path),
                         "--csv", str(tmp_path / "r.csv")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_non_finite_checkpoint_is_a_validation_error(self, tmp_path, capsys):
+        synth(tmp_path / "d", count=1)
+        store = build_model(ModelConfig(levels=2, base_channels=4), seed=0)
+        store["head.b"].data[...] = np.nan
+        model = tmp_path / "m.rsck"
+        save_checkpoint(store, model)
+        assert run_cli(["segment", "--model", str(model),
+                        "--in", str(tmp_path / "d" / "vol_000.mvf"),
+                        "--out", str(tmp_path / "p.mvf")]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "p.mvf").exists()
+
+    def test_nan_spacing_is_a_validation_error(self, tmp_path, capsys):
+        synth(tmp_path / "d", count=1)
+        path = tmp_path / "d" / "mask_000.mvf"
+        raw = bytearray(path.read_bytes())
+        raw[17:21] = struct.pack("<f", float("nan"))  # z spacing follows magic, code, dims
+        path.write_bytes(bytes(raw))
+        assert run_cli(["evaluate", "--pred", str(path), "--gt", str(path),
+                        "--csv", str(tmp_path / "r.csv")]) == 1
+        assert "positive finite" in capsys.readouterr().err
 
 
 class TestOptionTable:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,13 @@ class TestStreaks:
         assert not np.any(streak & (mask.voxels == 1))
 
 
+class TestVolume:
+    def test_non_positive_spacing_rejected(self):
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="spacing"):
+                Volume(np.zeros((2, 2, 2), dtype=np.float32), (1.0, 1.0, bad))
+
+
 class TestVolumeIO:
     def test_volume_round_trip_bit_exact(self, tmp_path):
         vol, _ = generate_phantom(PhantomSpec(seed=1))
@@ -136,6 +145,19 @@ class TestVolumeIO:
         back = load_volume(path)
         assert isinstance(back, VolumeMask)
         np.testing.assert_array_equal(back.voxels, mask.voxels)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.mvf"
+        save_volume(VolumeMask(np.zeros((2, 2, 2), dtype=np.uint8), (1.0, 1.0, 1.0)), path)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("simulated crash before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="simulated"):
+            save_volume(VolumeMask(np.ones((2, 2, 2), dtype=np.uint8), (1.0, 1.0, 1.0)), path)
+        assert path.read_bytes() == before
 
     def test_file_size_formula(self, tmp_path):
         vol = Volume(np.zeros((32, 64, 64), dtype=np.float32), (1.0, 1.0, 1.0))

@@ -28,8 +28,9 @@ class TestVolumeMask:
             VolumeMask(np.full((2, 2, 2), 0.5), UNIT)
 
     def test_non_positive_spacing_rejected(self):
-        with pytest.raises(ValueError):
-            VolumeMask(np.zeros((2, 2, 2), dtype=np.uint8), (1.0, 0.0, 1.0))
+        for bad in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                VolumeMask(np.zeros((2, 2, 2), dtype=np.uint8), (1.0, bad, 1.0))
 
     def test_non_3d_rejected(self):
         with pytest.raises(ValueError):

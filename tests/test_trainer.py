@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -300,6 +302,55 @@ class TestCheckpoint:
         path.write_bytes(blob)
         with pytest.raises(ValueError, match="head.q"):
             load_checkpoint(path)
+
+    def _save_edited(self, path, edit):
+        """Save the trained store after ``edit(name, array)`` -> array or None (drop)."""
+        store = self._trained_store()
+        edited = ParamStore(store.config)
+        for name, t in store.items():
+            arr = edit(name, t.data)
+            if arr is not None:
+                edited.add(name, arr, t.requires_grad)
+        save_checkpoint(edited, path)
+
+    def test_missing_parameter_rejected(self, tmp_path):
+        path = tmp_path / "m.rsck"
+        self._save_edited(path, lambda n, a: None if n == "head.b" else a)
+        with pytest.raises(ValueError, match=re.escape(
+                "checkpoint is missing parameters: ['head.b']...")):
+            load_checkpoint(path)
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "m.rsck"
+        self._save_edited(path, lambda n, a: a.reshape(4, 1, 1, 1) if n == "head.w" else a)
+        with pytest.raises(ValueError, match=re.escape(
+                "parameter 'head.w' has shape (4, 1, 1, 1) in file, expected (1, 4, 1, 1)")):
+            load_checkpoint(path)
+
+    def test_duplicate_parameter_rejected(self, tmp_path):
+        store = self._trained_store()
+        path = tmp_path / "m.rsck"
+        save_checkpoint(store, path)
+        # the names have equal length, so the file stays well formed but now
+        # holds head.w twice
+        path.write_bytes(path.read_bytes().replace(b"head.b", b"head.w"))
+        with pytest.raises(ValueError, match=re.escape(
+                "duplicate parameter 'head.w' in checkpoint")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        path = tmp_path / "m.rsck"
+        self._save_edited(path, lambda n, a: np.full_like(a, bad) if n == "head.b" else a)
+        with pytest.raises(ValueError, match="'head.b' has non-finite values"):
+            load_checkpoint(path)
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        store = self._trained_store()
+        path = tmp_path / "m.rsck"
+        save_checkpoint(store, path)
+        monkeypatch.setattr(np.random, "Philox", None)  # any draw would fail
+        assert load_checkpoint(path).names() == store.names()
 
     def test_default_config_checkpoint_is_small(self, tmp_path):
         store = build_model(ModelConfig(), seed=0)
