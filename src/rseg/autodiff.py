@@ -242,19 +242,12 @@ def _im2col(xp, kh, kw, sy, sx, ho, wo):
     return view.reshape(n, c * kh * kw, ho * wo)
 
 
-def _col2im(cols, out_shape, kh, kw, sy, sx, ho, wo):
-    """Scatter-add columns back to an image; adjoint of _im2col."""
-    n, c, hp, wp = out_shape
-    out = np.zeros(out_shape, dtype=cols.dtype)
-    cc = cols.reshape(n, c, kh, kw, ho, wo)
-    for i in range(kh):
-        for j in range(kw):
-            out[:, :, i : i + sy * ho : sy, j : j + sx * wo : sx] += cc[:, :, i, j]
-    return out
-
-
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
-    """Cross-correlation with zero padding; gradients for x, w and b."""
+    """Cross-correlation with zero padding (pad < kernel); gradients for x, w and b.
+
+    Each pass is im2col plus one GEMM: the input gradient correlates the
+    zero-dilated output gradient with the flipped, channel-swapped kernel.
+    """
     sy, sx = _pair(stride)
     py, px = _pair(pad)
     n, cin, h, wdt = x.shape
@@ -263,6 +256,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor
         raise ValueError(f"conv2d: channel mismatch, input {cin} vs kernel {cw}")
     if b.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {b.shape}, expected ({cout},)")
+    if py >= kh or px >= kw:
+        raise ValueError(f"conv2d: padding {(py, px)} must be smaller than kernel {(kh, kw)}")
     ho = (h + 2 * py - kh) // sy + 1
     wo = (wdt + 2 * px - kw) // sx + 1
     if ho <= 0 or wo <= 0 or h + 2 * py < kh or wdt + 2 * px < kw:
@@ -278,39 +273,36 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor
         _accumulate(b, g2.sum(axis=(0, 2)))
         _accumulate(w, np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(w.shape))
         if x.requires_grad:
-            gcols = np.matmul(wmat.T, g2)
-            gxp = _col2im(gcols, xp.shape, kh, kw, sy, sx, ho, wo)
-            gx = gxp[:, :, py : py + h, px : px + wdt] if (py or px) else gxp
-            _accumulate(x, gx)
+            gd = np.zeros((n, cout, h + kh - 1, wdt + kw - 1), dtype=g.dtype)
+            gd[:, :, kh - 1 - py :: sy, kw - 1 - px :: sx][:, :, :ho, :wo] = g
+            wflip = w.data[:, :, ::-1, ::-1].swapaxes(0, 1).reshape(cin, -1)
+            gx = np.matmul(wflip, _im2col(gd, kh, kw, 1, 1, h, wdt))
+            _accumulate(x, gx.reshape(n, cin, h, wdt))
 
     return _make_result(out, "conv2d", (x, w, b), backward_fn)
 
 
-def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
-    """Adjoint of conv2d's forward map; weight layout (Cin, Cout, kh, kw)."""
-    sy, sx = _pair(stride)
-    py, px = _pair(pad)
+def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Stride-k transposed conv, k x k kernel laid out (Cin, Cout, k, k), no padding.
+
+    One GEMM, then a pixel shuffle that places each input pixel's k x k block.
+    """
     n, cin, h, wdt = x.shape
     cw, cout, kh, kw = w.shape
     if cw != cin:
         raise ValueError(f"conv2d_transpose: channel mismatch, input {cin} vs kernel {cw}")
     if b.shape != (cout,):
         raise ValueError(f"conv2d_transpose: bias shape {b.shape}, expected ({cout},)")
-    hf = (h - 1) * sy - 2 * py + kh
-    wf = (wdt - 1) * sx - 2 * px + kw
-    if hf <= 0 or wf <= 0:
-        raise ValueError(f"conv2d_transpose: non-positive output extent for input {x.shape}")
     x2 = x.data.reshape(n, cin, h * wdt)
     wmat = w.data.reshape(cin, cout * kh * kw)
-    cols = np.matmul(wmat.T, x2)
-    outp = _col2im(cols, (n, cout, hf + 2 * py, wf + 2 * px), kh, kw, sy, sx, h, wdt)
-    out = outp[:, :, py : py + hf, px : px + wf] if (py or px) else outp
+    cols = np.matmul(wmat.T, x2).reshape(n, cout, kh, kw, h, wdt)
+    out = cols.transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, h * kh, wdt * kw)
     out = out + b.data.reshape(1, cout, 1, 1)
 
     def backward_fn(g):
         _accumulate(b, g.sum(axis=(0, 2, 3)))
-        gp = np.pad(g, ((0, 0), (0, 0), (py, py), (px, px))) if (py or px) else g
-        gcols = _im2col(gp, kh, kw, sy, sx, h, wdt)
+        gcols = g.reshape(n, cout, h, kh, wdt, kw).transpose(0, 1, 3, 5, 2, 4)
+        gcols = gcols.reshape(n, cout * kh * kw, h * wdt)
         _accumulate(w, np.tensordot(x2, gcols, axes=([0, 2], [0, 2])).reshape(w.shape))
         if x.requires_grad:
             _accumulate(x, np.matmul(wmat, gcols).reshape(n, cin, h, wdt))

@@ -146,8 +146,9 @@ def _conv(store, name, x, cout, k, stride=1, pad=0, transpose=False):
     shape = (cin, cout, k, k) if transpose else (cout, cin, k, k)
     w = store.param(f"{name}.w", shape, fan_in=cin * k * k)
     b = store.param(f"{name}.b", (cout,))
-    op = ad.conv2d_transpose if transpose else ad.conv2d
-    return op(x, w, b, (stride, stride), (pad, pad))
+    if transpose:
+        return ad.conv2d_transpose(x, w, b)
+    return ad.conv2d(x, w, b, (stride, stride), (pad, pad))
 
 
 def _bn_relu(store, bn_name, y, train):
@@ -181,7 +182,7 @@ def forward_unet(store: ParamStore, x: Tensor, train: bool = False, taps=None) -
         skips.append(a)
         h = _cbr(store, f"enc{l}.conv_b", f"enc{l}.bn_b", a, cfg.channels(l), train, stride=2)
     for l in range(cfg.levels - 1, -1, -1):
-        up = _conv(store, f"dec{l}.up", h, cfg.channels(l), 2, stride=2, transpose=True)
+        up = _conv(store, f"dec{l}.up", h, cfg.channels(l), 2, transpose=True)
         h = _bn_relu(store, f"dec{l}.bn_up", up, train)
         h = ad.concat_channels(h, skips[l])
         h = _cbr(store, f"dec{l}.conv", f"dec{l}.bn", h, cfg.channels(l), train)

@@ -187,12 +187,17 @@ def _paint_decoy(rng, vol_z, mask_z, yy, xx, h, w,
 
 
 def _write_atomic(path, data: bytes) -> None:
-    """Write to a temp file beside ``path``, then rename it over ``path``."""
+    """Write a temp file beside ``path``, rename it over ``path``; on failure remove the temp."""
     target = os.fspath(path)
     tmp = target + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, target)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_volume(obj, path) -> None:

@@ -24,6 +24,7 @@ from .autodiff import Tensor
 from .backbones import ModelConfig, ParamStore, build_store
 from .data import SliceSequence, _write_atomic
 from .loss import LossWeights, combined_loss, sequence_loss
+from .metrics import VolumeMask, dice_coefficient
 from .recurrent import MODES, unroll_forward
 
 CHECKPOINT_MAGIC = b"RSCK"
@@ -154,18 +155,14 @@ def validation_stats(params: ParamStore, tconfig: TrainConfig, val_set):
             if seq.labels is None:
                 raise ValueError("validation requires labeled sequences")
             preds = unroll_forward(params, seq, mode="detach", train=False)
-            inter = 0
-            a = 0
-            b = 0
             for p, lbl in zip(preds, seq.labels):
                 total += float(combined_loss(p, Tensor(lbl), tconfig.weights).data)
                 slices += 1
-                hard = p.data > tconfig.threshold
-                gt = lbl > 0.5
-                inter += int(np.count_nonzero(hard & gt))
-                a += int(np.count_nonzero(hard))
-                b += int(np.count_nonzero(gt))
-            dices.append(1.0 if a + b == 0 else 2.0 * inter / (a + b))
+            # crop the padding away, as segment_volume does, before counting
+            hard = seq.restore([p.data > tconfig.threshold for p in preds])
+            gt = seq.restore([lbl > 0.5 for lbl in seq.labels])
+            dices.append(dice_coefficient(VolumeMask(hard, seq.spacing_mm),
+                                          VolumeMask(gt, seq.spacing_mm)))
     return total / slices, float(np.mean(dices))
 
 
@@ -268,10 +265,10 @@ def save_checkpoint(params: ParamStore, path) -> None:
 
 class _Reader:
     def __init__(self, buf: bytes):
-        self.buf = buf
+        self.buf = memoryview(buf)
         self.off = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.off + n > len(self.buf):
             raise ValueError("truncated checkpoint file")
         out = self.buf[self.off:self.off + n]
@@ -292,12 +289,12 @@ def load_checkpoint(path) -> ParamStore:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     (blob_len,) = reader.unpack("<I")
-    config = _parse_config(reader.take(blob_len))
+    config = _parse_config(bytes(reader.take(blob_len)))
     (count,) = reader.unpack("<I")
     arrays = {}
     for _ in range(count):
         (name_len,) = reader.unpack("<H")
-        name = reader.take(name_len).decode("utf-8")
+        name = bytes(reader.take(name_len)).decode("utf-8")
         if name in arrays:
             raise ValueError(f"duplicate parameter {name!r} in checkpoint")
         (rank,) = reader.unpack("<B")

@@ -158,6 +158,7 @@ class TestVolumeIO:
         with pytest.raises(OSError, match="simulated"):
             save_volume(VolumeMask(np.ones((2, 2, 2), dtype=np.uint8), (1.0, 1.0, 1.0)), path)
         assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.mvf"]
 
     def test_file_size_formula(self, tmp_path):
         vol = Volume(np.zeros((32, 64, 64), dtype=np.float32), (1.0, 1.0, 1.0))

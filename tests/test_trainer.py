@@ -6,9 +6,11 @@ import pytest
 from rseg import autodiff as ad
 from rseg.autodiff import Tensor
 from rseg.backbones import ModelConfig, ParamStore, build_model
-from rseg.data import SliceSequence
+from rseg.data import (PhantomSpec, SliceSequence, generate_phantom, normalize_intensity,
+                       to_sequence)
 from rseg.loss import LossWeights, combined_loss
-from rseg.recurrent import step, unroll_forward
+from rseg.metrics import dice_coefficient
+from rseg.recurrent import segment_volume, step, unroll_forward
 from rseg.trainer import (AdamState, TrainConfig, adam_step, load_checkpoint,
                           save_checkpoint, sequence_gradients, train, train_step,
                           validation_stats)
@@ -157,6 +159,20 @@ class TestTrainLoop:
         # params were restored to the epoch-0 snapshot
         val_loss, _ = validation_stats(store, tconfig, [val_seq])
         assert val_loss == pytest.approx(history[0].val_loss, rel=1e-12)
+
+    def test_val_dice_matches_segment_on_padded_volume(self):
+        # 40x36 pads to 40x40 at L3; the history's Dice must be counted on
+        # the cropped volume, as segment_volume + dice_coefficient count it
+        vol, mask = generate_phantom(PhantomSpec(dims=(8, 40, 36), seed=0))
+        vol = normalize_intensity(vol)
+        store = build_model(ModelConfig(backbone="unet", levels=3, base_channels=4,
+                                        recurrent=True), seed=0)
+        tconfig = TrainConfig()
+        seq = to_sequence(vol, mask, pad_to=8)
+        assert seq.frames[0].shape[2:] != mask.dims[1:]
+        _, val_dice = validation_stats(store, tconfig, [seq])
+        seg = segment_volume(store, vol, threshold=tconfig.threshold)
+        assert val_dice == dice_coefficient(seg, mask)
 
     def test_fixed_seed_reproduces_history_and_params(self):
         rng = np.random.default_rng(6)
