@@ -80,9 +80,6 @@ class Tensor:
         """Same values, cut off from the graph."""
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __add__(self, other):
         return add(self, other)
 
@@ -196,12 +193,15 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
+    """max(a, 0) with NaN -> 0 and -0.0 -> +0.0; the gradient passes where out > 0."""
+    out = np.fmax(a.data, 0)
+    # fmax may keep -0.0 from a tie with 0; abs clears the sign and nothing else
+    np.abs(out, out=out)
 
     def backward_fn(g):
-        _accumulate(a, g * mask)
+        _accumulate(a, g * (out > 0))
 
-    return _make_result(np.where(mask, a.data, 0), "relu", (a,), backward_fn)
+    return _make_result(out, "relu", (a,), backward_fn)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -262,10 +262,14 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor
     wo = (wdt + 2 * px - kw) // sx + 1
     if ho <= 0 or wo <= 0 or h + 2 * py < kh or wdt + 2 * px < kw:
         raise ValueError(f"conv2d: non-positive output extent for input {x.shape}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (py, py), (px, px))) if (py or px) else x.data
+    xp = x.data
+    if py or px:
+        xp = np.zeros((n, cin, h + 2 * py, wdt + 2 * px), dtype=x.dtype)
+        xp[:, :, py : py + h, px : px + wdt] = x.data
     cols = _im2col(xp, kh, kw, sy, sx, ho, wo)
     wmat = w.data.reshape(cout, -1)
-    out = np.matmul(wmat, cols) + b.data.reshape(1, cout, 1)
+    out = np.matmul(wmat, cols)
+    out += b.data.reshape(1, cout, 1)
     out = out.reshape(n, cout, ho, wo)
 
     def backward_fn(g):
@@ -315,20 +319,27 @@ def maxpool2d(x: Tensor):
 
     Returns (pooled, indices) where indices holds the flat position of each
     window's argmax within its (H, W) plane. Ties resolve to the first
-    element in row-major scan order.
+    element in row-major scan order. A window holding NaN pools to NaN at an
+    unspecified index.
     """
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2d: odd spatial extent {h}x{w}")
     ho, wo = h // 2, w // 2
-    windows = (
-        x.data.reshape(n, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, 4)
-    )
-    k = windows.argmax(axis=4)
-    out = np.take_along_axis(windows, k[..., None], axis=4)[..., 0]
-    rows = 2 * np.arange(ho).reshape(1, 1, ho, 1) + k // 2
-    cols = 2 * np.arange(wo).reshape(1, 1, 1, wo) + k % 2
-    indices = (rows * w + cols).astype(np.int64)
+    v = x.data.reshape(n, c, ho, 2, wo, 2)
+    v00, v01 = v[:, :, :, 0, :, 0], v[:, :, :, 0, :, 1]
+    v10, v11 = v[:, :, :, 1, :, 0], v[:, :, :, 1, :, 1]
+    # np.maximum returns its second operand on a tie, so the earlier element
+    # goes second: a tied maximum keeps the first element's bits (a zero's sign)
+    top = np.maximum(v01, v00)
+    bottom = np.maximum(v11, v10)
+    out = np.maximum(bottom, top)
+    # strict comparisons: the bottom row or the right column wins only outright
+    row = bottom > top
+    col = (row & (v11 > v10)) | (~row & (v01 > v00))
+    indices = np.multiply(row, w, dtype=np.int64)
+    indices += col
+    indices += 2 * w * np.arange(ho).reshape(ho, 1) + 2 * np.arange(wo)
 
     def backward_fn(g):
         if not x.requires_grad:
@@ -426,8 +437,10 @@ def batchnorm2d(
         running_mean.data[...] = (1.0 - momentum) * running_mean.data + momentum * mean
         running_var.data[...] = (1.0 - momentum) * running_var.data + momentum * var
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-        out = gview * xhat + bview
+        xhat = x.data - mean.reshape(1, c, 1, 1)
+        xhat *= inv_std.reshape(1, c, 1, 1)
+        out = gview * xhat
+        out += bview
 
         def backward_fn(g):
             gsum = g.sum(axis=(0, 2, 3))
@@ -444,11 +457,17 @@ def batchnorm2d(
                 _accumulate(x, gx)
 
     else:
+        # copied now: a train-mode call between this forward and its backward
+        # moves the running buffers in place
+        mean = running_mean.data.reshape(1, c, 1, 1).copy()
         inv_std = 1.0 / np.sqrt(running_var.data + eps)
-        xhat = (x.data - running_mean.data.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
-        out = gview * xhat + bview
+        out = x.data - mean
+        out *= inv_std.reshape(1, c, 1, 1)
+        out *= gview
+        out += bview
 
         def backward_fn(g):
+            xhat = (x.data - mean) * inv_std.reshape(1, c, 1, 1)
             _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
             _accumulate(beta, g.sum(axis=(0, 2, 3)))
             if x.requires_grad:

@@ -242,10 +242,11 @@ def _load_dataset(dirpath: str, pad_to: int):
 
 
 def _write_history_csv(path: str, history) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("epoch,train_loss,val_loss,val_dice\n")
-        for h in history:
-            fh.write(f"{h.epoch},{h.train_loss:.6f},{h.val_loss:.6f},{h.val_dice:.6f}\n")
+    from .data import _write_atomic
+
+    lines = ["epoch,train_loss,val_loss,val_dice"]
+    lines += [f"{h.epoch},{h.train_loss:.6f},{h.val_loss:.6f},{h.val_dice:.6f}" for h in history]
+    _write_atomic(path, ("\n".join(lines) + "\n").encode())
 
 
 def _cmd_train(eff: dict) -> int:
@@ -291,12 +292,15 @@ def _cmd_segment(eff: dict) -> int:
 
 def _cmd_evaluate(eff: dict) -> int:
     from .data import load_volume
-    from .metrics import VolumeMask, evaluate, write_report_csv
+    from .metrics import EmptyMaskError, VolumeMask, evaluate, write_report_csv
 
     pred = load_volume(eff["pred"])
     gt = load_volume(eff["gt"])
     if not isinstance(pred, VolumeMask) or not isinstance(gt, VolumeMask):
         raise ValueError("evaluate expects two mask files")
+    for side, path, mask in (("prediction", eff["pred"], pred), ("ground truth", eff["gt"], gt)):
+        if mask.count() == 0:
+            raise EmptyMaskError(f"{side} {path} is an empty mask: surface distances are undefined")
     scan_id = os.path.splitext(os.path.basename(eff["pred"]))[0]
     report = evaluate(pred, gt, scan_id)
     write_report_csv([report], eff["csv"])

@@ -129,11 +129,12 @@ def evaluate(pred: VolumeMask, gt: VolumeMask, scan_id: str) -> MetricsReport:
 
 
 def write_report_csv(reports, path) -> None:
-    """scan_id,dice,asd_mm,hd95_mm,hd_mm rows with 6 decimals, LF endings."""
+    """scan_id,dice,asd_mm,hd95_mm,hd_mm rows with 6 decimals, LF endings; atomic."""
+    from .data import _write_atomic  # data imports this module
+
     lines = ["scan_id,dice,asd_mm,hd95_mm,hd_mm"]
     for r in reports:
         lines.append(
             f"{r.scan_id},{r.dice:.6f},{r.asd_mm:.6f},{r.hd95_mm:.6f},{r.hd_mm:.6f}"
         )
-    with open(path, "w", newline="") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_atomic(path, ("\n".join(lines) + "\n").encode())

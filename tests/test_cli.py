@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from rseg.backbones import BACKBONES, ModelConfig, build_model
-from rseg.cli import _OPTIONS, _parse_size, run_cli
-from rseg.data import PhantomSpec, load_volume, Volume
-from rseg.metrics import VolumeMask
+from rseg.cli import _OPTIONS, _cmd_evaluate, _parse_size, _write_history_csv, run_cli
+from rseg.data import PhantomSpec, load_volume, save_volume, Volume
+from rseg.metrics import EmptyMaskError, MetricsReport, VolumeMask, write_report_csv
 from rseg.recurrent import MODES, segment_volume
-from rseg.trainer import TrainConfig, load_checkpoint, save_checkpoint
+from rseg.trainer import EpochStats, TrainConfig, load_checkpoint, save_checkpoint
 
 
 def read_tree(root):
@@ -187,11 +187,49 @@ class TestSegmentAndEvaluate:
         assert rows[0] == "scan_id,dice,asd_mm,hd95_mm,hd_mm"
         assert rows[1] == "mask_000,1.000000,0.000000,0.000000,0.000000"
 
+    @pytest.mark.parametrize("side", ["prediction", "ground truth"])
+    def test_evaluate_empty_mask_names_its_input(self, tmp_path, capsys, side):
+        synth(tmp_path / "d", count=1)
+        full = tmp_path / "d" / "mask_000.mvf"
+        empty = tmp_path / "empty.mvf"
+        save_volume(VolumeMask(np.zeros((8, 32, 32), dtype=np.uint8), (1.0, 1.0, 1.0)), empty)
+        pred, gt = (empty, full) if side == "prediction" else (full, empty)
+        csv = tmp_path / "r.csv"
+        argv = ["evaluate", "--pred", str(pred), "--gt", str(gt), "--csv", str(csv)]
+        assert run_cli(argv) == 1
+        assert f"error: {side} {empty} is an empty mask" in capsys.readouterr().err
+        assert not csv.exists()
+        with pytest.raises(EmptyMaskError, match=side):
+            _cmd_evaluate({"pred": str(pred), "gt": str(gt), "csv": str(csv)})
+
     def test_evaluate_rejects_intensity_volume(self, tmp_path):
         synth(tmp_path / "d", count=1)
         vol = tmp_path / "d" / "vol_000.mvf"
         assert run_cli(["evaluate", "--pred", str(vol), "--gt", str(vol),
                         "--csv", str(tmp_path / "r.csv")]) == 1
+
+
+@pytest.mark.parametrize("writer", ["history", "report"])
+def test_failed_csv_write_keeps_previous_file(tmp_path, monkeypatch, writer):
+    path = tmp_path / "out.csv"
+
+    def write(value):
+        if writer == "history":
+            _write_history_csv(str(path), [EpochStats(0, value, value, value)])
+        else:
+            write_report_csv([MetricsReport("s", value, value, value, value)], path)
+
+    write(0.25)
+    before = path.read_bytes()
+
+    def crash(src, dst):
+        raise OSError("simulated crash before the rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="simulated"):
+        write(0.5)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
 
 class TestGradcheckCommand:

@@ -1,0 +1,312 @@
+"""The relu, max-pool, conv2d and batch-norm kernels against reference forms.
+
+Each reference is the plain numpy form the kernel replaced: ``np.where``
+for relu, an argmax and ``take_along_axis`` window gather for max pooling,
+``np.pad`` and an out-of-place bias add for conv2d, and the out-of-place
+batch-norm expressions with x-hat captured at forward time. The kernels
+must match them byte for byte: outputs, pool indices, and every gradient.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+
+from rseg import autodiff as ad
+
+DTYPES = [np.float32, np.float64]
+
+
+# ---------------------------------------------------------------------------
+# reference forms
+
+
+def relu_reference(a):
+    mask = a.data > 0
+
+    def backward_fn(g):
+        ad._accumulate(a, g * mask)
+
+    return ad._make_result(np.where(mask, a.data, 0), "relu", (a,), backward_fn)
+
+
+def maxpool2d_reference(x):
+    n, c, h, w = x.shape
+    ho, wo = h // 2, w // 2
+    windows = (
+        x.data.reshape(n, c, ho, 2, wo, 2).transpose(0, 1, 2, 4, 3, 5).reshape(n, c, ho, wo, 4)
+    )
+    k = windows.argmax(axis=4)
+    out = np.take_along_axis(windows, k[..., None], axis=4)[..., 0]
+    rows = 2 * np.arange(ho).reshape(1, 1, ho, 1) + k // 2
+    cols = 2 * np.arange(wo).reshape(1, 1, 1, wo) + k % 2
+    indices = (rows * w + cols).astype(np.int64)
+
+    def backward_fn(g):
+        gx = np.zeros((n, c, h * w), dtype=g.dtype)
+        np.put_along_axis(gx, indices.reshape(n, c, ho * wo), g.reshape(n, c, ho * wo), axis=2)
+        ad._accumulate(x, gx.reshape(n, c, h, w))
+
+    return ad._make_result(out, "maxpool2d", (x,), backward_fn), indices
+
+
+def conv2d_reference(x, w, b, stride, pad):
+    sy, sx = stride
+    py, px = pad
+    n, cin, h, wdt = x.shape
+    cout, _, kh, kw = w.shape
+    ho = (h + 2 * py - kh) // sy + 1
+    wo = (wdt + 2 * px - kw) // sx + 1
+    xp = np.pad(x.data, ((0, 0), (0, 0), (py, py), (px, px)))
+    cols = ad._im2col(xp, kh, kw, sy, sx, ho, wo)
+    out = np.matmul(w.data.reshape(cout, -1), cols) + b.data.reshape(1, cout, 1)
+
+    def backward_fn(g):
+        g2 = g.reshape(n, cout, ho * wo)
+        ad._accumulate(b, g2.sum(axis=(0, 2)))
+        ad._accumulate(w, np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(w.shape))
+        gd = np.zeros((n, cout, h + kh - 1, wdt + kw - 1), dtype=g.dtype)
+        gd[:, :, kh - 1 - py :: sy, kw - 1 - px :: sx][:, :, :ho, :wo] = g
+        wflip = w.data[:, :, ::-1, ::-1].swapaxes(0, 1).reshape(cin, -1)
+        gx = np.matmul(wflip, ad._im2col(gd, kh, kw, 1, 1, h, wdt))
+        ad._accumulate(x, gx.reshape(n, cin, h, wdt))
+
+    return ad._make_result(out.reshape(n, cout, ho, wo), "conv2d", (x, w, b), backward_fn)
+
+
+def batchnorm2d_reference(x, gamma, beta, running_mean, running_var, train,
+                          eps=1e-5, momentum=0.1):
+    n, c, h, w = x.shape
+    gview = gamma.data.reshape(1, c, 1, 1)
+    bview = beta.data.reshape(1, c, 1, 1)
+    if train:
+        m = n * h * w
+        mean = x.data.mean(axis=(0, 2, 3))
+        var = x.data.var(axis=(0, 2, 3))
+        running_mean.data[...] = (1.0 - momentum) * running_mean.data + momentum * mean
+        running_var.data[...] = (1.0 - momentum) * running_var.data + momentum * var
+        inv_std = 1.0 / np.sqrt(var + eps)
+        xhat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
+
+        def backward_fn(g):
+            gsum = g.sum(axis=(0, 2, 3))
+            gxhat_sum = (g * xhat).sum(axis=(0, 2, 3))
+            ad._accumulate(gamma, gxhat_sum)
+            ad._accumulate(beta, gsum)
+            coeff = (gamma.data * inv_std).reshape(1, c, 1, 1)
+            gx = coeff * (
+                g - gsum.reshape(1, c, 1, 1) / m - xhat * gxhat_sum.reshape(1, c, 1, 1) / m
+            )
+            ad._accumulate(x, gx)
+
+    else:
+        inv_std = 1.0 / np.sqrt(running_var.data + eps)
+        xhat = (x.data - running_mean.data.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
+
+        def backward_fn(g):
+            ad._accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
+            ad._accumulate(beta, g.sum(axis=(0, 2, 3)))
+            ad._accumulate(x, g * (gamma.data * inv_std).reshape(1, c, 1, 1))
+
+    out = gview * xhat + bview
+    return ad._make_result(out, "batchnorm2d", (x, gamma, beta), backward_fn)
+
+
+# ---------------------------------------------------------------------------
+# helpers
+
+
+def _leaves(arrays):
+    return [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+
+
+def _backprop(out, upstream):
+    ad.backward(ad.reduce_sum(ad.mul(out, ad.Tensor(upstream))))
+
+
+def assert_same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def _compare(op, reference, arrays, upstream_rng):
+    """Run op and reference on fresh leaves; same output, extras and gradients."""
+    mine, theirs = _leaves(arrays), _leaves(arrays)
+    out_m, out_r = op(*mine), reference(*theirs)
+    if isinstance(out_m, tuple):
+        (out_m, *extra_m), (out_r, *extra_r) = out_m, out_r
+        for em, er in zip(extra_m, extra_r):
+            assert_same_bytes(em, er)
+    assert_same_bytes(out_m.data, out_r.data)
+    upstream = upstream_rng.normal(size=out_m.shape).astype(out_m.dtype)
+    _backprop(out_m, upstream)
+    _backprop(out_r, upstream)
+    for tm, tr in zip(mine, theirs):
+        assert_same_bytes(tm.grad, tr.grad)
+
+
+# ---------------------------------------------------------------------------
+# relu
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("size", [1, 3, 17, 67, 2 * 3 * 9 * 7])
+def test_relu_matches_where(dtype, size):
+    # sizes cover the vector body and the scalar tail of numpy's loops
+    rng = np.random.default_rng(size)
+    specials = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, -1.0, 1.0])
+    a = rng.normal(size=size)
+    a[rng.random(size) < 0.5] = -0.0
+    a[rng.random(size) < 0.2] = np.nan
+    a[: min(size, specials.size)] = specials[: min(size, specials.size)]
+    _compare(ad.relu, relu_reference, [a.astype(dtype)], rng)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_relu_maps_negative_zero_and_nan_to_positive_zero(dtype):
+    out = ad.relu(ad.Tensor(np.array([-0.0, np.nan, -0.0], dtype=dtype))).data
+    assert not np.signbit(out).any()
+    assert_same_bytes(out, np.zeros(3, dtype=dtype))
+
+
+# ---------------------------------------------------------------------------
+# max pooling
+
+# every set of at least two tied positions in a 2x2 window, row-major 0..3:
+# pairs across a row, down a column and on both diagonals, triples, all four
+TIE_SETS = [s for k in (2, 3, 4) for s in itertools.combinations(range(4), k)]
+
+
+def _planted_ties(dtype, rng):
+    """(1, len(TIE_SETS) * 2, 4, 4): each tie set planted once at the window max
+    and once below a larger untied element."""
+    planes = []
+    for ties in TIE_SETS:
+        for below in (False, True):
+            plane = rng.normal(size=(4, 4))
+            for wy, wx in itertools.product(range(2), range(2)):
+                window = plane[2 * wy : 2 * wy + 2, 2 * wx : 2 * wx + 2].reshape(4)
+                window[list(ties)] = 5.0
+                if below:
+                    rest = [p for p in range(4) if p not in ties]
+                    if rest:
+                        window[rest[0]] = 7.0
+                plane[2 * wy : 2 * wy + 2, 2 * wx : 2 * wx + 2] = window.reshape(2, 2)
+            planes.append(plane)
+    return np.stack(planes)[None].astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_maxpool_matches_argmax_gather_on_planted_ties(dtype):
+    rng = np.random.default_rng(71)
+    _compare(ad.maxpool2d, maxpool2d_reference, [_planted_ties(dtype, rng)], rng)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_maxpool_tie_index_is_first_in_row_major_order(dtype):
+    x = _planted_ties(dtype, np.random.default_rng(73))
+    _, idx = ad.maxpool2d(ad.Tensor(x))
+    assert idx.dtype == np.int64
+    for p, ties in enumerate(TIE_SETS):
+        first = ties[0]
+        # window (0, 0) of the plane with the tie at the maximum
+        assert idx[0, 2 * p, 0, 0] == (first // 2) * 4 + first % 2
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", [(1, 1, 2, 2), (2, 3, 6, 10), (1, 16, 48, 48)])
+def test_maxpool_matches_argmax_gather_on_random_and_coarse_values(dtype, shape):
+    rng = np.random.default_rng(shape[-1])
+    # integers in 0..3 tie often, in every arrangement
+    for x in (rng.normal(size=shape), rng.integers(0, 4, size=shape).astype(float)):
+        _compare(ad.maxpool2d, maxpool2d_reference, [x.astype(dtype)], rng)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_maxpool_tied_zero_keeps_first_sign(dtype):
+    x = np.zeros((1, 1, 2, 6), dtype=dtype)
+    x[0, 0, 0, 0] = -0.0  # window 0: -0.0 first, then +0.0
+    x[0, 0, 1, 3] = -0.0  # window 1: +0.0 first
+    x[0, 0, :, 4:] = -0.0  # window 2: all -0.0
+    _compare(ad.maxpool2d, maxpool2d_reference, [x], np.random.default_rng(79))
+
+
+# ---------------------------------------------------------------------------
+# conv2d
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize(
+    "k,stride,pad",
+    [(3, (1, 1), (1, 1)), (3, (2, 2), (1, 1)), (3, (1, 2), (2, 0)), (3, (2, 2), (0, 0)),
+     (1, (1, 1), (0, 0)), (2, (2, 2), (1, 0))],
+)
+def test_conv2d_matches_pad_reference(dtype, k, stride, pad):
+    rng = np.random.default_rng(83)
+    x = rng.normal(size=(2, 3, 9, 8)).astype(dtype)
+    w = rng.normal(size=(4, 3, k, k)).astype(dtype)
+    b = rng.normal(size=(4,)).astype(dtype)
+    _compare(
+        lambda *t: ad.conv2d(*t, stride, pad),
+        lambda *t: conv2d_reference(*t, stride, pad),
+        [x, w, b],
+        rng,
+    )
+
+
+# ---------------------------------------------------------------------------
+# batch norm
+
+
+def _bn_arrays(dtype, rng, c=3):
+    return [
+        rng.normal(loc=0.5, scale=2.0, size=(2, c, 5, 7)).astype(dtype),
+        rng.uniform(0.5, 1.5, size=(c,)).astype(dtype),
+        rng.normal(scale=0.3, size=(c,)).astype(dtype),
+    ]
+
+
+def _stats(dtype, rng, c=3):
+    return rng.normal(size=(c,)).astype(dtype), rng.uniform(0.5, 2.0, size=(c,)).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("train", [True, False])
+def test_batchnorm_matches_reference(dtype, train):
+    rng = np.random.default_rng(89)
+    mean, var = _stats(dtype, rng)
+    rm, rv, rm_ref, rv_ref = (ad.Tensor(a.copy()) for a in (mean, var, mean, var))
+    _compare(
+        lambda x, g, b: ad.batchnorm2d(x, g, b, rm, rv, train),
+        lambda x, g, b: batchnorm2d_reference(x, g, b, rm_ref, rv_ref, train),
+        _bn_arrays(dtype, rng),
+        rng,
+    )
+    assert_same_bytes(rm.data, rm_ref.data)
+    assert_same_bytes(rv.data, rv_ref.data)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_batchnorm_eval_backward_uses_forward_time_statistics(dtype):
+    # an eval-mode node, then a train-mode call on the same running buffers
+    # before the eval node's backward runs
+    rng = np.random.default_rng(97)
+    mean, var = _stats(dtype, rng)
+    arrays = _bn_arrays(dtype, rng)
+    later = rng.normal(loc=3.0, scale=4.0, size=(2, 3, 5, 7)).astype(dtype)
+    upstream = rng.normal(size=arrays[0].shape).astype(dtype)
+    results = []
+    for fn in (ad.batchnorm2d, batchnorm2d_reference):
+        rm, rv = ad.Tensor(mean.copy()), ad.Tensor(var.copy())
+        leaves = _leaves(arrays)
+        out = fn(*leaves, rm, rv, train=False)
+        with ad.no_grad():
+            fn(ad.Tensor(later), leaves[1], leaves[2], rm, rv, train=True)
+        assert not np.array_equal(rm.data, mean)
+        _backprop(out, upstream)
+        results.append([out.data] + [t.grad for t in leaves])
+    for mine, theirs in zip(*results):
+        assert_same_bytes(mine, theirs)
