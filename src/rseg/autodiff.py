@@ -208,7 +208,8 @@ def sigmoid(a: Tensor) -> Tensor:
     """Numerically stable logistic; output clipped strictly inside (0, 1)."""
     x = a.data
     t = np.exp(-np.abs(x))
-    s = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    # numerator 1 where x >= 0 (t <= 1 there) and t elsewhere, NaN kept
+    s = np.maximum(t, x >= 0) / (1.0 + t)
     info = np.finfo(x.dtype)
     one = x.dtype.type(1.0)
     s = np.clip(s, info.tiny, np.nextafter(one, x.dtype.type(0.0)))
@@ -229,6 +230,11 @@ def _pair(v):
     return int(v), int(v)
 
 
+# conv2d runs its shift lowering only on maps with at least this many output
+# pixels; below it im2col is faster (per-shape table in BENCH_conv_shift.json)
+SHIFT_MIN_PIXELS = 256
+
+
 def _im2col(xp, kh, kw, sy, sx, ho, wo):
     """Gather sliding-window patches into (N, C*kh*kw, ho*wo) columns."""
     n, c, _, _ = xp.shape
@@ -242,11 +248,38 @@ def _im2col(xp, kh, kw, sy, sx, ho, wo):
     return view.reshape(n, c * kh * kw, ho * wo)
 
 
+def _shifted_gemm(buf, w, wp, ho):
+    """Stride-1 correlation as one GEMM per kernel tap, with no column matrix.
+
+    ``buf`` is the padded input flattened to (N, C, hp*wp + kw - 1). Tap
+    (ky, kx) multiplies w[:, :, ky, kx] by the view starting at ky*wp + kx,
+    which puts padded pixel (oy + ky, ox + kx) in output column oy*wp + ox
+    for every ox < wo; the wp - wo columns past that wrap into the next row
+    and are garbage. Returns (N, Cout, ho*wp), taps summed in row-major order.
+    """
+    cout, cin, kh, kw = w.shape
+    # one contiguous (cout, cin) matrix per tap, which BLAS takes without a copy
+    taps = w.reshape(cout, cin, kh * kw).transpose(2, 0, 1).copy()
+    span = ho * wp
+    out = np.matmul(taps[0], buf[:, :, :span])
+    tmp = np.empty_like(out)
+    for t in range(1, kh * kw):
+        start = (t // kw) * wp + t % kw
+        out += np.matmul(taps[t], buf[:, :, start : start + span], out=tmp)
+    return out
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     """Cross-correlation with zero padding (pad < kernel); gradients for x, w and b.
 
-    Each pass is im2col plus one GEMM: the input gradient correlates the
-    zero-dilated output gradient with the flipped, channel-swapped kernel.
+    The forward has two lowerings, chosen by shape. Stride-1 k x k kernels
+    (k > 1) with cout <= cin on maps of at least SHIFT_MIN_PIXELS outputs run
+    one GEMM per tap over shifted views of the padded input; every other
+    call runs im2col plus one GEMM. The shift form keeps no columns: its
+    backward builds them from the padded input, so a no_grad forward never
+    does. The backward is the same for both: the weight gradient is one GEMM
+    against the columns, and the input gradient correlates the zero-dilated
+    output gradient with the flipped, channel-swapped kernel.
     """
     sy, sx = _pair(stride)
     py, px = _pair(pad)
@@ -262,19 +295,29 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor
     wo = (wdt + 2 * px - kw) // sx + 1
     if ho <= 0 or wo <= 0 or h + 2 * py < kh or wdt + 2 * px < kw:
         raise ValueError(f"conv2d: non-positive output extent for input {x.shape}")
+    hp, wp = h + 2 * py, wdt + 2 * px
+    shift = sy == sx == 1 and kh * kw > 1 and cout <= cin and ho * wo >= SHIFT_MIN_PIXELS
     xp = x.data
-    if py or px:
-        xp = np.zeros((n, cin, h + 2 * py, wdt + 2 * px), dtype=x.dtype)
+    if py or px or shift:
+        # the shift form reads kw - 1 elements past the last padded row
+        buf = np.zeros((n, cin, hp * wp + (kw - 1 if shift else 0)), dtype=x.dtype)
+        xp = buf[:, :, : hp * wp].reshape(n, cin, hp, wp)
         xp[:, :, py : py + h, px : px + wdt] = x.data
-    cols = _im2col(xp, kh, kw, sy, sx, ho, wo)
-    wmat = w.data.reshape(cout, -1)
-    out = np.matmul(wmat, cols)
-    out += b.data.reshape(1, cout, 1)
-    out = out.reshape(n, cout, ho, wo)
+    if shift:
+        # the tape keeps the padded input (about 1x x), not the k*k-fold columns
+        saved = xp
+        full = _shifted_gemm(buf, w.data, wp, ho).reshape(n, cout, ho, wp)
+        out = np.add(full[:, :, :, :wo], b.data.reshape(1, cout, 1, 1))
+    else:
+        saved = _im2col(xp, kh, kw, sy, sx, ho, wo)
+        out = np.matmul(w.data.reshape(cout, -1), saved)
+        out += b.data.reshape(1, cout, 1)
+        out = out.reshape(n, cout, ho, wo)
 
     def backward_fn(g):
         g2 = g.reshape(n, cout, ho * wo)
         _accumulate(b, g2.sum(axis=(0, 2)))
+        cols = _im2col(saved, kh, kw, 1, 1, ho, wo) if shift else saved
         _accumulate(w, np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(w.shape))
         if x.requires_grad:
             gd = np.zeros((n, cout, h + kh - 1, wdt + kw - 1), dtype=g.dtype)
@@ -391,7 +434,12 @@ def upsample_nearest2x(x: Tensor) -> Tensor:
     out = x.data.repeat(2, axis=2).repeat(2, axis=3)
 
     def backward_fn(g):
-        _accumulate(x, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
+        v = g.reshape(n, c, h, 2, w, 2)
+        # rows first, then their sum: the bytes of numpy's sum over the 2x2
+        # axes, which runs one serial sum instead only when w == 1
+        gx = v[:, :, :, 0, :, 0] + v[:, :, :, 0, :, 1]
+        gx += v[:, :, :, 1, :, 0] + v[:, :, :, 1, :, 1]
+        _accumulate(x, gx)
 
     return _make_result(out, "upsample2x", (x,), backward_fn)
 
@@ -433,11 +481,12 @@ def batchnorm2d(
     if train:
         m = n * h * w
         mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        xhat = x.data - mean.reshape(1, c, 1, 1)
+        # np.var's own arithmetic, on the one centred array
+        var = (xhat * xhat).sum(axis=(0, 2, 3)) / m
         running_mean.data[...] = (1.0 - momentum) * running_mean.data + momentum * mean
         running_var.data[...] = (1.0 - momentum) * running_var.data + momentum * var
         inv_std = 1.0 / np.sqrt(var + eps)
-        xhat = x.data - mean.reshape(1, c, 1, 1)
         xhat *= inv_std.reshape(1, c, 1, 1)
         out = gview * xhat
         out += bview

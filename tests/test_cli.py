@@ -293,6 +293,60 @@ class TestExitCodes:
         assert "positive finite" in capsys.readouterr().err
 
 
+class TestTruncatedFiles:
+    """Every cut of a checkpoint, a volume or a mask is a validation error."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("cuts")
+        synth(root / "d", count=1)
+        model = root / "m.rsck"
+        save_checkpoint(build_model(ModelConfig(levels=2, base_channels=4), seed=0), model)
+        return root, model, root / "d" / "vol_000.mvf", root / "d" / "mask_000.mvf"
+
+    @staticmethod
+    def _cut_points(size, header_ends, seed, count=40):
+        """0, 1, the header field ends, size - 1, then seeded draws up to `count` points."""
+        rng = np.random.default_rng(seed)
+        points = {0, 1, size - 1, *header_ends}
+        while len(points) < count:
+            points.add(int(rng.integers(0, size)))
+        return sorted(points)
+
+    def _sweep(self, capsys, good, cut_file, argv, header_ends, seed):
+        raw = good.read_bytes()
+        outcomes = []
+        for cut in self._cut_points(len(raw), header_ends, seed):
+            cut_file.write_bytes(raw[:cut])
+            code = run_cli(argv)
+            err = capsys.readouterr().err
+            outcomes.append((cut, code, "error:" in err))
+        failed = [o for o in outcomes if o[1:] != (1, True)]
+        assert len(outcomes) >= 40 and not failed, failed
+
+    def test_checkpoint(self, files, capsys):
+        root, model, vol, _ = files
+        cut = root / "cut.rsck"
+        blob_end = 12 + struct.unpack_from("<I", model.read_bytes(), 8)[0]
+        # magic, version, blob length, config blob, array count
+        header_ends = (4, 8, 12, blob_end, blob_end + 4)
+        self._sweep(capsys, model, cut, ["segment", "--model", str(cut), "--in", str(vol),
+                                         "--out", str(root / "p.mvf")], header_ends, seed=1)
+
+    def test_volume(self, files, capsys):
+        root, model, vol, _ = files
+        cut = root / "cut_vol.mvf"
+        # magic, then dtype code, dims and spacing
+        self._sweep(capsys, vol, cut, ["segment", "--model", str(model), "--in", str(cut),
+                                       "--out", str(root / "p.mvf")], (4, 29), seed=2)
+
+    def test_mask(self, files, capsys):
+        root, _, _, mask = files
+        cut = root / "cut_mask.mvf"
+        self._sweep(capsys, mask, cut, ["evaluate", "--pred", str(mask), "--gt", str(cut),
+                                        "--csv", str(root / "r.csv")], (4, 29), seed=3)
+
+
 class TestOptionTable:
     """The table's literal defaults must track the library's own."""
 

@@ -1,10 +1,13 @@
-"""The relu, max-pool, conv2d and batch-norm kernels against reference forms.
+"""The relu, sigmoid, max-pool, upsample, conv2d and batch-norm kernels against reference forms.
 
 Each reference is the plain numpy form the kernel replaced: ``np.where``
-for relu, an argmax and ``take_along_axis`` window gather for max pooling,
-``np.pad`` and an out-of-place bias add for conv2d, and the out-of-place
-batch-norm expressions with x-hat captured at forward time. The kernels
+for relu and sigmoid, an argmax and ``take_along_axis`` window gather for
+max pooling, a reshape-sum for the upsample backward, ``np.pad``, im2col
+and an out-of-place bias add for conv2d, and the out-of-place batch-norm
+expressions with ``np.var`` and x-hat captured at forward time. The kernels
 must match them byte for byte: outputs, pool indices, and every gradient.
+The one exception is conv2d's shift lowering, whose output sums the same
+products in another order: it is held to a rounding bound instead.
 """
 
 from __future__ import annotations
@@ -30,6 +33,29 @@ def relu_reference(a):
         ad._accumulate(a, g * mask)
 
     return ad._make_result(np.where(mask, a.data, 0), "relu", (a,), backward_fn)
+
+
+def sigmoid_reference(a):
+    x = a.data
+    t = np.exp(-np.abs(x))
+    s = np.where(x >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    one = x.dtype.type(1.0)
+    s = np.clip(s, np.finfo(x.dtype).tiny, np.nextafter(one, x.dtype.type(0.0)))
+
+    def backward_fn(g):
+        ad._accumulate(a, g * s * (1.0 - s))
+
+    return ad._make_result(s, "sigmoid", (a,), backward_fn)
+
+
+def upsample_nearest2x_reference(x):
+    n, c, h, w = x.shape
+
+    def backward_fn(g):
+        ad._accumulate(x, g.reshape(n, c, h, 2, w, 2).sum(axis=(3, 5)))
+
+    return ad._make_result(x.data.repeat(2, axis=2).repeat(2, axis=3), "upsample2x", (x,),
+                           backward_fn)
 
 
 def maxpool2d_reference(x):
@@ -173,6 +199,51 @@ def test_relu_maps_negative_zero_and_nan_to_positive_zero(dtype):
 
 
 # ---------------------------------------------------------------------------
+# sigmoid
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("size", [1, 3, 17, 67, 378, 36864])
+def test_sigmoid_matches_where(dtype, size):
+    rng = np.random.default_rng(size + 1)
+    specials = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, -1.0, 1.0])
+    # scale 30 reaches both clip bounds in f32 and f64
+    a = rng.normal(scale=30.0, size=size)
+    a[rng.random(size) < 0.1] = -0.0
+    a[rng.random(size) < 0.05] = np.nan
+    a[-min(size, specials.size):] = specials[: min(size, specials.size)]
+    _compare(ad.sigmoid, sigmoid_reference, [a.astype(dtype)], rng)
+
+
+# ---------------------------------------------------------------------------
+# upsampling
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", [(2, 3, 5, 7), (1, 16, 24, 24), (1, 3, 7, 9), (1, 128, 4, 4),
+                                   (1, 1, 1, 5), (2, 2, 1, 3), (1, 1, 4, 3)])
+def test_upsample_backward_matches_reshape_sum(dtype, shape):
+    rng = np.random.default_rng(shape[-1] * 7 + shape[-2])
+    _compare(ad.upsample_nearest2x, upsample_nearest2x_reference,
+             [rng.normal(size=shape).astype(dtype)], rng)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (2, 1, 3, 1), (3, 2, 1, 1)])
+def test_upsample_backward_on_unit_width_within_one_rounding(dtype, shape):
+    # at width 1 numpy's reshape-sum adds the four phases in one running sum,
+    # not in the kernel's pairs, so only a rounding bound holds
+    rng = np.random.default_rng(sum(shape))
+    mine, theirs = _leaves([rng.normal(size=shape).astype(dtype)] * 2)
+    upstream = rng.normal(size=(shape[0], shape[1], 2 * shape[2], 2 * shape[3])).astype(dtype)
+    _backprop(ad.upsample_nearest2x(mine), upstream)
+    _backprop(upsample_nearest2x_reference(theirs), upstream)
+    n, c, h, w = shape
+    magnitude = np.abs(upstream).reshape(n, c, h, 2, w, 2).sum(axis=(3, 5))
+    assert np.all(np.abs(mine.grad - theirs.grad) <= 4 * np.finfo(dtype).eps * magnitude)
+
+
+# ---------------------------------------------------------------------------
 # max pooling
 
 # every set of at least two tied positions in a 2x2 window, row-major 0..3:
@@ -255,6 +326,76 @@ def test_conv2d_matches_pad_reference(dtype, k, stride, pad):
         [x, w, b],
         rng,
     )
+
+
+# the shift lowering runs for stride 1, k > 1, cout <= cin and at least
+# ad.SHIFT_MIN_PIXELS = 256 output pixels; these shapes sit on both sides
+SHIFT_CASES = [
+    # n, cin, cout, (h, w), k, stride, pad, runs the shift lowering
+    (1, 16, 16, (16, 16), 3, 1, 1, True),  # ho*wo exactly at the cut
+    (1, 16, 16, (15, 17), 3, 1, 1, False),  # ho*wo = 255, one below it
+    (2, 8, 4, (24, 19), 3, 1, 0, True),  # N = 2, pad 0, non-square
+    (2, 6, 6, (17, 23), 5, 1, 2, True),  # 5x5 kernel, pad 2
+    (1, 7, 5, (20, 15), 3, 1, (1, 0), True),  # pad on one axis only
+    (1, 4, 8, (20, 20), 3, 1, 1, False),  # cout > cin
+    (1, 8, 8, (40, 40), 3, 2, 1, False),  # stride 2
+    (1, 8, 8, (20, 20), 1, 1, 0, False),  # 1x1 kernel
+]
+
+
+def _conv_case(dtype, case, seed):
+    n, cin, cout, (h, w), k, *_ = case
+    rng = np.random.default_rng(seed)
+    return rng, [rng.normal(size=(n, cin, h, w)).astype(dtype),
+                 rng.normal(size=(cout, cin, k, k)).astype(dtype),
+                 rng.normal(size=(cout,)).astype(dtype)]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("case", SHIFT_CASES,
+                         ids=lambda c: f"n{c[0]}-{c[1]}to{c[2]}-{c[3][0]}x{c[3][1]}-k{c[4]}s{c[5]}")
+def test_conv2d_lowerings_against_im2col_reference(dtype, case, monkeypatch):
+    stride, pad, shift = ad._pair(case[5]), ad._pair(case[6]), case[7]
+    shifted = []
+    real = ad._shifted_gemm
+    monkeypatch.setattr(ad, "_shifted_gemm", lambda *a: shifted.append(1) or real(*a))
+    rng, arrays = _conv_case(dtype, case, 101)
+    mine, theirs = _leaves(arrays), _leaves(arrays)
+    out_m = ad.conv2d(*mine, stride, pad)
+    out_r = conv2d_reference(*theirs, stride, pad)
+    assert bool(shifted) == shift
+    if shift:
+        # Both forms sum the same K = cin*k*k + 1 terms in different orders:
+        # each lies within K*eps*sum|terms| of the exact sum, so within twice
+        # that of each other.
+        x, w, b = (ad.Tensor(np.abs(a).astype(np.float64)) for a in arrays)
+        with ad.no_grad():
+            magnitude = conv2d_reference(x, w, b, stride, pad).data
+        bound = 2 * (w.data[0].size + 1) * np.finfo(dtype).eps * magnitude
+        assert out_m.dtype == out_r.dtype and out_m.shape == out_r.shape
+        assert np.all(np.abs(out_m.data.astype(np.float64) - out_r.data) <= bound)
+    else:
+        assert_same_bytes(out_m.data, out_r.data)
+    upstream = rng.normal(size=out_m.shape).astype(dtype)
+    _backprop(out_m, upstream)
+    _backprop(out_r, upstream)
+    for tm, tr in zip(mine, theirs):
+        assert_same_bytes(tm.grad, tr.grad)
+
+
+def test_conv2d_shift_forward_builds_columns_only_for_a_backward(monkeypatch):
+    built = []
+    real = ad._im2col
+    monkeypatch.setattr(ad, "_im2col", lambda xp, *a: built.append(a) or real(xp, *a))
+    rng, arrays = _conv_case(np.float32, SHIFT_CASES[0], 103)
+    with ad.no_grad():
+        ad.conv2d(*_leaves(arrays), (1, 1), (1, 1))
+    assert built == []
+    out = ad.conv2d(*_leaves(arrays), (1, 1), (1, 1))
+    assert built == []
+    _backprop(out, rng.normal(size=out.shape).astype(np.float32))
+    # the weight gradient's columns, then the input gradient's correlation
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------
