@@ -53,8 +53,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_tid", "_inputs", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float32)
         self.data = arr
@@ -79,15 +79,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         """Same values, cut off from the graph."""
         return Tensor(self.data, requires_grad=False)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.dtype}, op={self.op})"

@@ -172,7 +172,7 @@ def _cbr(store, conv_name, bn_name, x, cout, train, stride=1):
     return _bn_relu(store, bn_name, _conv(store, conv_name, x, cout, 3, stride, 1), train)
 
 
-def forward_unet(store: ParamStore, x: Tensor, train: bool = False, taps=None) -> Tensor:
+def forward_unet(store: ParamStore, x: Tensor, train: bool = False) -> Tensor:
     cfg = store.config
     _check_input(x, cfg)
     skips = []
@@ -203,14 +203,12 @@ def _segstyle_encoder(store, x, train):
     return h, skips, indices
 
 
-def forward_segunet(store: ParamStore, x: Tensor, train: bool = False, taps=None) -> Tensor:
+def forward_segunet(store: ParamStore, x: Tensor, train: bool = False) -> Tensor:
     cfg = store.config
     _check_input(x, cfg)
     h, skips, indices = _segstyle_encoder(store, x, train)
     for l in range(cfg.levels - 1, -1, -1):
         h = ad.maxunpool2d(h, indices[l], skips[l].shape[2:])
-        if taps is not None:
-            taps[f"dec{l}.unpooled"] = h
         h = ad.concat_channels(h, skips[l])
         h = _cbr(store, f"dec{l}.conv1", f"dec{l}.bn1", h, cfg.channels(l), train)
         # narrow to the next level's width, so its unpooled map matches its skip
@@ -229,16 +227,14 @@ def attention_gate(store: ParamStore, prefix: str, g: Tensor, x_skip: Tensor):
     return gated, alpha
 
 
-def forward_attunet(store: ParamStore, x: Tensor, train: bool = False, taps=None) -> Tensor:
+def forward_attunet(store: ParamStore, x: Tensor, train: bool = False) -> Tensor:
     cfg = store.config
     _check_input(x, cfg)
     h, skips, _ = _segstyle_encoder(store, x, train)
     for l in range(cfg.levels - 1, -1, -1):
         h = ad.upsample_nearest2x(h)
         h = _cbr(store, f"dec{l}.up_conv", f"dec{l}.bn_up", h, cfg.channels(l), train)
-        gated, alpha = attention_gate(store, f"att{l}", h, skips[l])
-        if taps is not None:
-            taps[f"att{l}.alpha"] = alpha
+        gated, _ = attention_gate(store, f"att{l}", h, skips[l])
         h = ad.concat_channels(h, gated)
         h = _cbr(store, f"dec{l}.conv", f"dec{l}.bn", h, cfg.channels(l), train)
     return _conv(store, "head", h, 1, 1)
@@ -251,5 +247,5 @@ _FORWARDS = {
 }
 
 
-def forward(store: ParamStore, x: Tensor, train: bool = False, taps=None) -> Tensor:
-    return _FORWARDS[store.config.backbone](store, x, train, taps)
+def forward(store: ParamStore, x: Tensor, train: bool = False) -> Tensor:
+    return _FORWARDS[store.config.backbone](store, x, train)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -50,15 +51,30 @@ def _flag(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+# ArgumentTypeError, not ValueError: argparse then prints the message on the usage line
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {n}")
+    return n
+
+
+def positive_float(text: str) -> float:
+    h = float(text)
+    if not (math.isfinite(h) and h > 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {h}")
+    return h
+
+
 _BACKBONES = ("unet", "segunet", "attunet")
 
 
 class _Opt(NamedTuple):
     """One option: flag ``--key`` (dashes for underscores) and config key ``key``.
 
-    ``coerce`` types both the flag and the config value; ``_flag`` makes a
-    ``store_true`` flag that a config file can still set to false. Choices
-    are checked on the flag and on the config value alike.
+    ``coerce`` types and range-checks both the flag and the config value;
+    ``_flag`` makes a ``store_true`` flag that a config file can still set to
+    false. Choices are checked on the flag and on the config value alike.
     """
 
     key: str
@@ -71,14 +87,14 @@ class _Opt(NamedTuple):
 
 
 # shared by every subcommand; its flag follows --config
-_THREADS = _Opt("threads", int, 1,
+_THREADS = _Opt("threads", positive_int, 1,
                 help="BLAS thread cap; 1 (the default) is bit-deterministic; "
                      "takes full effect when set at process start")
 
 _OPTIONS = {
     "synth": ("generate phantom volume/mask pairs", (
         _Opt("out", required=True, help="output directory"),
-        _Opt("count", int, 4, help="number of volumes"),
+        _Opt("count", positive_int, 4, help="number of volumes"),
         _Opt("size", str, "16x48x48", help="volume extents as DxHxW"),
         _Opt("seed", int, 0, help="base seed; volume i uses a derived stream"),
         _Opt("decoys", _flag, False,
@@ -116,7 +132,7 @@ _OPTIONS = {
     )),
     "gradcheck": ("finite-difference check of a tiny backbone", (
         _Opt("backbone", str, "unet", choices=_BACKBONES),
-        _Opt("eps", float, 1e-5, help="finite-difference step"),
+        _Opt("eps", positive_float, 1e-5, help="finite-difference step"),
         _Opt("dtype", str, "f64", choices=("f32", "f64")),
     )),
 }
@@ -180,10 +196,9 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     return eff
 
 
-def _set_threads(n) -> None:
-    if n is not None and n > 0:
-        for var in _THREAD_ENV:
-            os.environ[var] = str(n)
+def _set_threads(n: int) -> None:
+    for var in _THREAD_ENV:
+        os.environ[var] = str(n)
 
 
 def _banner(command: str, eff: dict) -> None:
@@ -312,34 +327,10 @@ def _cmd_evaluate(eff: dict) -> int:
 def _cmd_gradcheck(eff: dict) -> int:
     import numpy as np
 
-    from . import autodiff as ad
-    from .autodiff import Tensor
-    from .backbones import ModelConfig, build_model, forward
-    from .gradcheck import max_rel_error, numeric_grad_sampled, sample_indices
+    from .gradcheck import backbone_fd_worst
 
     dtype = np.float64 if eff["dtype"] == "f64" else np.float32
-    config = ModelConfig(backbone=eff["backbone"], levels=2, base_channels=4)
-    store = build_model(config, seed=0, dtype=dtype)
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(1, 1, 16, 16)).astype(dtype)
-    weights = rng.normal(size=x.shape).astype(dtype)
-
-    out = forward(store, Tensor(x), train=True)
-    loss = ad.reduce_sum(ad.mul(out, Tensor(weights)))
-    store.zero_grads()
-    ad.backward(loss)
-
-    def value():
-        with ad.no_grad():
-            return float(np.sum(forward(store, Tensor(x), train=True).data * weights))
-
-    worst = 0.0
-    for _, tens in store.trainable_items():
-        idxs = sample_indices(rng, tens.data.size, 3)
-        numeric = numeric_grad_sampled(value, tens.data, idxs, h=eff["eps"])
-        analytic = tens.grad.reshape(-1)[idxs]
-        worst = max(worst, max_rel_error(analytic, numeric, floor=1e-4))
-    store.zero_grads()
+    worst = backbone_fd_worst(eff["backbone"], 0, np.random.default_rng(0), dtype, eff["eps"])
     print(f"max relative error: {worst:.3e}")
     return 0 if worst <= 1e-3 else 2
 
@@ -367,11 +358,11 @@ def run_cli(argv) -> int:
         return 1
     try:
         eff = _resolve(args.command, args)
-        _set_threads(eff.get("threads"))
+        _set_threads(eff["threads"])
         _banner(args.command, eff)
         return _COMMANDS[args.command](eff)
-    except (ValueError, KeyError, FileNotFoundError, IsADirectoryError,
-            NotADirectoryError) as exc:
+    except (ValueError, argparse.ArgumentTypeError, KeyError, FileNotFoundError,
+            IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

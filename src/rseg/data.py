@@ -19,7 +19,11 @@ import numpy as np
 
 from .metrics import VolumeMask, check_spacing
 
+BACKGROUND_INTENSITY = 0.0
+OBJECT_INTENSITY = 1400.0
+DECOY_INTENSITY = 1400.0
 STREAK_INTENSITY = 2600.0
+INTENSITY_WINDOW = (300.0, 2000.0)
 
 # MVF1: magic, u8 dtype code, 3 x u32 dims (D,H,W), 3 x f32 spacing (z,y,x),
 # then the row-major little-endian payload
@@ -60,9 +64,6 @@ class PhantomSpec:
     noise_sigma: float = 30.0
     decoys: bool = False
     artifact_streaks: bool = False
-    object_intensity: float = 1400.0
-    decoy_intensity: float = 1400.0
-    background_intensity: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -122,7 +123,7 @@ def generate_phantom(spec: PhantomSpec):
     cy0 = rng.uniform(margin, h - 1 - margin)
     cx0 = rng.uniform(margin, w - 1 - margin)
 
-    vol = np.full((d, h, w), spec.background_intensity, dtype=np.float64)
+    vol = np.full((d, h, w), BACKGROUND_INTENSITY, dtype=np.float64)
     mask = np.zeros((d, h, w), dtype=np.uint8)
     yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
 
@@ -136,11 +137,11 @@ def generate_phantom(spec: PhantomSpec):
 
         fg = _arc_distance(yy, xx, cy, cx, radius, gamma, dtheta) <= tube
         mask[z][fg] = 1
-        vol[z][fg] = spec.object_intensity
+        vol[z][fg] = OBJECT_INTENSITY
 
         if spec.decoys:
             _paint_decoy(rng, vol[z], mask[z], yy, xx, h, w,
-                         cy, cx, radius, tube, gamma, dtheta, spec.decoy_intensity)
+                         cy, cx, radius, tube, gamma, dtheta)
 
         if spec.artifact_streaks and rng.uniform() < 0.35:
             for _ in range(int(rng.integers(1, 3))):
@@ -158,7 +159,7 @@ def generate_phantom(spec: PhantomSpec):
 
 
 def _paint_decoy(rng, vol_z, mask_z, yy, xx, h, w,
-                 cy, cx, radius, tube, gamma, dtheta, intensity):
+                 cy, cx, radius, tube, gamma, dtheta):
     """Same-shape arc at a fresh random pose, kept clear of the object."""
     obj_pts = _arc_points(cy, cx, radius, gamma, dtheta)
     m = radius + tube + 1.0
@@ -179,7 +180,7 @@ def _paint_decoy(rng, vol_z, mask_z, yy, xx, h, w,
     if best_d >= 2.0 * tube + 0.5:
         dcy, dcx, dth = best
         fg = _arc_distance(yy, xx, dcy, dcx, radius, dth, dtheta) <= tube
-        vol_z[fg & (mask_z == 0)] = intensity
+        vol_z[fg & (mask_z == 0)] = DECOY_INTENSITY
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +242,9 @@ def load_volume(path):
     raise ValueError(f"{path}: unknown dtype code {code}")
 
 
-def normalize_intensity(v: Volume, window=(300.0, 2000.0)) -> Volume:
-    """Clamp to [lo, hi] then map affinely onto [0, 1]."""
-    lo, hi = float(window[0]), float(window[1])
-    if not lo < hi:
-        raise ValueError(f"degenerate window {window}")
+def normalize_intensity(v: Volume) -> Volume:
+    """Clamp to ``INTENSITY_WINDOW`` = [lo, hi] then map affinely onto [0, 1]."""
+    lo, hi = INTENSITY_WINDOW
     arr = (np.clip(v.intensities, lo, hi) - lo) / (hi - lo)
     return Volume(arr.astype(np.float32), v.spacing_mm)
 
@@ -256,11 +255,10 @@ def normalize_intensity(v: Volume, window=(300.0, 2000.0)) -> Volume:
 
 @dataclass(frozen=True)
 class SliceSequence:
-    """Per-slice (1, 1, H, W) frames in traversal order, plus crop records."""
+    """Per-slice (1, 1, H, W) frames in slice order, plus crop records."""
 
     frames: list
     labels: list | None
-    direction: str
     orig_hw: tuple
     pad_offset: tuple
     spacing_mm: tuple
@@ -269,46 +267,35 @@ class SliceSequence:
         return len(self.frames)
 
     def restore(self, planes) -> np.ndarray:
-        """Stack per-step (1, 1, H, W) planes back to (D, H, W) source order."""
+        """Stack per-step (1, 1, H, W) planes back to (D, H, W) and crop the padding."""
         if len(planes) != len(self.frames):
             raise ValueError(f"restore: {len(planes)} planes for {len(self.frames)} slices")
         stack = np.concatenate([np.asarray(p).reshape(1, *p.shape[-2:]) for p in planes], axis=0)
-        if self.direction == "descending":
-            stack = stack[::-1]
         h, w = self.orig_hw
         top, left = self.pad_offset
         return np.ascontiguousarray(stack[:, top : top + h, left : left + w])
 
 
-def to_sequence(v: Volume, labels: VolumeMask = None, direction: str = "ascending",
-                pad_to: int = 1) -> SliceSequence:
+def to_sequence(v: Volume, labels: VolumeMask = None, pad_to: int = 1) -> SliceSequence:
     """Split along the slice axis, zero-padding H and W to a multiple of pad_to."""
-    if direction not in ("ascending", "descending"):
-        raise ValueError(f"direction must be ascending or descending, got {direction!r}")
     if pad_to < 1 or (pad_to & (pad_to - 1)) != 0:
         raise ValueError(f"pad_to must be a power of two, got {pad_to}")
     if labels is not None and labels.dims != v.dims:
         raise ValueError(f"labels dims {labels.dims} != volume dims {v.dims}")
-    d, h, w = v.dims
+    _, h, w = v.dims
     hp = -(-h // pad_to) * pad_to
     wp = -(-w // pad_to) * pad_to
     top = (hp - h) // 2
     left = (wp - w) // 2
-    order = range(d) if direction == "ascending" else range(d - 1, -1, -1)
 
-    def pad_plane(plane, dtype):
-        out = np.zeros((1, 1, hp, wp), dtype=dtype)
+    def pad_plane(plane):
+        out = np.zeros((1, 1, hp, wp), dtype=np.float32)
         out[0, 0, top : top + h, left : left + w] = plane
         return out
 
-    frames = [pad_plane(v.intensities[z], np.float32) for z in order]
-    lab = None
-    if labels is not None:
-        lab = [pad_plane(labels.voxels[z], np.float32) for z in order]
     return SliceSequence(
-        frames=frames,
-        labels=lab,
-        direction=direction,
+        frames=[pad_plane(plane) for plane in v.intensities],
+        labels=None if labels is None else [pad_plane(plane) for plane in labels.voxels],
         orig_hw=(h, w),
         pad_offset=(top, left),
         spacing_mm=v.spacing_mm,

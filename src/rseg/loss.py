@@ -74,20 +74,15 @@ def combined_loss(
     )
 
 
-def sequence_loss(
-    preds: list,
-    targets: list,
-    w: LossWeights = LossWeights(),
-    smoothing: float = DICE_SMOOTHING,
-) -> Tensor:
-    """Plain sum of per-step combined losses; no averaging over steps."""
+def sequence_loss(preds: list, targets: list) -> Tensor:
+    """Plain sum of per-step combined losses at the default weights; no averaging."""
     if len(preds) != len(targets):
         raise ValueError(f"sequence_loss: {len(preds)} predictions vs {len(targets)} targets")
     if not preds:
         raise ValueError("sequence_loss: empty sequence")
-    total = combined_loss(preds[0], targets[0], w, smoothing)
+    total = combined_loss(preds[0], targets[0])
     for p, t in zip(preds[1:], targets[1:]):
-        total = ad.add(total, combined_loss(p, t, w, smoothing))
+        total = ad.add(total, combined_loss(p, t))
     return total
 
 

@@ -74,8 +74,7 @@ def unroll_forward(
     return preds
 
 
-def segment_volume(params: ParamStore, volume, threshold: float = 0.5,
-                   direction: str = "ascending") -> VolumeMask:
+def segment_volume(params: ParamStore, volume, threshold: float = 0.5) -> VolumeMask:
     """Slice, unroll with a zero prior, threshold strictly, restack.
 
     Extents that are not divisible by 2^levels are zero-padded on the way
@@ -84,7 +83,7 @@ def segment_volume(params: ParamStore, volume, threshold: float = 0.5,
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be inside (0, 1), got {threshold}")
     cfg = params.config
-    seq = to_sequence(volume, None, direction, pad_to=2 ** cfg.levels)
+    seq = to_sequence(volume, pad_to=2 ** cfg.levels)
     with ad.no_grad():
         preds = unroll_forward(params, seq, mode="detach", train=False)
     planes = [(p.data > threshold) for p in preds]

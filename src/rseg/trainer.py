@@ -15,7 +15,7 @@ parameters and BN running statistics alike) as f32 little-endian payloads.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -23,12 +23,16 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .backbones import ModelConfig, ParamStore, build_store
 from .data import SliceSequence, _write_atomic
-from .loss import LossWeights, combined_loss, sequence_loss
+from .loss import combined_loss, sequence_loss
 from .metrics import VolumeMask, dice_coefficient
 from .recurrent import MODES, unroll_forward
 
 CHECKPOINT_MAGIC = b"RSCK"
 CHECKPOINT_VERSION = 1
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -36,14 +40,10 @@ class TrainConfig:
     lr: float = 1e-4
     epochs: int = 40
     patience: int = 10
-    weights: LossWeights = field(default_factory=LossWeights)
     seed: int = 0
     bptt_mode: str = "detach"
     teacher_forcing: bool = False
     threshold: float = 0.5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_seq_len: int = 8
 
     def __post_init__(self):
@@ -57,10 +57,6 @@ class TrainConfig:
             raise ValueError(f"bptt_mode must be one of {MODES}, got {self.bptt_mode!r}")
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
-        if not 0.0 <= self.beta1 < 1.0 or not 0.0 <= self.beta2 < 1.0:
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.eps <= 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.max_seq_len < 1:
             raise ValueError(f"max_seq_len must be at least 1, got {self.max_seq_len}")
 
@@ -76,11 +72,7 @@ class EpochStats:
 class AdamState:
     """First/second moment accumulators mirroring the trainable parameters."""
 
-    def __init__(self, params: ParamStore, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+    def __init__(self, params: ParamStore):
         self.step_count = 0
         self.m = {n: np.zeros_like(t.data) for n, t in params.trainable_items()}
         self.v = {n: np.zeros_like(t.data) for n, t in params.trainable_items()}
@@ -94,8 +86,8 @@ def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float) -> N
     if set(grads) != set(names):
         raise ValueError("gradient names do not match the trainable parameters")
     state.step_count += 1
-    c1 = 1.0 - state.beta1 ** state.step_count
-    c2 = 1.0 - state.beta2 ** state.step_count
+    c1 = 1.0 - ADAM_BETA1 ** state.step_count
+    c2 = 1.0 - ADAM_BETA2 ** state.step_count
     for name, tens in params.trainable_items():
         g = np.asarray(grads[name])
         if g.shape != tens.data.shape:
@@ -104,11 +96,11 @@ def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float) -> N
             )
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        tens.data -= lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        tens.data -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def sequence_gradients(params: ParamStore, tconfig: TrainConfig, seq: SliceSequence,
@@ -120,7 +112,7 @@ def sequence_gradients(params: ParamStore, tconfig: TrainConfig, seq: SliceSeque
     preds = unroll_forward(params, seq, y0=start, mode=tconfig.bptt_mode, train=True,
                            teacher_forcing=tconfig.teacher_forcing)
     targets = [Tensor(lbl) for lbl in seq.labels]
-    loss = sequence_loss(preds, targets, tconfig.weights)
+    loss = sequence_loss(preds, targets)
     params.zero_grads()
     ad.backward(loss)
     grads = {n: (t.grad if t.grad is not None else np.zeros_like(t.data))
@@ -141,7 +133,7 @@ def _chunks(seq: SliceSequence, max_len: int):
     for i in range(0, len(seq.frames), max_len):
         labels = None if seq.labels is None else seq.labels[i:i + max_len]
         yield SliceSequence(frames=seq.frames[i:i + max_len], labels=labels,
-                            direction=seq.direction, orig_hw=seq.orig_hw,
+                            orig_hw=seq.orig_hw,
                             pad_offset=seq.pad_offset, spacing_mm=seq.spacing_mm)
 
 
@@ -156,7 +148,7 @@ def validation_stats(params: ParamStore, tconfig: TrainConfig, val_set):
                 raise ValueError("validation requires labeled sequences")
             preds = unroll_forward(params, seq, mode="detach", train=False)
             for p, lbl in zip(preds, seq.labels):
-                total += float(combined_loss(p, Tensor(lbl), tconfig.weights).data)
+                total += float(combined_loss(p, Tensor(lbl)).data)
                 slices += 1
             # crop the padding away, as segment_volume does, before counting
             hard = seq.restore([p.data > tconfig.threshold for p in preds])
@@ -175,7 +167,7 @@ def train(params: ParamStore, tconfig: TrainConfig, train_set, val_set):
     for seq in train_set:
         if seq.labels is None:
             raise ValueError("training requires labeled sequences")
-    state = AdamState(params, tconfig.beta1, tconfig.beta2, tconfig.eps)
+    state = AdamState(params)
     rng = np.random.Generator(np.random.Philox(tconfig.seed))
     history = []
     best_val = np.inf

@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from rseg import autodiff as ad
-from rseg.backbones import ModelConfig, build_model, forward
-from rseg.gradcheck import max_rel_error, numeric_grad, numeric_grad_sampled, sample_indices
+from rseg.gradcheck import max_rel_error, numeric_grad
 
 H = 1e-5
 
@@ -325,34 +324,3 @@ def run_op_gradchecks(seeds) -> dict:
             worst = max(worst, fn(np.random.default_rng(seed)))
         results[name] = worst
     return results
-
-
-def backbone_fd_worst(backbone: str, seed: int, coords_per_tensor: int = 3,
-                      h: float = H) -> float:
-    """Sampled end-to-end gradcheck of a tiny f64 backbone in train mode.
-
-    Loss is a random weighted sum of the logits; a few coordinates of every
-    trainable tensor are compared against central differences. The rel-error
-    floor is 1e-4: conv biases feeding train-mode BN have exactly-zero
-    gradients where central differences return pure roundoff (~1e-9), and a
-    tighter floor would score that noise as error.
-    """
-    cfg = ModelConfig(backbone=backbone, levels=2, base_channels=4)
-    store = build_model(cfg, seed, dtype=np.float64)
-    rng = np.random.default_rng(seed + 1000)
-    x = rng.normal(size=(1, 1, 16, 16))
-    coef = rng.normal(size=(1, 1, 16, 16))
-
-    def run():
-        out = forward(store, ad.Tensor(x), train=True)
-        return ad.reduce_sum(ad.mul(out, ad.Tensor(coef)))
-
-    ad.backward(run())
-    worst = 0.0
-    for _, tens in store.trainable_items():
-        idxs = sample_indices(rng, tens.data.size, coords_per_tensor)
-        num = numeric_grad_sampled(lambda: float(run().data), tens.data, idxs, h=h)
-        ana = tens.grad.reshape(-1)[idxs]
-        worst = max(worst, max_rel_error(ana, num, floor=1e-4))
-        tens.grad = None
-    return worst

@@ -352,3 +352,12 @@ def test_op_gradcheck_ten_seeds(name):
     fn, tol = OP_CASES[name]
     worst = max(fn(np.random.default_rng(seed)) for seed in range(10))
     assert worst <= tol, f"{name}: worst rel error {worst:.3e} > {tol}"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_max_rel_error_scores_non_finite_as_infinite(bad):
+    # max(worst, nan) keeps worst, so a NaN score would pass every gradcheck
+    good = np.ones(3)
+    broken = np.array([1.0, bad, 1.0])
+    assert max_rel_error(broken, good) == np.inf
+    assert max_rel_error(good, broken) == np.inf

@@ -12,9 +12,8 @@ from rseg.backbones import (
     forward,
     forward_segunet,
 )
-from rseg.gradcheck import max_rel_error, numeric_grad
+from rseg.gradcheck import backbone_fd_worst, max_rel_error, numeric_grad
 
-from _opchecks import backbone_fd_worst
 
 TINY = dict(levels=2, base_channels=4)
 
@@ -164,13 +163,21 @@ class TestForwardContracts:
         forward(store, x, train=True)
         assert not np.array_equal(store["enc0.bn_a.mean"].data, before)
 
-    def test_segunet_unpooled_maps_sparse_per_window(self):
+    def test_segunet_unpooled_maps_sparse_per_window(self, monkeypatch):
         cfg = ModelConfig(backbone="segunet", **TINY)
         store = build_model(cfg, seed=4)
-        taps = {}
-        forward_segunet(store, rand_input(np.random.default_rng(4), cfg, hw=16), taps=taps)
-        for l in range(cfg.levels):
-            u = taps[f"dec{l}.unpooled"].data
+        unpooled = []
+        unpool = ad.maxunpool2d
+
+        def record(*args):
+            unpooled.append(unpool(*args))
+            return unpooled[-1]
+
+        monkeypatch.setattr(ad, "maxunpool2d", record)
+        forward_segunet(store, rand_input(np.random.default_rng(4), cfg, hw=16))
+        assert len(unpooled) == cfg.levels
+        for out in unpooled:
+            u = out.data
             n, c, h, w = u.shape
             windows = u.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(-1, 4)
             assert (windows != 0).sum(axis=1).max() <= 1
@@ -240,5 +247,10 @@ class TestAttentionGate:
 
 @pytest.mark.parametrize("backbone", ["unet", "segunet", "attunet"])
 def test_backbone_end_to_end_gradcheck(backbone):
-    worst = backbone_fd_worst(backbone, seed=0)
+    worst = backbone_fd_worst(backbone, 0, np.random.default_rng(1000))
     assert worst <= 1e-3, f"{backbone}: worst rel error {worst:.3e}"
+
+
+def test_backbone_gradcheck_with_nan_step_fails():
+    worst = backbone_fd_worst("unet", 0, np.random.default_rng(0), h=float("nan"))
+    assert worst == np.inf

@@ -3,16 +3,25 @@ import os
 import struct
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import rseg
 from rseg.backbones import BACKBONES, ModelConfig, build_model
 from rseg.cli import _OPTIONS, _cmd_evaluate, _parse_size, _write_history_csv, run_cli
 from rseg.data import PhantomSpec, load_volume, save_volume, Volume
 from rseg.metrics import EmptyMaskError, MetricsReport, VolumeMask, write_report_csv
 from rseg.recurrent import MODES, segment_volume
 from rseg.trainer import EpochStats, TrainConfig, load_checkpoint, save_checkpoint
+
+
+def child_env():
+    """The environment with the imported rseg's directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(rseg.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def read_tree(root):
@@ -282,6 +291,40 @@ class TestExitCodes:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "p.mvf").exists()
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["gradcheck", "--eps", "0"], "--eps"),
+        (["gradcheck", "--eps", "nan"], "--eps"),
+        (["gradcheck", "--eps", "inf"], "--eps"),
+        (["gradcheck", "--eps", "-0.5"], "--eps"),
+        (["synth", "--out", "unused", "--count", "-1"], "--count"),
+        (["synth", "--out", "unused", "--count", "0"], "--count"),
+        (["synth", "--out", "unused", "--threads", "-3"], "--threads"),
+        (["synth", "--out", "unused", "--threads", "0"], "--threads"),
+    ])
+    def test_out_of_range_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage" in err and f"argument {flag}:" in err
+        assert not (tmp_path / "unused").exists()
+
+    @pytest.mark.parametrize("command, line", [
+        ("gradcheck", "eps = nan"),
+        ("gradcheck", "eps = 0"),
+        ("synth", "count = -1"),
+        ("synth", "threads = -3"),
+    ])
+    def test_out_of_range_config_value_is_a_validation_error(self, tmp_path, capsys,
+                                                            command, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        argv = [command, "--config", str(cfg)]
+        if command == "synth":
+            argv += ["--out", str(tmp_path / "d")]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "d").exists()
+
     def test_nan_spacing_is_a_validation_error(self, tmp_path, capsys):
         synth(tmp_path / "d", count=1)
         path = tmp_path / "d" / "mask_000.mvf"
@@ -348,10 +391,14 @@ class TestTruncatedFiles:
 
 
 class TestOptionTable:
-    """The table's literal defaults must track the library's own."""
+    """The settable surface: every config field is an option, with the same default."""
+
+    @staticmethod
+    def _rows():
+        return {cmd: {o.key: o for o in opts} for cmd, (_, opts) in _OPTIONS.items()}
 
     def test_literal_defaults_match_library(self):
-        rows = {cmd: {o.key: o for o in opts} for cmd, (_, opts) in _OPTIONS.items()}
+        rows = self._rows()
         train = {key: o.default for key, o in rows["train"].items()}
         mconfig, tconfig = ModelConfig(), TrainConfig()
         for key in ("backbone", "levels", "base_channels", "recurrent"):
@@ -370,6 +417,17 @@ class TestOptionTable:
             assert rows[cmd]["backbone"].choices == BACKBONES
         assert rows["train"]["bptt"].choices == MODES
 
+    def test_config_fields_are_exactly_the_options(self):
+        rows = self._rows()
+        model_and_paths = {"data", "val", "out", "backbone", "levels", "base_channels",
+                           "recurrent"}
+        train = {{"bptt": "bptt_mode"}.get(k, k) for k in rows["train"]} - model_and_paths
+        assert {f.name for f in fields(TrainConfig)} == train
+        synth = {{"size": "dims", "noise": "noise_sigma"}.get(k, k) for k in rows["synth"]}
+        # artifact_streaks is library-only; out and count drive the loop, not the spec
+        assert {f.name for f in fields(PhantomSpec)} == (synth - {"out", "count"}
+                                                        | {"artifact_streaks"})
+
 
 class TestThreads:
     def test_thread_cap_sets_environment(self, tmp_path, monkeypatch):
@@ -383,7 +441,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "rseg.cli", "synth", "--out", str(tmp_path / "d"),
              "--count", "1", "--size", "8x32x32", "--seed", "0"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=child_env())
         assert proc.returncode == 0
         assert "command = synth" in proc.stdout
         assert sorted(os.listdir(tmp_path / "d")) == ["mask_000.mvf", "vol_000.mvf"]

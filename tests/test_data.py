@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from rseg.data import (
+    BACKGROUND_INTENSITY,
+    DECOY_INTENSITY,
     MASK_COUNT_BOUNDS,
+    OBJECT_INTENSITY,
     STREAK_INTENSITY,
     PhantomSpec,
     Volume,
@@ -47,7 +50,7 @@ class TestGenerator:
         spec = PhantomSpec(seed=5, noise_sigma=0.0, decoys=False, artifact_streaks=False)
         vol, _ = generate_phantom(spec)
         values = set(np.unique(vol.intensities).tolist())
-        assert values <= {spec.background_intensity, spec.object_intensity, spec.decoy_intensity}
+        assert values <= {BACKGROUND_INTENSITY, OBJECT_INTENSITY, DECOY_INTENSITY}
 
     @pytest.mark.parametrize("seed", range(10))
     def test_mask_count_within_frozen_bounds(self, seed):
@@ -60,7 +63,7 @@ class TestGenerator:
         vol, mask = generate_phantom(spec)
         fg = mask.voxels == 1
         assert fg.any()
-        assert np.all(vol.intensities[fg] == spec.object_intensity)
+        assert np.all(vol.intensities[fg] == OBJECT_INTENSITY)
 
     def test_minimum_dims_still_fit_the_arc(self):
         vol, mask = generate_phantom(PhantomSpec(dims=(8, 32, 32), seed=3))
@@ -82,7 +85,7 @@ class TestDecoys:
         found = 0
         for z in range(vol.dims[0]):
             obj = int(mask.voxels[z].sum())
-            dec = int(((vol.intensities[z] == spec.decoy_intensity) & (mask.voxels[z] == 0)).sum())
+            dec = int(((vol.intensities[z] == DECOY_INTENSITY) & (mask.voxels[z] == 0)).sum())
             if dec > 20:
                 found += 1
                 assert 0.7 * obj <= dec <= 1.4 * obj
@@ -93,7 +96,7 @@ class TestDecoys:
         vol, mask = generate_phantom(spec)
         centroids = []
         for z in range(vol.dims[0]):
-            pts = np.argwhere((vol.intensities[z] == spec.decoy_intensity) & (mask.voxels[z] == 0))
+            pts = np.argwhere((vol.intensities[z] == DECOY_INTENSITY) & (mask.voxels[z] == 0))
             if len(pts) > 20:
                 centroids.append(pts.mean(axis=0))
         jumps = [np.linalg.norm(a - b) for a, b in zip(centroids, centroids[1:])]
@@ -109,7 +112,7 @@ class TestDecoys:
     def test_decoys_never_overlap_object(self):
         spec = PhantomSpec(seed=8, decoys=True, noise_sigma=0.0)
         vol, mask = generate_phantom(spec)
-        assert np.all(vol.intensities[mask.voxels == 1] == spec.object_intensity)
+        assert np.all(vol.intensities[mask.voxels == 1] == OBJECT_INTENSITY)
 
 
 class TestStreaks:
@@ -202,7 +205,7 @@ class TestVolumeIO:
 class TestNormalize:
     def test_window_endpoints(self):
         v = Volume(np.array([[[300.0, 2000.0, 100.0, 2500.0]]], dtype=np.float32), (1, 1, 1))
-        out = normalize_intensity(v, (300.0, 2000.0)).intensities[0, 0]
+        out = normalize_intensity(v).intensities[0, 0]
         assert out[0] == 0.0
         assert out[1] == 1.0
         assert out[2] == 0.0  # clamped below
@@ -212,7 +215,7 @@ class TestNormalize:
         rng = np.random.default_rng(0)
         vals = np.sort(rng.uniform(300.0, 2000.0, size=32)).astype(np.float32)
         v = Volume(vals.reshape(1, 1, 32), (1, 1, 1))
-        out = normalize_intensity(v, (300.0, 2000.0)).intensities.reshape(-1)
+        out = normalize_intensity(v).intensities.reshape(-1)
         assert np.all(np.diff(out) >= 0)
 
     def test_default_window_puts_object_above_half(self):
@@ -220,11 +223,6 @@ class TestNormalize:
         vol, mask = generate_phantom(spec)
         out = normalize_intensity(vol).intensities
         assert np.all(out[mask.voxels == 1] > 0.5)
-
-    def test_degenerate_window_rejected(self):
-        v = Volume(np.zeros((2, 2, 2), dtype=np.float32), (1, 1, 1))
-        with pytest.raises(ValueError):
-            normalize_intensity(v, (500.0, 500.0))
 
 
 class TestToSequence:
@@ -250,20 +248,6 @@ class TestToSequence:
         border = np.ones_like(frame, dtype=bool)
         border[top : top + h, left : left + w] = False
         assert np.all(frame[border] == 0.0)
-
-    def test_descending_reverses_ascending(self):
-        vol, mask = generate_phantom(PhantomSpec(seed=3))
-        up = to_sequence(vol, mask, direction="ascending", pad_to=4)
-        down = to_sequence(vol, mask, direction="descending", pad_to=4)
-        for a, b in zip(up.frames, reversed(down.frames)):
-            np.testing.assert_array_equal(a, b)
-        restored = down.restore(down.labels)
-        np.testing.assert_array_equal(restored, mask.voxels.astype(np.float32))
-
-    def test_invalid_direction_rejected(self):
-        vol, _ = generate_phantom(PhantomSpec(seed=1))
-        with pytest.raises(ValueError):
-            to_sequence(vol, direction="sideways")
 
     def test_non_power_of_two_pad_rejected(self):
         vol, _ = generate_phantom(PhantomSpec(seed=1))

@@ -15,7 +15,7 @@ def make_seq(rng, n, hw=16, dtype=np.float32, with_labels=True):
     labels = None
     if with_labels:
         labels = [(rng.uniform(size=(1, 1, hw, hw)) < 0.3).astype(dtype) for _ in range(n)]
-    return SliceSequence(frames=frames, labels=labels, direction="ascending",
+    return SliceSequence(frames=frames, labels=labels,
                          orig_hw=(hw, hw), pad_offset=(0, 0), spacing_mm=(1.0, 1.0, 1.0))
 
 
@@ -110,7 +110,7 @@ class TestUnroll:
     def test_empty_sequence_rejected(self):
         cfg = ModelConfig(backbone="unet", levels=2, base_channels=4)
         store = build_model(cfg, seed=0)
-        empty = SliceSequence(frames=[], labels=None, direction="ascending",
+        empty = SliceSequence(frames=[], labels=None,
                               orig_hw=(16, 16), pad_offset=(0, 0), spacing_mm=(1, 1, 1))
         with pytest.raises(ValueError):
             unroll_forward(store, empty)
@@ -137,7 +137,7 @@ class TestUnroll:
         preds = unroll_forward(store, seq)
         perm = [3, 0, 4, 2, 1]
         shuffled = SliceSequence(frames=[seq.frames[i] for i in perm], labels=None,
-                                 direction="ascending", orig_hw=seq.orig_hw,
+                                 orig_hw=seq.orig_hw,
                                  pad_offset=seq.pad_offset, spacing_mm=seq.spacing_mm)
         preds_shuffled = unroll_forward(store, shuffled)
         for j, i in enumerate(perm):
@@ -151,7 +151,7 @@ class TestUnroll:
         preds = unroll_forward(store, seq)
         frames2 = [f.copy() for f in seq.frames]
         frames2[3] = frames2[3] + 1.0
-        seq2 = SliceSequence(frames=frames2, labels=None, direction="ascending",
+        seq2 = SliceSequence(frames=frames2, labels=None,
                              orig_hw=seq.orig_hw, pad_offset=seq.pad_offset,
                              spacing_mm=seq.spacing_mm)
         preds2 = unroll_forward(store, seq2)

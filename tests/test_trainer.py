@@ -8,7 +8,7 @@ from rseg.autodiff import Tensor
 from rseg.backbones import ModelConfig, ParamStore, build_model
 from rseg.data import (PhantomSpec, SliceSequence, generate_phantom, normalize_intensity,
                        to_sequence)
-from rseg.loss import LossWeights, combined_loss
+from rseg.loss import combined_loss
 from rseg.metrics import dice_coefficient
 from rseg.recurrent import segment_volume, step, unroll_forward
 from rseg.trainer import (AdamState, TrainConfig, adam_step, load_checkpoint,
@@ -26,7 +26,7 @@ def make_seq(rng, n, hw=16, dtype=np.float32, labels="random"):
         lbl = [np.zeros((1, 1, hw, hw), dtype=dtype) for _ in range(n)]
     else:
         lbl = None
-    return SliceSequence(frames=frames, labels=lbl, direction="ascending",
+    return SliceSequence(frames=frames, labels=lbl,
                          orig_hw=(hw, hw), pad_offset=(0, 0), spacing_mm=(1.0, 1.0, 1.0))
 
 
@@ -107,7 +107,7 @@ class TestTrainStep:
         tconfig = TrainConfig(lr=1e-3, epochs=1)
         rng = np.random.default_rng(seed)
         seq = make_seq(rng, 2)
-        state = AdamState(store, tconfig.beta1, tconfig.beta2, tconfig.eps)
+        state = AdamState(store)
         loss_before, _ = train_step(store, tconfig, state, seq)
         loss_after, _, _ = sequence_gradients(store, tconfig, seq)
         assert loss_after < loss_before
@@ -126,7 +126,7 @@ class TestTrainStep:
         for t, frozen_prev in enumerate([np.zeros_like(realized[0].data), realized[0].data]):
             out = step(store, Tensor(seq.frames[t]), Tensor(frozen_prev.copy()), train=True)
             store.zero_grads()
-            ad.backward(combined_loss(out, Tensor(seq.labels[t]), tconfig.weights))
+            ad.backward(combined_loss(out, Tensor(seq.labels[t])))
             per_step.append({n: g.grad.copy() for n, g in store.trainable_items()})
             store.zero_grads()
         for name in seq_grads:
@@ -150,7 +150,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(5)
         frames_seq = make_seq(rng, 2, labels="ones")
         val_seq = SliceSequence(frames=frames_seq.frames, labels=[np.zeros_like(l) for l in frames_seq.labels],
-                                direction="ascending", orig_hw=frames_seq.orig_hw,
+                                orig_hw=frames_seq.orig_hw,
                                 pad_offset=frames_seq.pad_offset, spacing_mm=frames_seq.spacing_mm)
         tconfig = TrainConfig(lr=0.1, epochs=10, patience=1, seed=0)
         history = train(store, tconfig, [frames_seq], [val_seq])
