@@ -112,7 +112,7 @@ _OPTIONS = {
         _Opt("bptt", str, "detach", choices=("detach", "full"),
              help="gradient handling across the feedback edge"),
         _Opt("teacher_forcing", _flag, False),
-        _Opt("lr", float, 1e-4),
+        _Opt("lr", positive_float, 1e-4),
         _Opt("epochs", int, 40),
         _Opt("patience", int, 10),
         _Opt("seed", int, 0),
@@ -181,7 +181,10 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
             if key not in options:
                 raise ValueError(f"unknown config key {key!r} for {command}")
             opt = options[key]
-            eff[key] = opt.coerce(text)
+            try:
+                eff[key] = opt.coerce(text)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
             if opt.choices is not None and eff[key] not in opt.choices:
                 raise ValueError(f"config key {key!r}: invalid choice {eff[key]!r} "
                                  f"(choose from {', '.join(map(repr, opt.choices))})")

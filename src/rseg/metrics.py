@@ -93,20 +93,6 @@ def extract_surface(m: VolumeMask) -> np.ndarray:
     return idx.astype(np.float64) * np.asarray(m.spacing_mm, dtype=np.float64)
 
 
-def _nearest_distances(a_pts: np.ndarray, b_pts: np.ndarray) -> np.ndarray:
-    """Min Euclidean distance from each point of A to the set B."""
-    if len(a_pts) == 0 or len(b_pts) == 0:
-        raise EmptyMaskError("nearest distances need nonempty point sets")
-    d, _ = cKDTree(b_pts).query(a_pts, k=1)
-    return np.asarray(d, dtype=np.float64)
-
-
-def _directed_stats(a: VolumeMask, b: VolumeMask):
-    sa = extract_surface(a)
-    sb = extract_surface(b)
-    return _nearest_distances(sa, sb), _nearest_distances(sb, sa)
-
-
 def evaluate(pred: VolumeMask, gt: VolumeMask, scan_id: str) -> MetricsReport:
     """All four metrics from one pair of surface extractions."""
     _check_dims(pred, gt, "evaluate")
@@ -115,7 +101,11 @@ def evaluate(pred: VolumeMask, gt: VolumeMask, scan_id: str) -> MetricsReport:
             f"evaluate: spacing mismatch {pred.spacing_mm} vs {gt.spacing_mm}"
         )
     dice = dice_coefficient(pred, gt)
-    dab, dba = _directed_stats(pred, gt)
+    # extract_surface raises on an empty mask, so both point sets are nonempty
+    sp = extract_surface(pred)
+    sg = extract_surface(gt)
+    dab = cKDTree(sg).query(sp, k=1)[0]
+    dba = cKDTree(sp).query(sg, k=1)[0]
     return MetricsReport(
         scan_id=scan_id,
         dice=dice,

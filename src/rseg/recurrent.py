@@ -8,7 +8,9 @@ The first step sees zeros ("no prior object"). Two training modes:
   so each step's gradient is exactly the isolated per-step gradient.
 - full: gradients flow through the recurrent edge across all steps.
 
-Probabilities, not thresholded masks, are carried across steps.
+Probabilities, not thresholded masks, are carried across steps. Under
+teacher forcing each step after the first is fed the previous slice's label
+instead; ``next_feed`` is that rule.
 """
 
 from __future__ import annotations
@@ -61,31 +63,36 @@ def unroll_forward(
     preds = []
     y_prev = y0
     for t, frame in enumerate(seq.frames):
-        x_t = Tensor(frame)
-        if teacher_forcing and t > 0:
-            feed = Tensor(seq.labels[t - 1])
-        elif mode == "detach":
-            feed = y_prev.detach()
-        else:
-            feed = y_prev
-        pred = step(params, x_t, feed, train)
+        feed = y_prev.detach() if mode == "detach" else y_prev
+        pred = step(params, Tensor(frame), feed, train)
         preds.append(pred)
-        y_prev = pred
+        y_prev = next_feed(seq, t, pred, teacher_forcing)
     return preds
 
 
+def next_feed(seq: SliceSequence, t: int, pred: Tensor, teacher_forcing: bool) -> Tensor:
+    """What the slice after slice t is fed: label t under teacher forcing, else its prediction."""
+    return Tensor(seq.labels[t]) if teacher_forcing else pred
+
+
+def segment_sequence(params: ParamStore, seq: SliceSequence, threshold: float):
+    """Eval-mode free-running pass with a zero prior; (per-slice probabilities, cropped mask).
+
+    The mask thresholds strictly and drops the padding that ``to_sequence`` added.
+    """
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be inside (0, 1), got {threshold}")
+    with ad.no_grad():
+        preds = unroll_forward(params, seq, mode="detach", train=False)
+    voxels = seq.restore([p.data > threshold for p in preds]).astype(np.uint8)
+    return preds, VolumeMask(voxels, seq.spacing_mm)
+
+
 def segment_volume(params: ParamStore, volume, threshold: float = 0.5) -> VolumeMask:
-    """Slice, unroll with a zero prior, threshold strictly, restack.
+    """Slice the volume and return ``segment_sequence``'s mask.
 
     Extents that are not divisible by 2^levels are zero-padded on the way
     in and cropped on the way out, so the mask always matches the volume.
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be inside (0, 1), got {threshold}")
-    cfg = params.config
-    seq = to_sequence(volume, pad_to=2 ** cfg.levels)
-    with ad.no_grad():
-        preds = unroll_forward(params, seq, mode="detach", train=False)
-    planes = [(p.data > threshold) for p in preds]
-    voxels = seq.restore(planes).astype(np.uint8)
-    return VolumeMask(voxels, volume.spacing_mm)
+    seq = to_sequence(volume, pad_to=2 ** params.config.levels)
+    return segment_sequence(params, seq, threshold)[1]

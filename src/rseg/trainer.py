@@ -1,8 +1,9 @@
 """Sequence training: Adam over backprop-through-time with early stopping.
 
 A model is trained one sequence chunk per optimizer step. Long sequences are
-split into consecutive chunks of at most ``max_seq_len`` slices; the last
-prediction of a chunk is carried into the next chunk as a constant, so
+split into consecutive chunks of at most ``max_seq_len`` slices. A chunk's
+first slice is fed what ``recurrent.next_feed`` gives for the slice before it
+(its label under teacher forcing, else its prediction) as a constant, so
 gradients never flow across chunk boundaries regardless of mode. Early
 stopping monitors the validation mean combined loss and restores the best
 snapshot seen.
@@ -15,7 +16,7 @@ parameters and BN running statistics alike) as f32 little-endian payloads.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from .backbones import ModelConfig, ParamStore, build_store
 from .data import SliceSequence, _write_atomic
 from .loss import combined_loss, sequence_loss
 from .metrics import VolumeMask, dice_coefficient
-from .recurrent import MODES, unroll_forward
+from .recurrent import MODES, next_feed, segment_sequence, unroll_forward
 
 CHECKPOINT_MAGIC = b"RSCK"
 CHECKPOINT_VERSION = 1
@@ -47,8 +48,8 @@ class TrainConfig:
     max_seq_len: int = 8
 
     def __post_init__(self):
-        if self.lr <= 0.0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and positive, got {self.lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.patience < 1:
@@ -78,18 +79,20 @@ class AdamState:
         self.v = {n: np.zeros_like(t.data) for n, t in params.trainable_items()}
 
 
-def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float) -> None:
-    """Apply one Adam update in place; moments advance even when lr is 0."""
+def adam_step(params: ParamStore, state: AdamState, lr: float) -> None:
+    """Apply one Adam update in place from each trainable tensor's .grad, then clear it.
+
+    A tensor without a .grad (the loss never reached it) counts as a zero
+    gradient; moments advance even when lr is 0.
+    """
     if lr < 0.0:
         raise ValueError(f"lr must be nonnegative, got {lr}")
-    names = [n for n, _ in params.trainable_items()]
-    if set(grads) != set(names):
-        raise ValueError("gradient names do not match the trainable parameters")
     state.step_count += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step_count
     c2 = 1.0 - ADAM_BETA2 ** state.step_count
     for name, tens in params.trainable_items():
-        g = np.asarray(grads[name])
+        g = np.zeros_like(tens.data) if tens.grad is None else tens.grad
+        tens.grad = None
         if g.shape != tens.data.shape:
             raise ValueError(
                 f"gradient shape {g.shape} does not match {name!r} {tens.data.shape}"
@@ -105,7 +108,7 @@ def adam_step(params: ParamStore, grads: dict, state: AdamState, lr: float) -> N
 
 def sequence_gradients(params: ParamStore, tconfig: TrainConfig, seq: SliceSequence,
                        y0: np.ndarray = None):
-    """Unroll, sum per-slice losses, backprop; (loss, grads, last prediction)."""
+    """Unroll, sum per-slice losses, backprop into each .grad; (loss, last prediction)."""
     if seq.labels is None:
         raise ValueError("training requires a labeled sequence")
     start = None if y0 is None else Tensor(y0)
@@ -115,46 +118,36 @@ def sequence_gradients(params: ParamStore, tconfig: TrainConfig, seq: SliceSeque
     loss = sequence_loss(preds, targets)
     params.zero_grads()
     ad.backward(loss)
-    grads = {n: (t.grad if t.grad is not None else np.zeros_like(t.data))
-             for n, t in params.trainable_items()}
-    params.zero_grads()
-    return float(loss.data), grads, preds[-1].data
+    return float(loss.data), preds[-1].data
 
 
 def train_step(params: ParamStore, tconfig: TrainConfig, state: AdamState,
                seq: SliceSequence, y0: np.ndarray = None):
-    """One optimizer step on one chunk; returns (loss, carry prediction)."""
-    loss, grads, y_last = sequence_gradients(params, tconfig, seq, y0)
-    adam_step(params, grads, state, tconfig.lr)
-    return loss, y_last
+    """One optimizer step on one chunk; returns (loss, feed for the next chunk's first slice)."""
+    loss, y_last = sequence_gradients(params, tconfig, seq, y0)
+    adam_step(params, state, tconfig.lr)
+    return loss, next_feed(seq, len(seq) - 1, Tensor(y_last), tconfig.teacher_forcing).data
 
 
 def _chunks(seq: SliceSequence, max_len: int):
     for i in range(0, len(seq.frames), max_len):
-        labels = None if seq.labels is None else seq.labels[i:i + max_len]
-        yield SliceSequence(frames=seq.frames[i:i + max_len], labels=labels,
-                            orig_hw=seq.orig_hw,
-                            pad_offset=seq.pad_offset, spacing_mm=seq.spacing_mm)
+        yield replace(seq, frames=seq.frames[i:i + max_len], labels=seq.labels[i:i + max_len])
 
 
 def validation_stats(params: ParamStore, tconfig: TrainConfig, val_set):
-    """Eval-mode free-running pass; (mean per-slice loss, mean volume Dice)."""
+    """``segment_sequence`` on each sequence; (mean per-slice loss, mean volume Dice)."""
     total = 0.0
     slices = 0
     dices = []
-    with ad.no_grad():
-        for seq in val_set:
-            if seq.labels is None:
-                raise ValueError("validation requires labeled sequences")
-            preds = unroll_forward(params, seq, mode="detach", train=False)
-            for p, lbl in zip(preds, seq.labels):
-                total += float(combined_loss(p, Tensor(lbl)).data)
-                slices += 1
-            # crop the padding away, as segment_volume does, before counting
-            hard = seq.restore([p.data > tconfig.threshold for p in preds])
-            gt = seq.restore([lbl > 0.5 for lbl in seq.labels])
-            dices.append(dice_coefficient(VolumeMask(hard, seq.spacing_mm),
-                                          VolumeMask(gt, seq.spacing_mm)))
+    for seq in val_set:
+        if seq.labels is None:
+            raise ValueError("validation requires labeled sequences")
+        preds, mask = segment_sequence(params, seq, tconfig.threshold)
+        for p, lbl in zip(preds, seq.labels):
+            total += float(combined_loss(p, Tensor(lbl)).data)
+            slices += 1
+        gt = seq.restore([lbl > 0.5 for lbl in seq.labels])
+        dices.append(dice_coefficient(mask, VolumeMask(gt, seq.spacing_mm)))
     return total / slices, float(np.mean(dices))
 
 

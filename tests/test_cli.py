@@ -300,6 +300,12 @@ class TestExitCodes:
         (["synth", "--out", "unused", "--count", "0"], "--count"),
         (["synth", "--out", "unused", "--threads", "-3"], "--threads"),
         (["synth", "--out", "unused", "--threads", "0"], "--threads"),
+        (["train", "--data", "unused", "--val", "unused", "--out", "unused", "--lr", "nan"],
+         "--lr"),
+        (["train", "--data", "unused", "--val", "unused", "--out", "unused", "--lr", "inf"],
+         "--lr"),
+        (["train", "--data", "unused", "--val", "unused", "--out", "unused", "--lr", "0"],
+         "--lr"),
     ])
     def test_out_of_range_flag_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv, flag):
         monkeypatch.chdir(tmp_path)
@@ -313,6 +319,8 @@ class TestExitCodes:
         ("gradcheck", "eps = 0"),
         ("synth", "count = -1"),
         ("synth", "threads = -3"),
+        ("train", "lr = nan"),
+        ("train", "lr = inf"),
     ])
     def test_out_of_range_config_value_is_a_validation_error(self, tmp_path, capsys,
                                                             command, line):
@@ -321,8 +329,15 @@ class TestExitCodes:
         argv = [command, "--config", str(cfg)]
         if command == "synth":
             argv += ["--out", str(tmp_path / "d")]
+        elif command == "train":
+            # real data, so that only the option check can stop the run
+            synth(tmp_path / "data", count=1)
+            argv += ["--data", str(tmp_path / "data"), "--val", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "d"), "--levels", "2", "--base-channels", "4",
+                     "--epochs", "1"]
         assert run_cli(argv) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        key = line.split()[0]
+        assert capsys.readouterr().err.startswith(f"error: config key {key!r}: ")
         assert not (tmp_path / "d").exists()
 
     def test_nan_spacing_is_a_validation_error(self, tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rseg import autodiff as ad
+from rseg import recurrent
 from rseg.autodiff import Tensor
 from rseg.backbones import ModelConfig, ParamStore, build_model
 from rseg.data import (PhantomSpec, SliceSequence, generate_phantom, normalize_intensity,
@@ -42,23 +43,42 @@ def flat_store(values):
     return store
 
 
+def set_grads(store, grads):
+    for name, g in grads.items():
+        store[name].grad = np.asarray(g)
+
+
 class TestAdamStep:
     def test_zero_gradient_leaves_params_bitwise(self):
         store = tiny_store(seed=1)
         before = {n: t.data.copy() for n, t in store.items()}
-        grads = {n: np.zeros_like(t.data) for n, t in store.trainable_items()}
-        adam_step(store, grads, AdamState(store), lr=1e-2)
+        set_grads(store, {n: np.zeros_like(t.data) for n, t in store.trainable_items()})
+        adam_step(store, AdamState(store), lr=1e-2)
         for n, t in store.items():
             np.testing.assert_array_equal(t.data, before[n])
+
+    def test_unreached_tensor_counts_as_zero_gradient(self):
+        store = flat_store({"w": [0.5], "u": [0.25]})
+        state = AdamState(store)
+        set_grads(store, {"w": np.ones(1)})
+        adam_step(store, state, lr=1e-3)
+        assert store["u"].data[0] == 0.25
+        np.testing.assert_array_equal(state.m["u"], [0.0])
+        assert store["w"].data[0] < 0.5
+        # both gradients are consumed, so the next step sees none
+        assert store["w"].grad is None and store["u"].grad is None
+        adam_step(store, state, lr=1e-3)
+        assert state.step_count == 2
+        assert state.m["w"][0] == pytest.approx(0.1 * 0.9, rel=1e-12)
 
     def test_zero_lr_leaves_params_bitwise(self):
         store = tiny_store(seed=2)
         rng = np.random.default_rng(0)
         before = {n: t.data.copy() for n, t in store.items()}
-        grads = {n: rng.normal(size=t.data.shape).astype(t.data.dtype)
-                 for n, t in store.trainable_items()}
+        set_grads(store, {n: rng.normal(size=t.data.shape).astype(t.data.dtype)
+                          for n, t in store.trainable_items()})
         state = AdamState(store)
-        adam_step(store, grads, state, lr=0.0)
+        adam_step(store, state, lr=0.0)
         for n, t in store.items():
             np.testing.assert_array_equal(t.data, before[n])
         assert state.step_count == 1  # moments still advance
@@ -66,7 +86,8 @@ class TestAdamStep:
     def test_first_step_closed_form(self):
         store = flat_store({"w": [0.5]})
         state = AdamState(store)
-        adam_step(store, {"w": np.ones(1)}, state, lr=1e-3)
+        set_grads(store, {"w": np.ones(1)})
+        adam_step(store, state, lr=1e-3)
         # m_hat = v_hat = 1 after bias correction, so the step is -lr/(1+eps)
         expected = 0.5 - 1e-3 / (1.0 + 1e-8)
         assert store["w"].data[0] == pytest.approx(expected, rel=1e-12)
@@ -75,29 +96,26 @@ class TestAdamStep:
         store = flat_store({"w": [0.0]})
         state = AdamState(store)
         for _ in range(3):
-            adam_step(store, {"w": np.ones(1)}, state, lr=1e-3)
+            set_grads(store, {"w": np.ones(1)})
+            adam_step(store, state, lr=1e-3)
         assert store["w"].data[0] == pytest.approx(-3e-3, rel=1e-6)
 
     def test_gradient_scaling_preserves_sign_pattern(self):
         rng = np.random.default_rng(3)
-        grads = {"w": rng.normal(size=8)}
+        g = rng.normal(size=8)
         updates = []
         for c in (1.0, 100.0):
             store = flat_store({"w": np.zeros(8)})
-            adam_step(store, {"w": c * grads["w"]}, AdamState(store), lr=1e-3)
+            set_grads(store, {"w": c * g})
+            adam_step(store, AdamState(store), lr=1e-3)
             updates.append(store["w"].data.copy())
         np.testing.assert_array_equal(np.sign(updates[0]), np.sign(updates[1]))
 
     def test_misaligned_gradients_rejected(self):
         store = tiny_store(seed=0)
-        grads = {n: np.zeros_like(t.data) for n, t in store.trainable_items()}
-        missing = dict(grads)
-        missing.pop("head.w")
+        store["head.w"].grad = np.zeros((2, 2))
         with pytest.raises(ValueError):
-            adam_step(store, missing, AdamState(store), lr=1e-3)
-        grads["head.w"] = np.zeros((2, 2))
-        with pytest.raises(ValueError):
-            adam_step(store, grads, AdamState(store), lr=1e-3)
+            adam_step(store, AdamState(store), lr=1e-3)
 
 
 class TestTrainStep:
@@ -109,7 +127,7 @@ class TestTrainStep:
         seq = make_seq(rng, 2)
         state = AdamState(store)
         loss_before, _ = train_step(store, tconfig, state, seq)
-        loss_after, _, _ = sequence_gradients(store, tconfig, seq)
+        loss_after, _ = sequence_gradients(store, tconfig, seq)
         assert loss_after < loss_before
 
     def test_detach_gradient_is_sum_of_per_step_gradients(self):
@@ -118,7 +136,8 @@ class TestTrainStep:
         rng = np.random.default_rng(4)
         seq = make_seq(rng, 2, dtype=np.float64)
 
-        _, seq_grads, _ = sequence_gradients(store, tconfig, seq)
+        sequence_gradients(store, tconfig, seq)
+        seq_grads = {n: t.grad.copy() for n, t in store.trainable_items()}
 
         with ad.no_grad():
             realized = unroll_forward(store, seq, mode="detach", train=True)
@@ -132,6 +151,23 @@ class TestTrainStep:
         for name in seq_grads:
             total = per_step[0][name] + per_step[1][name]
             np.testing.assert_allclose(seq_grads[name], total, rtol=1e-6, atol=1e-12)
+
+    def test_teacher_forcing_feeds_labels_across_chunks(self, monkeypatch):
+        # 16 slices in two 8-slice chunks: slice 8, the second chunk's first,
+        # must be fed label 7 like every other slice, not chunk 1's last prediction
+        fed = []
+
+        def spy(params, x_t, y_prev=None, train=False):
+            fed.append(y_prev.data.copy())
+            return step(params, x_t, y_prev, train)
+
+        monkeypatch.setattr(recurrent, "step", spy)
+        seq = make_seq(np.random.default_rng(12), 16)
+        tconfig = TrainConfig(lr=1e-3, epochs=1, teacher_forcing=True, max_seq_len=8)
+        train(tiny_store(seed=12), tconfig, [seq], [make_seq(np.random.default_rng(13), 2)])
+        np.testing.assert_array_equal(fed[0], np.zeros_like(seq.labels[0]))
+        for t in range(1, 16):
+            np.testing.assert_array_equal(fed[t], seq.labels[t - 1])
 
     def test_unlabeled_sequence_rejected(self):
         store = tiny_store(seed=0)
@@ -226,8 +262,9 @@ class TestTrainLoop:
             train(store, TrainConfig(epochs=1), [seq], [seq])
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TrainConfig(lr=0.0)
+        for lr in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                TrainConfig(lr=lr)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
