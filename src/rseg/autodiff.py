@@ -260,17 +260,76 @@ def _shifted_gemm(buf, w, wp, ho):
     return out
 
 
+def _shifted_weight_grad(g, buf, wp, kh, kw):
+    """Weight gradient of _shifted_gemm: per tap, that tap's view of ``buf`` times g^T.
+
+    g is laid out at the padded width with its wrap-around columns zero, so
+    the garbage columns of each view add nothing.
+    """
+    n, cout, ho, wo = g.shape
+    span = ho * wp
+    gp = np.zeros((n, cout, ho, wp), dtype=g.dtype)
+    gp[:, :, :, :wo] = g
+    gt = gp.reshape(n, cout, span).swapaxes(1, 2)
+    taps = np.empty((kh * kw, n, buf.shape[1], cout), dtype=g.dtype)
+    for t in range(kh * kw):
+        start = (t // kw) * wp + t % kw
+        np.matmul(buf[:, :, start : start + span], gt, out=taps[t])
+    # (tap, N, cin, cout) -> (cout, cin, tap), summed over N
+    return taps.sum(axis=1).transpose(2, 1, 0).reshape(cout, -1, kh, kw)
+
+
+def _col2im(gcols, hp, wp, sy, sx):
+    """Adjoint of _im2col: add each tap's (N, C, ho, wo) slice into a zero padded map."""
+    n, c, kh, kw, ho, wo = gcols.shape
+    gxp = np.zeros((n, c, hp, wp), dtype=gcols.dtype)
+    for ky in range(kh):
+        for kx in range(kw):
+            gxp[:, :, ky : ky + sy * ho : sy, kx : kx + sx * wo : sx] += gcols[:, :, ky, kx]
+    return gxp
+
+
+def _flat(a):
+    """(N, R, P) -> (R, N*P)."""
+    return a.swapaxes(0, 1).reshape(a.shape[1], -1)
+
+
+def _weight_grad(w, g2, cols):
+    """Accumulate g2 . cols^T into w.grad; inside backward(), a leaf's is deferred.
+
+    backward() runs one GEMM per deferred weight over all of its calls'
+    concatenated columns once the replay ends, instead of one weight-sized
+    product and sum per call.
+    """
+    deferred = getattr(_state, "deferred", None)
+    if deferred is None or w._backward is not None:
+        _accumulate(w, np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(w.shape))
+        return
+    _, gs, cs = deferred.setdefault(id(w), (w, [], []))
+    gs.append(g2)
+    cs.append(cols)
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     """Cross-correlation with zero padding (pad < kernel); gradients for x, w and b.
 
-    The forward has two lowerings, chosen by shape. Stride-1 k x k kernels
-    (k > 1) with cout <= cin on maps of at least SHIFT_MIN_PIXELS outputs run
-    one GEMM per tap over shifted views of the padded input; every other
-    call runs im2col plus one GEMM. The shift form keeps no columns: its
-    backward builds them from the padded input, so a no_grad forward never
-    does. The backward is the same for both: the weight gradient is one GEMM
-    against the columns, and the input gradient correlates the zero-dilated
-    output gradient with the flipped, channel-swapped kernel.
+    Each call takes one of three forms, chosen by shape; each backward is
+    the adjoint of its own forward.
+
+    - Shift: stride-1 k x k kernels (k > 1) with cout <= cin on maps of at
+      least SHIFT_MIN_PIXELS outputs run one GEMM per tap over shifted views
+      of the padded input, which the tape keeps instead of columns. The
+      weight gradient is one GEMM per tap against the same views; the input
+      gradient correlates the zero-padded output gradient with the flipped,
+      channel-swapped kernel.
+    - Weight-bound im2col: when cout*cin > (cout + cin)*N*ho*wo, the weights
+      outweigh the activations. im2col plus one GEMM forward; the input
+      gradient is wmat^T @ g, added tap by tap into a zero padded input
+      (col2im), and the weight gradient is deferred to one GEMM per leaf
+      weight per backward() (see _weight_grad).
+    - Pixel-bound im2col: im2col plus one GEMM forward; the weight gradient
+      is one GEMM against the columns, and the input gradient correlates the
+      zero-dilated output gradient with the flipped, channel-swapped kernel.
     """
     sy, sx = _pair(stride)
     py, px = _pair(pad)
@@ -288,6 +347,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor
         raise ValueError(f"conv2d: non-positive output extent for input {x.shape}")
     hp, wp = h + 2 * py, wdt + 2 * px
     shift = sy == sx == 1 and kh * kw > 1 and cout <= cin and ho * wo >= SHIFT_MIN_PIXELS
+    # the cut comes from the per-shape table in BENCH_conv_backward.json
+    weight_bound = not shift and cout * cin > (cout + cin) * n * ho * wo
     xp = x.data
     if py or px or shift:
         # the shift form reads kw - 1 elements past the last padded row
@@ -296,7 +357,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor
         xp[:, :, py : py + h, px : px + wdt] = x.data
     if shift:
         # the tape keeps the padded input (about 1x x), not the k*k-fold columns
-        saved = xp
+        saved = buf
         full = _shifted_gemm(buf, w.data, wp, ho).reshape(n, cout, ho, wp)
         out = np.add(full[:, :, :, :wo], b.data.reshape(1, cout, 1, 1))
     else:
@@ -308,14 +369,26 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor
     def backward_fn(g):
         g2 = g.reshape(n, cout, ho * wo)
         _accumulate(b, g2.sum(axis=(0, 2)))
-        cols = _im2col(saved, kh, kw, 1, 1, ho, wo) if shift else saved
-        _accumulate(w, np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(w.shape))
-        if x.requires_grad:
+        if w.requires_grad:
+            if shift:
+                _accumulate(w, _shifted_weight_grad(g, saved, wp, kh, kw))
+            elif weight_bound:
+                _weight_grad(w, g2, saved)
+            else:
+                _accumulate(w, np.tensordot(g2, saved, axes=([0, 2], [0, 2])).reshape(w.shape))
+        if not x.requires_grad:
+            return
+        if weight_bound:
+            gx = np.matmul(w.data.reshape(cout, -1).T, g2)
+            if kh * kw * sy * sx > 1:  # a 1x1 kernel has no padding
+                gx = _col2im(gx.reshape(n, cin, kh, kw, ho, wo), hp, wp, sy, sx)
+                gx = gx[:, :, py : py + h, px : px + wdt]
+        else:
             gd = np.zeros((n, cout, h + kh - 1, wdt + kw - 1), dtype=g.dtype)
             gd[:, :, kh - 1 - py :: sy, kw - 1 - px :: sx][:, :, :ho, :wo] = g
             wflip = w.data[:, :, ::-1, ::-1].swapaxes(0, 1).reshape(cin, -1)
             gx = np.matmul(wflip, _im2col(gd, kh, kw, 1, 1, h, wdt))
-            _accumulate(x, gx.reshape(n, cin, h, wdt))
+        _accumulate(x, gx.reshape(n, cin, h, wdt))
 
     return _make_result(out, "conv2d", (x, w, b), backward_fn)
 
@@ -549,6 +622,15 @@ def backward(loss: Tensor) -> None:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     nodes = schedule(loss)
     loss.grad = np.ones_like(loss.data)
-    for t in reversed(nodes):
-        if t.grad is not None:
-            t._backward(t.grad)
+    # leaf weight id -> (weight, output gradients, columns), filled by _weight_grad
+    _state.deferred = deferred = {}
+    try:
+        for t in reversed(nodes):
+            if t.grad is not None:
+                t._backward(t.grad)
+        for w, gs, cs in deferred.values():
+            gw = np.concatenate([_flat(g) for g in gs], axis=1)
+            cols = np.concatenate([_flat(c) for c in cs], axis=1)
+            _accumulate(w, np.matmul(gw, cols.T).reshape(w.shape))
+    finally:
+        _state.deferred = None

@@ -17,6 +17,7 @@ features; pinned so checkpoints stay compatible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,10 @@ class ModelConfig:
             raise ValueError(f"levels must be >= 2, got {self.levels}")
         if self.base_channels < 4:
             raise ValueError(f"base_channels must be >= 4, got {self.base_channels}")
+        if not (math.isfinite(self.bn_eps) and self.bn_eps > 0.0):
+            raise ValueError(f"bn_eps must be a finite number > 0, got {self.bn_eps}")
+        if not 0.0 <= self.bn_momentum <= 1.0:
+            raise ValueError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
 
     @property
     def in_channels(self) -> int:

@@ -143,13 +143,14 @@ def check_sigmoid(rng):
 def check_conv2d(rng):
     worst = 0.0
     # includes the padded strided 3x3 and the 1x1 convs the backbones run;
-    # the last case (16x16 outputs, stride 1, cout <= cin) takes conv2d's
+    # the fifth case (16x16 outputs, stride 1, cout <= cin) takes conv2d's
     # shift lowering. It has two channels: with four, central-difference
     # noise on near-zero gradient entries exceeds 1e-6 relative error on
-    # some seeds under either lowering.
+    # some seeds under either lowering. The last case (one output pixel,
+    # cout*cin > (cout + cin)*ho*wo) takes the weight-bound form.
     for side, cout, k, stride, pad in ((5, 3, 3, (1, 1), (1, 1)), (5, 3, 3, (2, 2), (0, 0)),
                                        (5, 3, 3, (2, 2), (1, 1)), (5, 3, 1, (1, 1), (0, 0)),
-                                       (16, 2, 3, (1, 1), (1, 1))):
+                                       (16, 2, 3, (1, 1), (1, 1)), (2, 4, 3, (2, 2), (1, 1))):
         x = rng.normal(size=(1, 2, side, side))
         w = rng.normal(size=(cout, 2, k, k))
         b = rng.normal(size=(cout,))

@@ -136,6 +136,93 @@ class TestConv2d:
         assert abs(lhs - rhs) <= 1e-6 * max(abs(lhs), abs(rhs))
 
 
+class TestDeferredWeightGradient:
+    """Weight-bound conv2d calls queue their weight gradient for one GEMM per leaf."""
+
+    # 24 -> 24 channels, 3x3, pad 1: weight-bound while N*ho*wo < 12
+    W_SHAPE = (24, 24, 3, 3)
+
+    def test_shared_leaf_gets_one_gemm_over_all_calls(self, monkeypatch):
+        rng = np.random.default_rng(67)
+        w_data = rng.normal(size=self.W_SHAPE)
+        shapes = [(1, 24, 2, 2), (1, 24, 3, 3), (2, 24, 2, 2), (1, 24, 1, 3)]
+        w = t(w_data, rg=True)
+        loss, xs, zs = None, [], []
+        for shape in shapes:
+            xs.append(rng.normal(size=shape))
+            out = ad.conv2d(t(xs[-1]), w, t(np.zeros(24)), (1, 1), (1, 1))
+            zs.append(rng.normal(size=out.shape))
+            term = ad.reduce_sum(ad.mul(out, t(zs[-1])))
+            loss = term if loss is None else ad.add(loss, term)
+        updates = []
+        real = ad._accumulate
+        monkeypatch.setattr(ad, "_accumulate",
+                            lambda tens, g: (tens is w and updates.append(1)) or real(tens, g))
+        ad.backward(loss)
+        monkeypatch.undo()
+        assert len(updates) == 1
+        # each call's gradient on its own, and the magnitudes of its products
+        total = sum(self._one_call(w_data, x, z) for x, z in zip(xs, zs))
+        magnitude = sum(self._one_call(w_data, np.abs(x), np.abs(z)) for x, z in zip(xs, zs))
+        terms = sum(z[:, 0].size for z in zs) + len(zs)
+        bound = 2 * terms * np.finfo(np.float64).eps * magnitude
+        assert np.all(np.abs(w.grad - total) <= bound)
+
+    @staticmethod
+    def _one_call(w_data, x, z):
+        w = t(w_data, rg=True)
+        out = ad.conv2d(t(x), w, t(np.zeros(w.shape[0])), (1, 1), (1, 1))
+        ad.backward(ad.reduce_sum(ad.mul(out, t(z))))
+        return w.grad
+
+    def test_weight_made_by_an_op_is_not_deferred(self):
+        # 4 -> 4 channels with one output pixel per call: weight-bound
+        rng = np.random.default_rng(71)
+        w0 = rng.normal(size=(4, 4, 3, 3))
+        xs = [rng.normal(size=(1, 4, 3, 3)), rng.normal(size=(1, 4, 1, 1))]
+        pads = [(0, 0), (1, 1)]
+        cs = [rng.normal(size=(1, 4, 1, 1)) for _ in xs]
+
+        def build():
+            leaf = ad.Tensor(w0, requires_grad=True)
+            w = ad.scale(leaf, 1.5)
+            loss = None
+            for x, pad, c in zip(xs, pads, cs):
+                out = ad.conv2d(t(x, rg=True), w, t(np.zeros(4)), (1, 1), pad)
+                term = ad.reduce_sum(ad.mul(out, t(c)))
+                loss = term if loss is None else ad.add(loss, term)
+            return loss, leaf
+
+        loss, leaf = build()
+        ad.backward(loss)
+        num = numeric_grad(lambda: float(build()[0].data), w0, h=1e-5)
+        assert max_rel_error(leaf.grad, num) <= 1e-6
+
+    def test_replay_that_raises_leaves_no_queue_behind(self):
+        rng = np.random.default_rng(73)
+        w_data = rng.normal(size=self.W_SHAPE)
+        x_data = rng.normal(size=(1, 24, 2, 2))
+        z = rng.normal(size=(1, 24, 2, 2))
+
+        def boom(g):
+            raise RuntimeError("backward failed")
+
+        w = t(w_data, rg=True)
+        # created before the conv, so its backward runs after the conv queued w
+        x = ad._make_result(x_data.copy(), "boom", (t(x_data, rg=True),), boom)
+        out = ad.conv2d(x, w, t(np.zeros(24)), (1, 1), (1, 1))
+        with pytest.raises(RuntimeError, match="backward failed"):
+            ad.backward(ad.reduce_sum(ad.mul(out, t(z))))
+        assert w.grad is None
+        # a closure run outside backward() accumulates at once
+        out._backward(z)
+        direct = w.grad
+        assert direct is not None
+        # and the next backward() gives the same gradient, up to summation order
+        again = self._one_call(w_data, x_data, z)
+        np.testing.assert_allclose(again, direct, rtol=0, atol=1e-12 * np.abs(direct).max())
+
+
 class TestConv2dTranspose:
     def test_single_pixel_scatter(self):
         x = t(np.array([[1.0]]).reshape(1, 1, 1, 1))

@@ -291,6 +291,28 @@ class TestExitCodes:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "p.mvf").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("bn_eps", "nan"), ("bn_eps", "inf"), ("bn_eps", "-1.0"), ("bn_eps", "0.0"),
+        ("bn_momentum", "7"), ("bn_momentum", "-0.5"), ("bn_momentum", "nan"),
+    ])
+    def test_bad_batch_norm_setting_in_checkpoint_is_a_validation_error(self, tmp_path, capsys,
+                                                                       key, value):
+        synth(tmp_path / "d", count=1)
+        model = tmp_path / "m.rsck"
+        save_checkpoint(build_model(ModelConfig(levels=2, base_channels=4), seed=0), model)
+        raw = model.read_bytes()
+        blob_end = 12 + struct.unpack_from("<I", raw, 8)[0]
+        lines = raw[12:blob_end].decode("utf-8").splitlines()
+        blob = "".join(f"{key} = {value}\n" if ln.startswith(f"{key} =") else ln + "\n"
+                       for ln in lines).encode("utf-8")
+        model.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[blob_end:])
+        assert run_cli(["segment", "--model", str(model),
+                        "--in", str(tmp_path / "d" / "vol_000.mvf"),
+                        "--out", str(tmp_path / "p.mvf")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "p.mvf").exists()
+
     @pytest.mark.parametrize("argv, flag", [
         (["gradcheck", "--eps", "0"], "--eps"),
         (["gradcheck", "--eps", "nan"], "--eps"),

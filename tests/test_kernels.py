@@ -6,8 +6,10 @@ max pooling, a reshape-sum for the upsample backward, ``np.pad``, im2col
 and an out-of-place bias add for conv2d, and the out-of-place batch-norm
 expressions with ``np.var`` and x-hat captured at forward time. The kernels
 must match them byte for byte: outputs, pool indices, and every gradient.
-The one exception is conv2d's shift lowering, whose output sums the same
-products in another order: it is held to a rounding bound instead.
+The exceptions are conv2d sums taken in another order, each held to a
+rounding bound instead: the shift lowering's output and weight gradient,
+and the weight-bound form's weight gradient (one GEMM over every call of a
+backward) and input gradient (col2im).
 """
 
 from __future__ import annotations
@@ -328,19 +330,32 @@ def test_conv2d_matches_pad_reference(dtype, k, stride, pad):
     )
 
 
-# the shift lowering runs for stride 1, k > 1, cout <= cin and at least
-# ad.SHIFT_MIN_PIXELS = 256 output pixels; these shapes sit on both sides
-SHIFT_CASES = [
-    # n, cin, cout, (h, w), k, stride, pad, runs the shift lowering
-    (1, 16, 16, (16, 16), 3, 1, 1, True),  # ho*wo exactly at the cut
-    (1, 16, 16, (15, 17), 3, 1, 1, False),  # ho*wo = 255, one below it
-    (2, 8, 4, (24, 19), 3, 1, 0, True),  # N = 2, pad 0, non-square
-    (2, 6, 6, (17, 23), 5, 1, 2, True),  # 5x5 kernel, pad 2
-    (1, 7, 5, (20, 15), 3, 1, (1, 0), True),  # pad on one axis only
-    (1, 4, 8, (20, 20), 3, 1, 1, False),  # cout > cin
-    (1, 8, 8, (40, 40), 3, 2, 1, False),  # stride 2
-    (1, 8, 8, (20, 20), 1, 1, 0, False),  # 1x1 kernel
+# conv2d takes one of three forms: shift (stride 1, k > 1, cout <= cin and
+# at least ad.SHIFT_MIN_PIXELS = 256 output pixels), weight-bound (any other
+# call with cout*cin > (cout + cin)*N*ho*wo) and pixel-bound (the rest).
+# These shapes sit on both sides of both cuts.
+CONV_CASES = [
+    # n, cin, cout, (h, w), k, stride, pad, form
+    (1, 16, 16, (16, 16), 3, 1, 1, "shift"),  # ho*wo exactly at the cut
+    (1, 16, 16, (15, 17), 3, 1, 1, "pixel"),  # ho*wo = 255, one below it
+    (2, 8, 4, (24, 19), 3, 1, 0, "shift"),  # N = 2, pad 0, non-square
+    (2, 6, 6, (17, 23), 5, 1, 2, "shift"),  # 5x5 kernel, pad 2
+    (1, 7, 5, (20, 15), 3, 1, (1, 0), "shift"),  # pad on one axis only
+    (1, 4, 8, (20, 20), 3, 1, 1, "pixel"),  # cout > cin
+    (1, 8, 8, (40, 40), 3, 2, 1, "pixel"),  # stride 2
+    (1, 8, 8, (20, 20), 1, 1, 0, "pixel"),  # 1x1 kernel
+    (1, 8, 8, (2, 2), 3, 1, 1, "pixel"),  # cout*cin = (cout + cin)*ho*wo exactly
+    (1, 9, 8, (2, 2), 3, 1, 1, "weight"),  # one input channel more
+    (1, 48, 40, (4, 4), 3, 1, 1, "weight"),  # 4x4 outputs
+    (2, 40, 40, (3, 3), 3, 1, 1, "weight"),  # N = 2
+    (1, 32, 24, (6, 7), 3, 2, 1, "weight"),  # stride 2, 3x4 outputs
+    (1, 24, 16, (3, 3), 1, 1, 0, "weight"),  # 1x1: the input gradient is one GEMM
+    (1, 24, 20, (5, 5), 1, 2, 0, "weight"),  # strided 1x1
 ]
+
+# the helpers that only the named form calls
+FORM_CALLS = {"shift": ["_shifted_gemm", "_shifted_weight_grad"], "weight": ["_weight_grad"],
+              "pixel": []}
 
 
 def _conv_case(dtype, case, seed):
@@ -351,51 +366,69 @@ def _conv_case(dtype, case, seed):
                  rng.normal(size=(cout,)).astype(dtype)]
 
 
+def _assert_within_rounding(mine, theirs, terms, magnitude):
+    """Two sums of the same `terms` products in different orders: each lies
+    within terms*eps*sum|products| of the exact sum, so within twice that of
+    each other."""
+    assert mine.dtype == theirs.dtype and mine.shape == theirs.shape
+    bound = 2 * terms * np.finfo(mine.dtype).eps * magnitude
+    assert np.all(np.abs(mine.astype(np.float64) - theirs) <= bound)
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("case", SHIFT_CASES,
+@pytest.mark.parametrize("case", CONV_CASES,
                          ids=lambda c: f"n{c[0]}-{c[1]}to{c[2]}-{c[3][0]}x{c[3][1]}-k{c[4]}s{c[5]}")
 def test_conv2d_lowerings_against_im2col_reference(dtype, case, monkeypatch):
-    stride, pad, shift = ad._pair(case[5]), ad._pair(case[6]), case[7]
-    shifted = []
-    real = ad._shifted_gemm
-    monkeypatch.setattr(ad, "_shifted_gemm", lambda *a: shifted.append(1) or real(*a))
+    n, cin, cout, _, k = case[:5]
+    stride, pad, form = ad._pair(case[5]), ad._pair(case[6]), case[7]
+    ran = []
+    for name in ("_shifted_gemm", "_shifted_weight_grad", "_weight_grad"):
+        monkeypatch.setattr(ad, name,
+                            lambda *a, _n=name, _f=getattr(ad, name): ran.append(_n) or _f(*a))
     rng, arrays = _conv_case(dtype, case, 101)
     mine, theirs = _leaves(arrays), _leaves(arrays)
     out_m = ad.conv2d(*mine, stride, pad)
     out_r = conv2d_reference(*theirs, stride, pad)
-    assert bool(shifted) == shift
-    if shift:
-        # Both forms sum the same K = cin*k*k + 1 terms in different orders:
-        # each lies within K*eps*sum|terms| of the exact sum, so within twice
-        # that of each other.
-        x, w, b = (ad.Tensor(np.abs(a).astype(np.float64)) for a in arrays)
-        with ad.no_grad():
-            magnitude = conv2d_reference(x, w, b, stride, pad).data
-        bound = 2 * (w.data[0].size + 1) * np.finfo(dtype).eps * magnitude
-        assert out_m.dtype == out_r.dtype and out_m.shape == out_r.shape
-        assert np.all(np.abs(out_m.data.astype(np.float64) - out_r.data) <= bound)
-    else:
-        assert_same_bytes(out_m.data, out_r.data)
     upstream = rng.normal(size=out_m.shape).astype(dtype)
     _backprop(out_m, upstream)
     _backprop(out_r, upstream)
-    for tm, tr in zip(mine, theirs):
-        assert_same_bytes(tm.grad, tr.grad)
+    assert ran == FORM_CALLS[form]
+    # the same graph over |x|, |w|, |b| and |upstream| in f64 sums the
+    # magnitudes of every output's and every gradient's products
+    magnitudes = _leaves([np.abs(a).astype(np.float64) for a in arrays])
+    out_abs = conv2d_reference(*magnitudes, stride, pad)
+    _backprop(out_abs, np.abs(upstream).astype(np.float64))
+    (xm, wm, bm), (xr, wr, br) = mine, theirs
+    _, ho, wo = out_m.shape[1:]
+    if form == "shift":
+        _assert_within_rounding(out_m.data, out_r.data, cin * k * k + 1, out_abs.data)
+    else:
+        assert_same_bytes(out_m.data, out_r.data)
+    assert_same_bytes(bm.grad, br.grad)
+    if form == "pixel":
+        assert_same_bytes(wm.grad, wr.grad)
+    else:
+        _assert_within_rounding(wm.grad, wr.grad, n * ho * wo, magnitudes[1].grad)
+    if form == "weight":
+        _assert_within_rounding(xm.grad, xr.grad, cout * k * k, magnitudes[0].grad)
+    else:
+        assert_same_bytes(xm.grad, xr.grad)
 
 
 def test_conv2d_shift_forward_builds_columns_only_for_a_backward(monkeypatch):
     built = []
     real = ad._im2col
     monkeypatch.setattr(ad, "_im2col", lambda xp, *a: built.append(a) or real(xp, *a))
-    rng, arrays = _conv_case(np.float32, SHIFT_CASES[0], 103)
+    rng, arrays = _conv_case(np.float32, CONV_CASES[0], 103)
     with ad.no_grad():
         ad.conv2d(*_leaves(arrays), (1, 1), (1, 1))
     assert built == []
     out = ad.conv2d(*_leaves(arrays), (1, 1), (1, 1))
     assert built == []
     _backprop(out, rng.normal(size=out.shape).astype(np.float32))
-    # the weight gradient's columns, then the input gradient's correlation
-    assert len(built) == 2
+    # the input gradient's correlation; the weight gradient reads the kept
+    # padded input through the forward's shifted views
+    assert built == [(3, 3, 1, 1, 16, 16)]
 
 
 # ---------------------------------------------------------------------------
