@@ -15,6 +15,7 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
+from scipy.linalg.blas import get_blas_funcs
 
 _state = threading.local()
 
@@ -46,16 +47,17 @@ def _next_tid() -> int:
 class Tensor:
     """Dense n-d array with an optional gradient buffer.
 
-    ``data`` is owned by the tensor and must not be mutated after creation,
-    except for leaf parameters updated between optimizer steps and running
-    statistics buffers.
+    ``data`` is f32 or f64, the types BLAS computes in: any other input is
+    cast to f32. It is owned by the tensor and must not be mutated after
+    creation, except for leaf parameters updated between optimizer steps
+    and running statistics buffers.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "op", "_tid", "_inputs", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "op", "_tid", "_inputs", "_backward", "_own")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
-        if not np.issubdtype(arr.dtype, np.floating):
+        if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float32)
         self.data = arr
         self.grad = None
@@ -64,6 +66,7 @@ class Tensor:
         self._tid = _next_tid()
         self._inputs = ()
         self._backward = None
+        self._own = None  # a grad buffer only this tensor holds; cleared with grad
 
     @property
     def shape(self):
@@ -96,10 +99,16 @@ def _make_result(data, op: str, inputs, backward_fn) -> Tensor:
 
 def _accumulate(t: Tensor, g) -> None:
     # Never mutate an incoming gradient array: it may be shared between
-    # branches (e.g. both parents of an add receive the same object).
+    # branches (e.g. both parents of an add receive the same object). The
+    # first sum makes a buffer t owns (C order: a weight's is a GEMM output).
     if not t.requires_grad:
         return
-    t.grad = g if t.grad is None else t.grad + g
+    if t.grad is None:
+        t.grad = g
+    elif t.grad is t._own:
+        t.grad += g
+    else:
+        t.grad = t._own = np.asarray(np.add(t.grad, g, order="C"))
 
 
 def _check_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -294,42 +303,42 @@ def _flat(a):
     return a.swapaxes(0, 1).reshape(a.shape[1], -1)
 
 
-def _weight_grad(w, g2, cols):
-    """Accumulate g2 . cols^T into w.grad; inside backward(), a leaf's is deferred.
+def _accumulate_weight_grad(w, a, b):
+    """Add the contraction of a (N, M, P) with b (N, K, P) over N and P to w.grad.
 
-    backward() runs one GEMM per deferred weight over all of its calls'
-    concatenated columns once the replay ends, instead of one weight-sized
-    product and sum per call.
+    A weight shared by T GEMM-lowered conv calls makes one weight-sized
+    array: the first call's tensordot product, which w then owns, and each
+    later call adds into it by one BLAS gemm with beta = 1.
     """
-    deferred = getattr(_state, "deferred", None)
-    if deferred is None or w._backward is not None:
-        _accumulate(w, np.tensordot(g2, cols, axes=([0, 2], [0, 2])).reshape(w.shape))
+    if not w.requires_grad:
         return
-    _, gs, cs = deferred.setdefault(id(w), (w, [], []))
-    gs.append(g2)
-    cs.append(cols)
+    if w.grad is None or w.grad is not w._own:
+        _accumulate(w, np.tensordot(a, b, axes=([0, 2], [0, 2])).reshape(w.shape))
+        w._own = w.grad  # the fresh product, or _accumulate's sum
+        return
+    # the row-major (M, K) buffer is a column-major (K, M) matrix: add b2 a2^T
+    c = w.grad.reshape(a.shape[1], b.shape[1]).T
+    get_blas_funcs("gemm", (c,))(1.0, _flat(b).T, _flat(a).T, 1.0, c, trans_a=1, overwrite_c=1)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
     """Cross-correlation with zero padding (pad < kernel); gradients for x, w and b.
 
-    Each call takes one of three forms, chosen by shape; each backward is
-    the adjoint of its own forward.
+    Each pass makes its own choice by shape, and each backward is the
+    adjoint of its own forward.
 
-    - Shift: stride-1 k x k kernels (k > 1) with cout <= cin on maps of at
+    - Forward: stride-1 k x k kernels (k > 1) with cout <= cin on maps of at
       least SHIFT_MIN_PIXELS outputs run one GEMM per tap over shifted views
-      of the padded input, which the tape keeps instead of columns. The
-      weight gradient is one GEMM per tap against the same views; the input
-      gradient correlates the zero-padded output gradient with the flipped,
-      channel-swapped kernel.
-    - Weight-bound im2col: when cout*cin > (cout + cin)*N*ho*wo, the weights
-      outweigh the activations. im2col plus one GEMM forward; the input
-      gradient is wmat^T @ g, added tap by tap into a zero padded input
-      (col2im), and the weight gradient is deferred to one GEMM per leaf
-      weight per backward() (see _weight_grad).
-    - Pixel-bound im2col: im2col plus one GEMM forward; the weight gradient
-      is one GEMM against the columns, and the input gradient correlates the
-      zero-dilated output gradient with the flipped, channel-swapped kernel.
+      of the padded input (shift), and the tape keeps that input. Every
+      other call runs im2col plus one GEMM, and the tape keeps the columns.
+    - Input gradient: when the call is weight-bound, cout*cin >
+      (cout + cin)*N*ho*wo, or its kernel is 1x1, wmat^T @ g, added tap by
+      tap into a zero padded input (col2im; a stride-1 1x1 call is the GEMM
+      alone). Otherwise the zero-dilated output gradient correlated with the
+      flipped, channel-swapped kernel.
+    - Weight gradient: after a shift forward, one GEMM per tap against the
+      same views; after im2col, one GEMM against the columns, added in place
+      into a buffer the weight owns (_accumulate_weight_grad).
     """
     sy, sx = _pair(stride)
     py, px = _pair(pad)
@@ -369,16 +378,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor
     def backward_fn(g):
         g2 = g.reshape(n, cout, ho * wo)
         _accumulate(b, g2.sum(axis=(0, 2)))
-        if w.requires_grad:
-            if shift:
-                _accumulate(w, _shifted_weight_grad(g, saved, wp, kh, kw))
-            elif weight_bound:
-                _weight_grad(w, g2, saved)
-            else:
-                _accumulate(w, np.tensordot(g2, saved, axes=([0, 2], [0, 2])).reshape(w.shape))
+        if not shift:
+            _accumulate_weight_grad(w, g2, saved)
+        elif w.requires_grad:
+            _accumulate(w, _shifted_weight_grad(g, saved, wp, kh, kw))
         if not x.requires_grad:
             return
-        if weight_bound:
+        if weight_bound or kh * kw == 1:
             gx = np.matmul(w.data.reshape(cout, -1).T, g2)
             if kh * kw * sy * sx > 1:  # a 1x1 kernel has no padding
                 gx = _col2im(gx.reshape(n, cin, kh, kw, ho, wo), hp, wp, sy, sx)
@@ -414,7 +420,7 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g.sum(axis=(0, 2, 3)))
         gcols = g.reshape(n, cout, h, kh, wdt, kw).transpose(0, 1, 3, 5, 2, 4)
         gcols = gcols.reshape(n, cout * kh * kw, h * wdt)
-        _accumulate(w, np.tensordot(x2, gcols, axes=([0, 2], [0, 2])).reshape(w.shape))
+        _accumulate_weight_grad(w, x2, gcols)
         if x.requires_grad:
             _accumulate(x, np.matmul(wmat, gcols).reshape(n, cin, h, wdt))
 
@@ -622,15 +628,8 @@ def backward(loss: Tensor) -> None:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
     nodes = schedule(loss)
     loss.grad = np.ones_like(loss.data)
-    # leaf weight id -> (weight, output gradients, columns), filled by _weight_grad
-    _state.deferred = deferred = {}
-    try:
-        for t in reversed(nodes):
-            if t.grad is not None:
-                t._backward(t.grad)
-        for w, gs, cs in deferred.values():
-            gw = np.concatenate([_flat(g) for g in gs], axis=1)
-            cols = np.concatenate([_flat(c) for c in cs], axis=1)
-            _accumulate(w, np.matmul(gw, cols.T).reshape(w.shape))
-    finally:
-        _state.deferred = None
+    for t in reversed(nodes):
+        if t.grad is not None:
+            # a parent may keep this buffer as its gradient: never add into it again
+            t._own = None
+            t._backward(t.grad)

@@ -26,6 +26,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 BACKBONES = ("unet", "segunet", "attunet")
+MAX_LEVELS = 10  # slices up to 2^10 px a side: a build pass runs a 2^levels square
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class ModelConfig:
     def __post_init__(self):
         if self.backbone not in BACKBONES:
             raise ValueError(f"unknown backbone {self.backbone!r}, expected one of {BACKBONES}")
-        if self.levels < 2:
-            raise ValueError(f"levels must be >= 2, got {self.levels}")
+        if not 2 <= self.levels <= MAX_LEVELS:
+            raise ValueError(f"levels must be in [2, {MAX_LEVELS}], got {self.levels}")
         if self.base_channels < 4:
             raise ValueError(f"base_channels must be >= 4, got {self.base_channels}")
         if not (math.isfinite(self.bn_eps) and self.bn_eps > 0.0):
@@ -104,7 +105,7 @@ class ParamStore:
 
     def zero_grads(self) -> None:
         for _, t in self.trainable_items():
-            t.grad = None
+            t.grad = t._own = None
 
 
 def build_store(config: ModelConfig, source) -> ParamStore:

@@ -92,7 +92,7 @@ def adam_step(params: ParamStore, state: AdamState, lr: float) -> None:
     c2 = 1.0 - ADAM_BETA2 ** state.step_count
     for name, tens in params.trainable_items():
         g = np.zeros_like(tens.data) if tens.grad is None else tens.grad
-        tens.grad = None
+        tens.grad = tens._own = None
         if g.shape != tens.data.shape:
             raise ValueError(
                 f"gradient shape {g.shape} does not match {name!r} {tens.data.shape}"

@@ -136,31 +136,31 @@ class TestConv2d:
         assert abs(lhs - rhs) <= 1e-6 * max(abs(lhs), abs(rhs))
 
 
-class TestDeferredWeightGradient:
-    """Weight-bound conv2d calls queue their weight gradient for one GEMM per leaf."""
+class TestWeightGradientAccumulation:
+    """An incoming gradient is kept and never written; a conv weight owns its
+    first product, any other tensor its first sum, and later contributions
+    add into that buffer in place."""
 
     # 24 -> 24 channels, 3x3, pad 1: weight-bound while N*ho*wo < 12
     W_SHAPE = (24, 24, 3, 3)
 
-    def test_shared_leaf_gets_one_gemm_over_all_calls(self, monkeypatch):
+    def test_shared_weight_adds_into_one_buffer(self):
         rng = np.random.default_rng(67)
         w_data = rng.normal(size=self.W_SHAPE)
-        shapes = [(1, 24, 2, 2), (1, 24, 3, 3), (2, 24, 2, 2), (1, 24, 1, 3)]
+        # replayed last first: weight-bound, pixel-bound, then N = 2 and N = 1
+        shapes = [(1, 24, 2, 2), (2, 24, 2, 2), (1, 24, 6, 6), (1, 24, 2, 2)]
         w = t(w_data, rg=True)
-        loss, xs, zs = None, [], []
+        loss, xs, zs, seen = None, [], [], []
         for shape in shapes:
             xs.append(rng.normal(size=shape))
             out = ad.conv2d(t(xs[-1]), w, t(np.zeros(24)), (1, 1), (1, 1))
+            out._backward = lambda g, _f=out._backward: _f(g) or seen.append(w.grad)
             zs.append(rng.normal(size=out.shape))
             term = ad.reduce_sum(ad.mul(out, t(zs[-1])))
             loss = term if loss is None else ad.add(loss, term)
-        updates = []
-        real = ad._accumulate
-        monkeypatch.setattr(ad, "_accumulate",
-                            lambda tens, g: (tens is w and updates.append(1)) or real(tens, g))
         ad.backward(loss)
-        monkeypatch.undo()
-        assert len(updates) == 1
+        # the first call's product is the buffer every later call writes
+        assert seen[0] is seen[1] is seen[2] is seen[3] is w.grad is w._own
         # each call's gradient on its own, and the magnitudes of its products
         total = sum(self._one_call(w_data, x, z) for x, z in zip(xs, zs))
         magnitude = sum(self._one_call(w_data, np.abs(x), np.abs(z)) for x, z in zip(xs, zs))
@@ -175,12 +175,13 @@ class TestDeferredWeightGradient:
         ad.backward(ad.reduce_sum(ad.mul(out, t(z))))
         return w.grad
 
-    def test_weight_made_by_an_op_is_not_deferred(self):
+    def test_weight_made_by_an_op_passes_gradcheck(self):
         # 4 -> 4 channels with one output pixel per call: weight-bound
         rng = np.random.default_rng(71)
         w0 = rng.normal(size=(4, 4, 3, 3))
-        xs = [rng.normal(size=(1, 4, 3, 3)), rng.normal(size=(1, 4, 1, 1))]
-        pads = [(0, 0), (1, 1)]
+        xs = [rng.normal(size=(1, 4, 3, 3)), rng.normal(size=(1, 4, 1, 1)),
+              rng.normal(size=(1, 4, 1, 1))]
+        pads = [(0, 0), (1, 1), (1, 1)]
         cs = [rng.normal(size=(1, 4, 1, 1)) for _ in xs]
 
         def build():
@@ -198,29 +199,54 @@ class TestDeferredWeightGradient:
         num = numeric_grad(lambda: float(build()[0].data), w0, h=1e-5)
         assert max_rel_error(leaf.grad, num) <= 1e-6
 
-    def test_replay_that_raises_leaves_no_queue_behind(self):
+    def test_gradient_shared_with_another_tensor_is_never_written(self):
         rng = np.random.default_rng(73)
-        w_data = rng.normal(size=self.W_SHAPE)
-        x_data = rng.normal(size=(1, 24, 2, 2))
-        z = rng.normal(size=(1, 24, 2, 2))
+        w = t(rng.normal(size=self.W_SHAPE), rg=True)
+        v = t(rng.normal(size=self.W_SHAPE), rg=True)
+        c = rng.normal(size=self.W_SHAPE)
+        loss = None
+        for _ in range(3):
+            out = ad.conv2d(t(rng.normal(size=(1, 24, 2, 2))), w, t(np.zeros(24)), (1, 1), (1, 1))
+            term = ad.reduce_sum(ad.mul(out, t(rng.normal(size=out.shape))))
+            loss = term if loss is None else ad.add(loss, term)
+        # created last, so replayed first: w and v both receive the add's gradient
+        shared = ad.add(w, v)
+        ad.backward(ad.add(loss, ad.reduce_sum(ad.mul(shared, t(c)))))
+        assert v.grad is shared.grad
+        np.testing.assert_array_equal(v.grad, c)
+        assert not np.array_equal(w.grad, c)
 
-        def boom(g):
-            raise RuntimeError("backward failed")
+    # f16 data is cast to f32, which the in-place gemm computes in
+    @pytest.mark.parametrize("dtype, working", [(np.float16, np.float32), (np.float32, np.float32),
+                                                (np.float64, np.float64)])
+    def test_gradients_keep_the_working_dtype(self, dtype, working):
+        rng = np.random.default_rng(79)
+        w = ad.Tensor(rng.normal(size=(8, 8, 3, 3)).astype(dtype), requires_grad=True)
+        wt = ad.Tensor(rng.normal(size=(8, 4, 2, 2)).astype(dtype), requires_grad=True)
+        b = ad.Tensor(np.zeros(8, dtype=dtype), requires_grad=True)
+        bt = ad.Tensor(np.zeros(4, dtype=dtype), requires_grad=True)
+        loss = None
+        for _ in range(3):
+            x = ad.Tensor(rng.normal(size=(1, 8, 2, 2)).astype(dtype))
+            up = ad.conv2d_transpose(ad.conv2d(x, w, b, (1, 1), (1, 1)), wt, bt)
+            term = ad.reduce_sum(up)
+            loss = term if loss is None else ad.add(loss, term)
+        ad.backward(loss)
+        for tens in (w, wt, b, bt):
+            assert tens.grad is tens._own and tens.grad.dtype == working
 
-        w = t(w_data, rg=True)
-        # created before the conv, so its backward runs after the conv queued w
-        x = ad._make_result(x_data.copy(), "boom", (t(x_data, rg=True),), boom)
-        out = ad.conv2d(x, w, t(np.zeros(24)), (1, 1), (1, 1))
-        with pytest.raises(RuntimeError, match="backward failed"):
-            ad.backward(ad.reduce_sum(ad.mul(out, t(z))))
-        assert w.grad is None
-        # a closure run outside backward() accumulates at once
-        out._backward(z)
-        direct = w.grad
-        assert direct is not None
-        # and the next backward() gives the same gradient, up to summation order
-        again = self._one_call(w_data, x_data, z)
-        np.testing.assert_allclose(again, direct, rtol=0, atol=1e-12 * np.abs(direct).max())
+    def test_second_backward_over_the_same_graph_adds_to_every_gradient(self):
+        x = t([1.0, 2.0], rg=True)
+        v = t([0.5, -1.0], rg=True)
+        m = ad.add(x, v)
+        loss = ad.reduce_sum(ad.add(ad.mul(m, t([1.0, 2.0])), ad.mul(m, t([3.0, 5.0]))))
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, [4.0, 7.0])
+        # the replay adds to every gradient the first one left; x and v hold
+        # m's first buffer, which m must not write again
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, [20.0, 35.0])
+        np.testing.assert_array_equal(v.grad, [20.0, 35.0])
 
 
 class TestConv2dTranspose:

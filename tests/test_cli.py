@@ -297,6 +297,18 @@ class TestExitCodes:
     ])
     def test_bad_batch_norm_setting_in_checkpoint_is_a_validation_error(self, tmp_path, capsys,
                                                                        key, value):
+        self._segment_with_patched_checkpoint(tmp_path, capsys, key, value)
+
+    def test_levels_beyond_the_bound_is_a_validation_error(self, tmp_path, capsys):
+        # 2^17 px a side: a build pass's input, or one padded slice, would take 64 GiB
+        self._segment_with_patched_checkpoint(tmp_path, capsys, "levels", "17")
+        data = str(tmp_path / "d")
+        assert run_cli(["train", "--data", data, "--val", data, "--levels", "17",
+                        "--out", str(tmp_path / "m17.rsck")]) == 1
+        assert capsys.readouterr().err.startswith("error: levels must be in [2, 10]")
+
+    @staticmethod
+    def _segment_with_patched_checkpoint(tmp_path, capsys, key, value):
         synth(tmp_path / "d", count=1)
         model = tmp_path / "m.rsck"
         save_checkpoint(build_model(ModelConfig(levels=2, base_channels=4), seed=0), model)

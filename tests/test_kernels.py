@@ -8,8 +8,7 @@ expressions with ``np.var`` and x-hat captured at forward time. The kernels
 must match them byte for byte: outputs, pool indices, and every gradient.
 The exceptions are conv2d sums taken in another order, each held to a
 rounding bound instead: the shift lowering's output and weight gradient,
-and the weight-bound form's weight gradient (one GEMM over every call of a
-backward) and input gradient (col2im).
+and the col2im input gradient.
 """
 
 from __future__ import annotations
@@ -330,32 +329,37 @@ def test_conv2d_matches_pad_reference(dtype, k, stride, pad):
     )
 
 
-# conv2d takes one of three forms: shift (stride 1, k > 1, cout <= cin and
-# at least ad.SHIFT_MIN_PIXELS = 256 output pixels), weight-bound (any other
-# call with cout*cin > (cout + cin)*N*ho*wo) and pixel-bound (the rest).
+# The forward is a shift lowering for stride 1, k > 1, cout <= cin and at
+# least ad.SHIFT_MIN_PIXELS = 256 output pixels, else im2col. The input
+# gradient is wmat^T @ g (col2im, or the GEMM alone for a stride-1 1x1) when
+# cout*cin > (cout + cin)*N*ho*wo or k = 1, else the dilated correlation.
 # These shapes sit on both sides of both cuts.
 CONV_CASES = [
     # n, cin, cout, (h, w), k, stride, pad, form
     (1, 16, 16, (16, 16), 3, 1, 1, "shift"),  # ho*wo exactly at the cut
-    (1, 16, 16, (15, 17), 3, 1, 1, "pixel"),  # ho*wo = 255, one below it
+    (1, 16, 16, (15, 17), 3, 1, 1, "dilated"),  # ho*wo = 255, one below it
     (2, 8, 4, (24, 19), 3, 1, 0, "shift"),  # N = 2, pad 0, non-square
     (2, 6, 6, (17, 23), 5, 1, 2, "shift"),  # 5x5 kernel, pad 2
     (1, 7, 5, (20, 15), 3, 1, (1, 0), "shift"),  # pad on one axis only
-    (1, 4, 8, (20, 20), 3, 1, 1, "pixel"),  # cout > cin
-    (1, 8, 8, (40, 40), 3, 2, 1, "pixel"),  # stride 2
-    (1, 8, 8, (20, 20), 1, 1, 0, "pixel"),  # 1x1 kernel
-    (1, 8, 8, (2, 2), 3, 1, 1, "pixel"),  # cout*cin = (cout + cin)*ho*wo exactly
-    (1, 9, 8, (2, 2), 3, 1, 1, "weight"),  # one input channel more
-    (1, 48, 40, (4, 4), 3, 1, 1, "weight"),  # 4x4 outputs
-    (2, 40, 40, (3, 3), 3, 1, 1, "weight"),  # N = 2
-    (1, 32, 24, (6, 7), 3, 2, 1, "weight"),  # stride 2, 3x4 outputs
-    (1, 24, 16, (3, 3), 1, 1, 0, "weight"),  # 1x1: the input gradient is one GEMM
-    (1, 24, 20, (5, 5), 1, 2, 0, "weight"),  # strided 1x1
+    (1, 4, 8, (20, 20), 3, 1, 1, "dilated"),  # cout > cin
+    (1, 8, 8, (40, 40), 3, 2, 1, "dilated"),  # stride 2
+    (1, 8, 8, (20, 20), 1, 1, 0, "gemm"),  # 1x1 kernel, pixel-bound
+    (1, 8, 8, (2, 2), 3, 1, 1, "dilated"),  # cout*cin = (cout + cin)*ho*wo exactly
+    (1, 9, 8, (2, 2), 3, 1, 1, "col2im"),  # one input channel more
+    (1, 48, 40, (4, 4), 3, 1, 1, "col2im"),  # 4x4 outputs
+    (2, 40, 40, (3, 3), 3, 1, 1, "col2im"),  # N = 2
+    (1, 32, 24, (6, 7), 3, 2, 1, "col2im"),  # stride 2, 3x4 outputs
+    (1, 24, 16, (3, 3), 1, 1, 0, "gemm"),  # 1x1, weight-bound
+    (1, 24, 20, (5, 5), 1, 2, 0, "col2im"),  # strided 1x1
 ]
 
-# the helpers that only the named form calls
-FORM_CALLS = {"shift": ["_shifted_gemm", "_shifted_weight_grad"], "weight": ["_weight_grad"],
-              "pixel": []}
+# the helpers each form calls, in order: forward, weight gradient, input gradient
+FORM_CALLS = {
+    "shift": ["_shifted_gemm", "_shifted_weight_grad", "_im2col"],
+    "dilated": ["_im2col", "_accumulate_weight_grad", "_im2col"],
+    "col2im": ["_im2col", "_accumulate_weight_grad", "_col2im"],
+    "gemm": ["_im2col", "_accumulate_weight_grad"],
+}
 
 
 def _conv_case(dtype, case, seed):
@@ -382,17 +386,19 @@ def test_conv2d_lowerings_against_im2col_reference(dtype, case, monkeypatch):
     n, cin, cout, _, k = case[:5]
     stride, pad, form = ad._pair(case[5]), ad._pair(case[6]), case[7]
     ran = []
-    for name in ("_shifted_gemm", "_shifted_weight_grad", "_weight_grad"):
+    for name in ("_shifted_gemm", "_shifted_weight_grad", "_accumulate_weight_grad",
+                 "_im2col", "_col2im"):
         monkeypatch.setattr(ad, name,
                             lambda *a, _n=name, _f=getattr(ad, name): ran.append(_n) or _f(*a))
     rng, arrays = _conv_case(dtype, case, 101)
     mine, theirs = _leaves(arrays), _leaves(arrays)
     out_m = ad.conv2d(*mine, stride, pad)
-    out_r = conv2d_reference(*theirs, stride, pad)
     upstream = rng.normal(size=out_m.shape).astype(dtype)
     _backprop(out_m, upstream)
-    _backprop(out_r, upstream)
+    monkeypatch.undo()
     assert ran == FORM_CALLS[form]
+    out_r = conv2d_reference(*theirs, stride, pad)
+    _backprop(out_r, upstream)
     # the same graph over |x|, |w|, |b| and |upstream| in f64 sums the
     # magnitudes of every output's and every gradient's products
     magnitudes = _leaves([np.abs(a).astype(np.float64) for a in arrays])
@@ -405,11 +411,11 @@ def test_conv2d_lowerings_against_im2col_reference(dtype, case, monkeypatch):
     else:
         assert_same_bytes(out_m.data, out_r.data)
     assert_same_bytes(bm.grad, br.grad)
-    if form == "pixel":
-        assert_same_bytes(wm.grad, wr.grad)
-    else:
+    if form == "shift":
         _assert_within_rounding(wm.grad, wr.grad, n * ho * wo, magnitudes[1].grad)
-    if form == "weight":
+    else:
+        assert_same_bytes(wm.grad, wr.grad)
+    if form == "col2im":
         _assert_within_rounding(xm.grad, xr.grad, cout * k * k, magnitudes[0].grad)
     else:
         assert_same_bytes(xm.grad, xr.grad)

@@ -57,6 +57,14 @@ class TestAdamStep:
         for n, t in store.items():
             np.testing.assert_array_equal(t.data, before[n])
 
+    def test_consumed_gradient_buffer_is_released(self):
+        store = flat_store({"w": [0.5]})
+        w = store["w"]
+        ad.backward(ad.reduce_sum(ad.add(w, w)))  # two contributions: w owns their sum
+        assert w.grad is w._own
+        adam_step(store, AdamState(store), lr=1e-3)
+        assert w._own is None
+
     def test_unreached_tensor_counts_as_zero_gradient(self):
         store = flat_store({"w": [0.5], "u": [0.25]})
         state = AdamState(store)
