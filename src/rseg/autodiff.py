@@ -15,7 +15,6 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.linalg.blas import get_blas_funcs
 
 _state = threading.local()
 
@@ -49,8 +48,7 @@ class Tensor:
 
     ``data`` is f32 or f64, the types BLAS computes in: any other input is
     cast to f32. It is owned by the tensor and must not be mutated after
-    creation, except for leaf parameters updated between optimizer steps
-    and running statistics buffers.
+    creation, except for leaf parameters updated between optimizer steps.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_tid", "_inputs", "_backward", "_own")
@@ -316,6 +314,9 @@ def _accumulate_weight_grad(w, a, b):
         _accumulate(w, np.tensordot(a, b, axes=([0, 2], [0, 2])).reshape(w.shape))
         w._own = w.grad  # the fresh product, or _accumulate's sum
         return
+    # imported here: scipy.linalg takes about 0.2 s to load and inference never needs it
+    from scipy.linalg.blas import get_blas_funcs
+
     # the row-major (M, K) buffer is a column-major (K, M) matrix: add b2 a2^T
     c = w.grad.reshape(a.shape[1], b.shape[1]).T
     get_blas_funcs("gemm", (c,))(1.0, _flat(b).T, _flat(a).T, 1.0, c, trans_a=1, overwrite_c=1)
@@ -526,71 +527,46 @@ def expand_channels(x: Tensor, channels: int) -> Tensor:
     return _make_result(np.repeat(x.data, channels, axis=1), "expand", (x,), backward_fn)
 
 
-def batchnorm2d(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: Tensor,
-    running_var: Tensor,
-    train: bool,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
-) -> Tensor:
-    """Per-channel batch normalization over (N, H, W).
+# added to the variance before its square root
+BN_EPS = 1e-5
 
-    Train mode normalizes with batch statistics and updates the running
-    buffers in place; eval mode normalizes with the running buffers. The
-    backward pass differentiates through the batch mean and variance.
+
+def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Per-channel normalization by the input's own mean and variance over (N, H, W).
+
+    Training and inference run the same arithmetic: a backbone feeds one
+    slice per call (N = 1), so every slice is normalized by its own
+    statistics. The output is written into the centred array; the tape keeps
+    only the mean and 1/sigma, and the backward rebuilds x-hat from x and
+    differentiates through both statistics. Per-channel sums run in einsum.
     """
     n, c, h, w = x.shape
-    for t, name in ((gamma, "gamma"), (beta, "beta"), (running_mean, "running_mean"), (running_var, "running_var")):
+    for t, name in ((gamma, "gamma"), (beta, "beta")):
         if t.shape != (c,):
             raise ValueError(f"batchnorm2d: {name} shape {t.shape}, expected ({c},)")
-    gview = gamma.data.reshape(1, c, 1, 1)
-    bview = beta.data.reshape(1, c, 1, 1)
-    if train:
-        m = n * h * w
-        mean = x.data.mean(axis=(0, 2, 3))
-        xhat = x.data - mean.reshape(1, c, 1, 1)
-        # np.var's own arithmetic, on the one centred array
-        var = (xhat * xhat).sum(axis=(0, 2, 3)) / m
-        running_mean.data[...] = (1.0 - momentum) * running_mean.data + momentum * mean
-        running_var.data[...] = (1.0 - momentum) * running_var.data + momentum * var
-        inv_std = 1.0 / np.sqrt(var + eps)
-        xhat *= inv_std.reshape(1, c, 1, 1)
-        out = gview * xhat
-        out += bview
+    m = n * h * w
+    mean = (np.einsum("nchw->c", x.data) / m).reshape(1, c, 1, 1)
+    out = x.data - mean
+    var = np.einsum("nchw,nchw->c", out, out) / m
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    out *= (gamma.data * inv_std).reshape(1, c, 1, 1)
+    out += beta.data.reshape(1, c, 1, 1)
 
-        def backward_fn(g):
-            gsum = g.sum(axis=(0, 2, 3))
-            gxhat_sum = (g * xhat).sum(axis=(0, 2, 3))
-            _accumulate(gamma, gxhat_sum)
-            _accumulate(beta, gsum)
-            if x.requires_grad:
-                coeff = (gamma.data * inv_std).reshape(1, c, 1, 1)
-                gx = coeff * (
-                    g
-                    - gsum.reshape(1, c, 1, 1) / m
-                    - xhat * gxhat_sum.reshape(1, c, 1, 1) / m
-                )
-                _accumulate(x, gx)
-
-    else:
-        # copied now: a train-mode call between this forward and its backward
-        # moves the running buffers in place
-        mean = running_mean.data.reshape(1, c, 1, 1).copy()
-        inv_std = 1.0 / np.sqrt(running_var.data + eps)
-        out = x.data - mean
-        out *= inv_std.reshape(1, c, 1, 1)
-        out *= gview
-        out += bview
-
-        def backward_fn(g):
-            xhat = (x.data - mean) * inv_std.reshape(1, c, 1, 1)
-            _accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
-            _accumulate(beta, g.sum(axis=(0, 2, 3)))
-            if x.requires_grad:
-                _accumulate(x, g * (gamma.data * inv_std).reshape(1, c, 1, 1))
+    def backward_fn(g):
+        # x-hat again, in the one buffer that becomes the input gradient
+        gx = x.data - mean
+        gx *= inv_std.reshape(1, c, 1, 1)
+        gsum = np.einsum("nchw->c", g)
+        gxhat_sum = np.einsum("nchw,nchw->c", g, gx)
+        _accumulate(gamma, gxhat_sum)
+        _accumulate(beta, gsum)
+        if x.requires_grad:
+            # gamma / sigma * (g - mean(g) - x-hat * mean(g * x-hat))
+            gx *= (-gxhat_sum / m).reshape(1, c, 1, 1)
+            gx += g
+            gx -= (gsum / m).reshape(1, c, 1, 1)
+            gx *= (gamma.data * inv_std).reshape(1, c, 1, 1)
+            _accumulate(x, gx)
 
     return _make_result(out, "batchnorm2d", (x, gamma, beta), backward_fn)
 

@@ -17,7 +17,6 @@ features; pinned so checkpoints stay compatible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +26,9 @@ from .autodiff import Tensor
 
 BACKBONES = ("unet", "segunet", "attunet")
 MAX_LEVELS = 10  # slices up to 2^10 px a side: a build pass runs a 2^levels square
+# channels of the widest layer, base_channels * 2^(levels - 1): the original
+# U-Net's 64 * 2^4. Its 3x3 weight from a 2048-channel concat is 72 MiB in f32
+MAX_WIDTH = 1024
 
 
 @dataclass(frozen=True)
@@ -35,8 +37,6 @@ class ModelConfig:
     levels: int = 4
     base_channels: int = 16
     recurrent: bool = False
-    bn_eps: float = 1e-5
-    bn_momentum: float = 0.1
 
     def __post_init__(self):
         if self.backbone not in BACKBONES:
@@ -45,10 +45,9 @@ class ModelConfig:
             raise ValueError(f"levels must be in [2, {MAX_LEVELS}], got {self.levels}")
         if self.base_channels < 4:
             raise ValueError(f"base_channels must be >= 4, got {self.base_channels}")
-        if not (math.isfinite(self.bn_eps) and self.bn_eps > 0.0):
-            raise ValueError(f"bn_eps must be a finite number > 0, got {self.bn_eps}")
-        if not 0.0 <= self.bn_momentum <= 1.0:
-            raise ValueError(f"bn_momentum must be in [0, 1], got {self.bn_momentum}")
+        if self.channels(self.levels - 1) > MAX_WIDTH:
+            raise ValueError(f"base_channels * 2^(levels - 1) must be at most {MAX_WIDTH}, "
+                             f"got {self.channels(self.levels - 1)}")
 
     @property
     def in_channels(self) -> int:
@@ -68,18 +67,17 @@ class ParamStore:
         self._tensors: dict = {}
         self._source = None  # set only while build_store lays the store out
 
-    def add(self, name: str, data: np.ndarray, trainable: bool) -> Tensor:
+    def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._tensors:
             raise ValueError(f"duplicate parameter name {name!r}")
-        t = Tensor(data, requires_grad=trainable)
+        t = Tensor(data, requires_grad=True)
         self._tensors[name] = t
         return t
 
-    def param(self, name: str, shape: tuple, fan_in: int = None, fill: float = 0.0,
-              trainable: bool = True) -> Tensor:
+    def param(self, name: str, shape: tuple, fan_in: int = None, fill: float = 0.0) -> Tensor:
         """Look ``name`` up; during a build, first create it from the value source."""
         if self._source is not None and name not in self._tensors:
-            return self.add(name, self._source(name, shape, fan_in, fill), trainable)
+            return self.add(name, self._source(name, shape, fan_in, fill))
         return self[name]
 
     def __getitem__(self, name: str) -> Tensor:
@@ -97,23 +95,20 @@ class ParamStore:
     def items(self):
         return list(self._tensors.items())
 
-    def trainable_items(self):
-        return [(n, t) for n, t in self._tensors.items() if t.requires_grad]
-
     def num_trainable(self) -> int:
-        return sum(t.data.size for _, t in self.trainable_items())
+        return sum(t.data.size for t in self._tensors.values())
 
     def zero_grads(self) -> None:
-        for _, t in self.trainable_items():
+        for t in self._tensors.values():
             t.grad = t._own = None
 
 
 def build_store(config: ModelConfig, source) -> ParamStore:
-    """Lay out every parameter by one eval-mode forward pass over a zero input.
+    """Lay out every parameter by one untaped forward pass over a zero input.
 
     ``source(name, shape, fan_in, fill)`` gives each array as its layer first
     asks for it: He-normal for weights (``fan_in`` set), else constant ``fill``.
-    The pass's output is discarded and eval mode leaves every array unchanged.
+    The pass's output is discarded; a forward changes no array of the store.
     """
     store = ParamStore(config)
     store._source = source
@@ -157,68 +152,59 @@ def _conv(store, name, x, cout, k, stride=1, pad=0, transpose=False):
     return ad.conv2d(x, w, b, (stride, stride), (pad, pad))
 
 
-def _bn_relu(store, bn_name, y, train):
-    cfg = store.config
+def _bn_relu(store, bn_name, y):
     c = y.shape[1]
-    y = ad.batchnorm2d(
-        y,
-        store.param(f"{bn_name}.gamma", (c,), fill=1.0),
-        store.param(f"{bn_name}.beta", (c,)),
-        store.param(f"{bn_name}.mean", (c,), trainable=False),
-        store.param(f"{bn_name}.var", (c,), fill=1.0, trainable=False),
-        train,
-        cfg.bn_eps,
-        cfg.bn_momentum,
-    )
-    return ad.relu(y)
+    gamma = store.param(f"{bn_name}.gamma", (c,), fill=1.0)
+    beta = store.param(f"{bn_name}.beta", (c,))
+    return ad.relu(ad.batchnorm2d(y, gamma, beta))
 
 
-def _cbr(store, conv_name, bn_name, x, cout, train, stride=1):
+def _cbr(store, conv_name, bn_name, x, cout, stride=1):
     """3x3 "same" conv, batch norm, relu."""
-    return _bn_relu(store, bn_name, _conv(store, conv_name, x, cout, 3, stride, 1), train)
+    return _bn_relu(store, bn_name, _conv(store, conv_name, x, cout, 3, stride, 1))
 
 
-def forward_unet(store: ParamStore, x: Tensor, train: bool = False) -> Tensor:
+def forward_unet(store: ParamStore, x: Tensor) -> Tensor:
     cfg = store.config
     _check_input(x, cfg)
     skips = []
     h = x
     for l in range(cfg.levels):
-        a = _cbr(store, f"enc{l}.conv_a", f"enc{l}.bn_a", h, cfg.channels(l), train)
+        a = _cbr(store, f"enc{l}.conv_a", f"enc{l}.bn_a", h, cfg.channels(l))
         skips.append(a)
-        h = _cbr(store, f"enc{l}.conv_b", f"enc{l}.bn_b", a, cfg.channels(l), train, stride=2)
+        h = _cbr(store, f"enc{l}.conv_b", f"enc{l}.bn_b", a, cfg.channels(l), stride=2)
     for l in range(cfg.levels - 1, -1, -1):
         up = _conv(store, f"dec{l}.up", h, cfg.channels(l), 2, transpose=True)
-        h = _bn_relu(store, f"dec{l}.bn_up", up, train)
+        h = _bn_relu(store, f"dec{l}.bn_up", up)
         h = ad.concat_channels(h, skips[l])
-        h = _cbr(store, f"dec{l}.conv", f"dec{l}.bn", h, cfg.channels(l), train)
+        h = _cbr(store, f"dec{l}.conv", f"dec{l}.bn", h, cfg.channels(l))
     return _conv(store, "head", h, 1, 1)
 
 
-def _segstyle_encoder(store, x, train):
+def _segstyle_encoder(store, x):
     cfg = store.config
     skips = []
     indices = []
     h = x
     for l in range(cfg.levels):
-        h = _cbr(store, f"enc{l}.conv1", f"enc{l}.bn1", h, cfg.channels(l), train)
-        h = _cbr(store, f"enc{l}.conv2", f"enc{l}.bn2", h, cfg.channels(l), train)
+        h = _cbr(store, f"enc{l}.conv1", f"enc{l}.bn1", h, cfg.channels(l))
+        h = _cbr(store, f"enc{l}.conv2", f"enc{l}.bn2", h, cfg.channels(l))
         skips.append(h)
         h, idx = ad.maxpool2d(h)
         indices.append(idx)
     return h, skips, indices
 
 
-def forward_segunet(store: ParamStore, x: Tensor, train: bool = False) -> Tensor:
+def forward_segunet(store: ParamStore, x: Tensor) -> Tensor:
     cfg = store.config
     _check_input(x, cfg)
-    h, skips, indices = _segstyle_encoder(store, x, train)
+    h, skips, indices = _segstyle_encoder(store, x)
     for l in range(cfg.levels - 1, -1, -1):
         h = ad.maxunpool2d(h, indices[l], skips[l].shape[2:])
         h = ad.concat_channels(h, skips[l])
-        h = _cbr(store, f"dec{l}.conv1", f"dec{l}.bn1", h, cfg.channels(l), train)
+        h = _cbr(store, f"dec{l}.conv1", f"dec{l}.bn1", h, cfg.channels(l))
         # narrow to the next level's width, so its unpooled map matches its skip
-        h = _cbr(store, f"dec{l}.conv2", f"dec{l}.bn2", h, cfg.channels(max(l - 1, 0)), train)
+        h = _cbr(store, f"dec{l}.conv2", f"dec{l}.bn2", h, cfg.channels(max(l - 1, 0)))
     return _conv(store, "head", h, 1, 1)
 
 
@@ -233,16 +219,16 @@ def attention_gate(store: ParamStore, prefix: str, g: Tensor, x_skip: Tensor):
     return gated, alpha
 
 
-def forward_attunet(store: ParamStore, x: Tensor, train: bool = False) -> Tensor:
+def forward_attunet(store: ParamStore, x: Tensor) -> Tensor:
     cfg = store.config
     _check_input(x, cfg)
-    h, skips, _ = _segstyle_encoder(store, x, train)
+    h, skips, _ = _segstyle_encoder(store, x)
     for l in range(cfg.levels - 1, -1, -1):
         h = ad.upsample_nearest2x(h)
-        h = _cbr(store, f"dec{l}.up_conv", f"dec{l}.bn_up", h, cfg.channels(l), train)
+        h = _cbr(store, f"dec{l}.up_conv", f"dec{l}.bn_up", h, cfg.channels(l))
         gated, _ = attention_gate(store, f"att{l}", h, skips[l])
         h = ad.concat_channels(h, gated)
-        h = _cbr(store, f"dec{l}.conv", f"dec{l}.bn", h, cfg.channels(l), train)
+        h = _cbr(store, f"dec{l}.conv", f"dec{l}.bn", h, cfg.channels(l))
     return _conv(store, "head", h, 1, 1)
 
 
@@ -253,5 +239,5 @@ _FORWARDS = {
 }
 
 
-def forward(store: ParamStore, x: Tensor, train: bool = False) -> Tensor:
-    return _FORWARDS[store.config.backbone](store, x, train)
+def forward(store: ParamStore, x: Tensor) -> Tensor:
+    return _FORWARDS[store.config.backbone](store, x)

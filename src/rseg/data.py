@@ -36,6 +36,10 @@ _HEADER = struct.Struct("<B3I3f")
 # were 1979..3636; frozen with headroom
 MASK_COUNT_BOUNDS = (1300, 5500)
 
+# voxels of one phantom, D*H*W: 64x512x512 at most. Generation holds a f64
+# volume and its f64 noise draw, about 36 bytes a voxel (600 MB at the bound)
+MAX_PHANTOM_VOXELS = 2 ** 24
+
 
 @dataclass(frozen=True)
 class Volume:
@@ -70,6 +74,9 @@ class PhantomSpec:
         d, h, w = self.dims
         if d < 8 or h < 32 or w < 32:
             raise ValueError(f"dims {self.dims} too small, need at least (8, 32, 32)")
+        if d * h * w > MAX_PHANTOM_VOXELS:
+            raise ValueError(f"dims {self.dims} hold {d * h * w} voxels, "
+                             f"at most {MAX_PHANTOM_VOXELS} allowed")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
 

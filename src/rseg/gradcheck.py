@@ -59,12 +59,12 @@ def sample_indices(rng: np.random.Generator, size: int, count: int) -> np.ndarra
 
 def backbone_fd_worst(backbone: str, model_seed: int, rng: np.random.Generator,
                       dtype=np.float64, h: float = 1e-5) -> float:
-    """Sampled end-to-end gradcheck of a tiny (L2C4) backbone in train mode.
+    """Sampled end-to-end gradcheck of a tiny (L2C4) backbone.
 
     The loss is a weighted sum of the logits of a 16x16 input. ``rng`` draws
-    the input, the weights, then 3 coordinates of every trainable tensor,
+    the input, the weights, then 3 coordinates of every parameter tensor,
     each compared against central differences at step ``h``. The rel-error floor
-    is 1e-4: conv biases feeding train-mode BN have exactly-zero gradients
+    is 1e-4: conv biases feeding a batch norm have exactly-zero gradients
     where central differences return pure roundoff (~1e-9), and a tighter
     floor would score that noise as error.
     """
@@ -74,7 +74,7 @@ def backbone_fd_worst(backbone: str, model_seed: int, rng: np.random.Generator,
     coef = Tensor(rng.normal(size=x.shape).astype(dtype))
 
     def loss():
-        return ad.reduce_sum(ad.mul(forward(store, x, train=True), coef))
+        return ad.reduce_sum(ad.mul(forward(store, x), coef))
 
     def value():
         with ad.no_grad():
@@ -82,7 +82,7 @@ def backbone_fd_worst(backbone: str, model_seed: int, rng: np.random.Generator,
 
     ad.backward(loss())
     worst = 0.0
-    for _, tens in store.trainable_items():
+    for _, tens in store.items():
         idxs = sample_indices(rng, tens.data.size, 3)
         numeric = numeric_grad_sampled(value, tens.data, idxs, h)
         worst = max(worst, max_rel_error(tens.grad.reshape(-1)[idxs], numeric, floor=1e-4))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 class EmptyMaskError(ValueError):
@@ -100,6 +99,9 @@ def evaluate(pred: VolumeMask, gt: VolumeMask, scan_id: str) -> MetricsReport:
         raise ValueError(
             f"evaluate: spacing mismatch {pred.spacing_mm} vs {gt.spacing_mm}"
         )
+    # imported here: scipy.spatial takes about 0.1 s to load and only this function needs it
+    from scipy.spatial import cKDTree
+
     dice = dice_coefficient(pred, gt)
     # extract_surface raises on an empty mask, so both point sets are nonempty
     sp = extract_surface(pred)

@@ -26,7 +26,7 @@ from .metrics import VolumeMask
 MODES = ("detach", "full")
 
 
-def step(params: ParamStore, x_t: Tensor, y_prev: Tensor = None, train: bool = False) -> Tensor:
+def step(params: ParamStore, x_t: Tensor, y_prev: Tensor = None) -> Tensor:
     """One slice through the backbone; sigmoid applied to the logits."""
     cfg = params.config
     if cfg.recurrent:
@@ -39,7 +39,7 @@ def step(params: ParamStore, x_t: Tensor, y_prev: Tensor = None, train: bool = F
         inp = ad.concat_channels(x_t, y_prev)
     else:
         inp = x_t
-    return ad.sigmoid(forward(params, inp, train))
+    return ad.sigmoid(forward(params, inp))
 
 
 def unroll_forward(
@@ -47,7 +47,6 @@ def unroll_forward(
     seq: SliceSequence,
     y0: Tensor = None,
     mode: str = "detach",
-    train: bool = False,
     teacher_forcing: bool = False,
 ) -> list:
     """Predictions for every slice, in sequence order."""
@@ -64,7 +63,7 @@ def unroll_forward(
     y_prev = y0
     for t, frame in enumerate(seq.frames):
         feed = y_prev.detach() if mode == "detach" else y_prev
-        pred = step(params, Tensor(frame), feed, train)
+        pred = step(params, Tensor(frame), feed)
         preds.append(pred)
         y_prev = next_feed(seq, t, pred, teacher_forcing)
     return preds
@@ -76,14 +75,14 @@ def next_feed(seq: SliceSequence, t: int, pred: Tensor, teacher_forcing: bool) -
 
 
 def segment_sequence(params: ParamStore, seq: SliceSequence, threshold: float):
-    """Eval-mode free-running pass with a zero prior; (per-slice probabilities, cropped mask).
+    """Untaped free-running pass with a zero prior; (per-slice probabilities, cropped mask).
 
     The mask thresholds strictly and drops the padding that ``to_sequence`` added.
     """
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be inside (0, 1), got {threshold}")
     with ad.no_grad():
-        preds = unroll_forward(params, seq, mode="detach", train=False)
+        preds = unroll_forward(params, seq, mode="detach")
     voxels = seq.restore([p.data > threshold for p in preds]).astype(np.uint8)
     return preds, VolumeMask(voxels, seq.spacing_mm)
 

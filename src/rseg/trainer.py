@@ -6,16 +6,18 @@ first slice is fed what ``recurrent.next_feed`` gives for the slice before it
 (its label under teacher forcing, else its prediction) as a constant, so
 gradients never flow across chunk boundaries regardless of mode. Early
 stopping monitors the validation mean combined loss and restores the best
-snapshot seen.
+snapshot seen. Training, validation and ``segment`` run the same forward:
+each batch norm normalizes a slice by that slice's own statistics.
 
-Checkpoints use a small binary format ("RSCK"): magic, version, a UTF-8
-``key = value`` echo of the model config, then every named array (trainable
-parameters and BN running statistics alike) as f32 little-endian payloads.
+Checkpoints use a small binary format ("RSCK" version 2): magic, version, a
+UTF-8 ``key = value`` echo of the model config, every named parameter as an
+f32 little-endian payload, then a CRC-32 (zlib) of all preceding bytes.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -29,7 +31,7 @@ from .metrics import VolumeMask, dice_coefficient
 from .recurrent import MODES, next_feed, segment_sequence, unroll_forward
 
 CHECKPOINT_MAGIC = b"RSCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -71,16 +73,16 @@ class EpochStats:
 
 
 class AdamState:
-    """First/second moment accumulators mirroring the trainable parameters."""
+    """First/second moment accumulators mirroring the parameters."""
 
     def __init__(self, params: ParamStore):
         self.step_count = 0
-        self.m = {n: np.zeros_like(t.data) for n, t in params.trainable_items()}
-        self.v = {n: np.zeros_like(t.data) for n, t in params.trainable_items()}
+        self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
+        self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
 
 
 def adam_step(params: ParamStore, state: AdamState, lr: float) -> None:
-    """Apply one Adam update in place from each trainable tensor's .grad, then clear it.
+    """Apply one Adam update in place from each parameter's .grad, then clear it.
 
     A tensor without a .grad (the loss never reached it) counts as a zero
     gradient; moments advance even when lr is 0.
@@ -90,7 +92,7 @@ def adam_step(params: ParamStore, state: AdamState, lr: float) -> None:
     state.step_count += 1
     c1 = 1.0 - ADAM_BETA1 ** state.step_count
     c2 = 1.0 - ADAM_BETA2 ** state.step_count
-    for name, tens in params.trainable_items():
+    for name, tens in params.items():
         g = np.zeros_like(tens.data) if tens.grad is None else tens.grad
         tens.grad = tens._own = None
         if g.shape != tens.data.shape:
@@ -112,7 +114,7 @@ def sequence_gradients(params: ParamStore, tconfig: TrainConfig, seq: SliceSeque
     if seq.labels is None:
         raise ValueError("training requires a labeled sequence")
     start = None if y0 is None else Tensor(y0)
-    preds = unroll_forward(params, seq, y0=start, mode=tconfig.bptt_mode, train=True,
+    preds = unroll_forward(params, seq, y0=start, mode=tconfig.bptt_mode,
                            teacher_forcing=tconfig.teacher_forcing)
     targets = [Tensor(lbl) for lbl in seq.labels]
     loss = sequence_loss(preds, targets)
@@ -228,7 +230,7 @@ def _parse_config(blob: bytes) -> ModelConfig:
 
 
 def save_checkpoint(params: ParamStore, path) -> None:
-    """Atomic write (temp file then rename) of every named array as f32."""
+    """Atomic write (temp file then rename) of every named array as f32, CRC-32 last."""
     blob = _config_blob(params.config)
     entries = params.items()
     out = bytearray()
@@ -245,6 +247,7 @@ def save_checkpoint(params: ParamStore, path) -> None:
         out += struct.pack("<B", arr.ndim)
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += arr.tobytes()
+    out += struct.pack("<I", zlib.crc32(out))
     _write_atomic(path, bytes(out))
 
 
@@ -267,12 +270,17 @@ class _Reader:
 def load_checkpoint(path) -> ParamStore:
     """Rebuild the architecture from the config echo, taking every array from the file."""
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
+        raw = fh.read()
+    body = memoryview(raw)[:-4]
+    reader = _Reader(body)
     if reader.take(4) != CHECKPOINT_MAGIC:
         raise ValueError("not a checkpoint file (bad magic)")
     (version,) = reader.unpack("<I")
     if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(f"{path}: checkpoint version {version} is not the supported version "
+                         f"{CHECKPOINT_VERSION}; retrain the model")
+    if zlib.crc32(body) != struct.unpack("<I", raw[-4:])[0]:
+        raise ValueError(f"{path}: checksum mismatch, the checkpoint is damaged")
     (blob_len,) = reader.unpack("<I")
     config = _parse_config(bytes(reader.take(blob_len)))
     (count,) = reader.unpack("<I")

@@ -245,7 +245,7 @@ def check_expand_channels(rng):
     return _check(build, [x])
 
 
-def check_batchnorm2d_train(rng):
+def check_batchnorm2d(rng):
     x = rng.normal(size=(2, 3, 4, 4))
     gamma = rng.uniform(0.5, 1.5, size=(3,))
     beta = rng.normal(scale=0.3, size=(3,))
@@ -255,28 +255,7 @@ def check_batchnorm2d_train(rng):
         tx = ad.Tensor(x, requires_grad=True)
         tg = ad.Tensor(gamma, requires_grad=True)
         tb = ad.Tensor(beta, requires_grad=True)
-        rm = ad.Tensor(np.zeros(3))
-        rv = ad.Tensor(np.ones(3))
-        out = ad.batchnorm2d(tx, tg, tb, rm, rv, train=True)
-        return _weighted_sum(out, c), (tx, tg, tb)
-
-    return _check(build, [x, gamma, beta])
-
-
-def check_batchnorm2d_eval(rng):
-    x = rng.normal(size=(2, 3, 4, 4))
-    gamma = rng.uniform(0.5, 1.5, size=(3,))
-    beta = rng.normal(scale=0.3, size=(3,))
-    mean = rng.normal(size=(3,))
-    var = rng.uniform(0.5, 2.0, size=(3,))
-    c = rng.normal(size=(2, 3, 4, 4))
-
-    def build():
-        tx = ad.Tensor(x, requires_grad=True)
-        tg = ad.Tensor(gamma, requires_grad=True)
-        tb = ad.Tensor(beta, requires_grad=True)
-        out = ad.batchnorm2d(tx, tg, tb, ad.Tensor(mean), ad.Tensor(var), train=False)
-        return _weighted_sum(out, c), (tx, tg, tb)
+        return _weighted_sum(ad.batchnorm2d(tx, tg, tb), c), (tx, tg, tb)
 
     return _check(build, [x, gamma, beta])
 
@@ -310,8 +289,7 @@ OP_CASES = {
     "concat_channels": (check_concat_channels, 1e-6),
     "upsample_nearest2x": (check_upsample_nearest2x, 1e-6),
     "expand_channels": (check_expand_channels, 1e-6),
-    "batchnorm2d_train": (check_batchnorm2d_train, 1e-4),
-    "batchnorm2d_eval": (check_batchnorm2d_eval, 1e-6),
+    "batchnorm2d": (check_batchnorm2d, 1e-4),
     "reduce_sum": (check_reduce_sum, 1e-6),
 }
 

@@ -148,9 +148,10 @@ def test_criterion_07_recurrent_benefit():
     def arm(recurrent, seed):
         cfg = ModelConfig(backbone="unet", levels=2, base_channels=8, recurrent=recurrent)
         store = build_model(cfg, seed=seed)
-        # the feedback arm trains teacher-forced: free-running training
-        # collapses (the eval-mode first-slice bootstrap falls below
-        # threshold and zeros cascade through the feedback channel)
+        # the feedback arm trains teacher-forced, the README's recipe. Free
+        # running once collapsed here only because inference normalized with
+        # running averages the model never trained with; batch norm now
+        # normalizes every slice by its own statistics, at training and test
         tconfig = TrainConfig(lr=1e-3, epochs=25, patience=25, seed=seed,
                               teacher_forcing=recurrent)
         train(store, tconfig, train_seqs, monitor)

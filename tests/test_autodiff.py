@@ -342,41 +342,36 @@ class TestConcat:
 class TestBatchNorm:
     def test_constant_input_normalizes_to_zero(self):
         x = t(np.full((2, 3, 4, 4), 5.0))
-        out = ad.batchnorm2d(x, t(np.ones(3)), t(np.zeros(3)), t(np.zeros(3)), t(np.ones(3)), train=True)
+        out = ad.batchnorm2d(x, t(np.ones(3)), t(np.zeros(3)))
         assert np.max(np.abs(out.data)) <= 1e-2  # zero-variance case, eps-limited
 
     def test_two_point_input(self):
         x = np.zeros((2, 1, 1, 1))
         x[0] = -1.0
         x[1] = 1.0
-        out = ad.batchnorm2d(t(x), t(np.ones(1)), t(np.zeros(1)), t(np.zeros(1)), t(np.ones(1)), train=True)
+        out = ad.batchnorm2d(t(x), t(np.ones(1)), t(np.zeros(1)))
         expected = 1.0 / np.sqrt(1.0 + 1e-5)
         np.testing.assert_allclose(out.data.reshape(2), [-expected, expected], rtol=1e-12)
 
-    def test_running_stats_update_rule(self):
-        rng = np.random.default_rng(47)
-        x = rng.normal(loc=2.0, scale=3.0, size=(4, 2, 5, 5))
-        rm, rv = t(np.full(2, 10.0)), t(np.full(2, 4.0))
-        ad.batchnorm2d(t(x), t(np.ones(2)), t(np.zeros(2)), rm, rv, train=True, momentum=0.1)
-        bm = x.mean(axis=(0, 2, 3))
-        bv = x.var(axis=(0, 2, 3))
-        np.testing.assert_allclose(rm.data, 0.9 * 10.0 + 0.1 * bm, rtol=1e-12)
-        np.testing.assert_allclose(rv.data, 0.9 * 4.0 + 0.1 * bv, rtol=1e-12)
-
-    def test_eval_mode_uses_running_stats(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_same_output_bytes_with_and_without_a_tape(self, dtype):
         rng = np.random.default_rng(53)
-        x = rng.normal(size=(1, 2, 3, 3))
-        mean, var = np.array([1.0, -2.0]), np.array([4.0, 0.25])
-        out = ad.batchnorm2d(t(x), t(np.ones(2)), t(np.zeros(2)), t(mean), t(var), train=False)
-        expected = (x - mean.reshape(1, 2, 1, 1)) / np.sqrt(var.reshape(1, 2, 1, 1) + 1e-5)
-        np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+        x = rng.normal(loc=1.0, scale=2.0, size=(1, 3, 6, 5)).astype(dtype)
+        gamma = rng.uniform(0.5, 1.5, size=3).astype(dtype)
+        beta = rng.normal(size=3).astype(dtype)
+        taped = ad.batchnorm2d(*(ad.Tensor(a, requires_grad=True) for a in (x, gamma, beta)))
+        with ad.no_grad():
+            untaped = ad.batchnorm2d(ad.Tensor(x), ad.Tensor(gamma), ad.Tensor(beta))
+        assert taped.requires_grad and not untaped.requires_grad
+        assert taped.data.dtype == dtype
+        assert taped.data.tobytes() == untaped.data.tobytes()
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            ad.batchnorm2d(t(np.zeros((1, 3, 2, 2))), t(np.ones(2)), t(np.zeros(3)), t(np.zeros(3)), t(np.ones(3)), train=True)
+            ad.batchnorm2d(t(np.zeros((1, 3, 2, 2))), t(np.ones(2)), t(np.zeros(3)))
 
     def test_train_gradient_matches_finite_differences(self):
-        assert OP_CASES["batchnorm2d_train"][0](np.random.default_rng(59)) <= 1e-4
+        assert OP_CASES["batchnorm2d"][0](np.random.default_rng(59)) <= 1e-4
 
 
 class TestReduceAndBackward:

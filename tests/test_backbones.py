@@ -17,15 +17,15 @@ from rseg.gradcheck import backbone_fd_worst, max_rel_error, numeric_grad
 
 TINY = dict(levels=2, base_channels=4)
 
-# sha256 of repr([(name, shape, requires_grad), ...]) of each TINY store; a
-# changed name, shape or creation order changes every checkpoint
+# sha256 of repr([(name, shape), ...]) of each TINY store; a changed name,
+# shape or creation order changes every checkpoint
 LAYOUT_SHA256 = {
-    ("unet", False): "48f3b913d2351bcd8c66bdf71801bf9f6c7b7819427f567233f72699fd985e50",
-    ("unet", True): "f881d5b26aa9abc7b47c253a2134dfdbe147014f74823a070ce9a061426f6a6f",
-    ("segunet", False): "ded5e4b27ad91879c9ba1adf6be360ef70cfdfc9103144211bf3b8eb8d114134",
-    ("segunet", True): "82feaeaff06c5697369944515d559bb3a9d5d6f69185fc85af9be0792ec6c7d4",
-    ("attunet", False): "ef46dad8e25dfc8c31a865b3ad22e01005a5839d2d80b0e9367f7eef02c7692f",
-    ("attunet", True): "0b069d9c527e41be9ee0654d0d907f237315e09b2e5a0357317ea6d6230bcbe1",
+    ("unet", False): "7cead4c9b2cb6ee106c860b8efd678cc87ce42ec34e39acbec120a99826ef4b2",
+    ("unet", True): "8eb31dfe4603077e9eea2287ca034941f047d0835ad0aecc8a7abf8fa7e20d1f",
+    ("segunet", False): "8d31cf25a4c488ef6607114ce4c8a75785432d208b158927174063153c8a0cbd",
+    ("segunet", True): "11d7024a226b78bc1130cb7731c0d182073f05584163ba1f5d21707842abd7ba",
+    ("attunet", False): "55831b8a52b6d450c4b6ac8cb4008aab7d15505e2ce293e2a31244bee9750de0",
+    ("attunet", True): "cdc22c8d9ad085bdb04e59a78aeebd38c6783c0c360dd3ba73df7ebe32b51f03",
 }
 
 
@@ -45,6 +45,11 @@ class TestModelConfig:
     def test_too_few_channels_rejected(self):
         with pytest.raises(ValueError):
             ModelConfig(base_channels=2)
+
+    def test_widest_layer_bound_is_inclusive(self):
+        assert ModelConfig(levels=5, base_channels=64).channels(4) == 1024
+        with pytest.raises(ValueError, match="base_channels"):
+            ModelConfig(levels=5, base_channels=65)
 
     def test_in_channels_follows_recurrence(self):
         assert ModelConfig(recurrent=False).in_channels == 1
@@ -85,9 +90,9 @@ class TestBuild:
     def test_biases_zero_and_bn_identity(self):
         store = build_model(ModelConfig(backbone="attunet", **TINY), seed=3)
         for name, t in store.items():
-            if name.endswith(".b") or name.endswith(".beta") or name.endswith(".mean"):
+            if name.endswith(".b") or name.endswith(".beta"):
                 assert not t.data.any(), name
-            if name.endswith(".gamma") or name.endswith(".var"):
+            if name.endswith(".gamma"):
                 np.testing.assert_array_equal(t.data, np.ones_like(t.data))
 
     def test_he_scale(self):
@@ -98,12 +103,12 @@ class TestBuild:
     def test_duplicate_name_rejected(self):
         store = build_model(ModelConfig(**TINY), seed=0)
         with pytest.raises(ValueError):
-            store.add("head.w", np.zeros(1), True)
+            store.add("head.w", np.zeros(1))
 
     @pytest.mark.parametrize("backbone, recurrent", list(LAYOUT_SHA256))
     def test_parameter_layout_pinned(self, backbone, recurrent):
         store = build_model(ModelConfig(backbone=backbone, recurrent=recurrent, **TINY), seed=0)
-        layout = [(n, t.shape, t.requires_grad) for n, t in store.items()]
+        layout = [(n, t.shape) for n, t in store.items()]
         digest = hashlib.sha256(repr(layout).encode()).hexdigest()
         assert digest == LAYOUT_SHA256[backbone, recurrent]
 
@@ -149,19 +154,31 @@ class TestForwardContracts:
         cfg = ModelConfig(backbone=backbone, **TINY)
         store = build_model(cfg, seed=2)
         x = rand_input(np.random.default_rng(2), cfg, hw=32)
-        a = forward(store, x, train=False).data
-        b = forward(store, x, train=False).data
+        a = forward(store, x).data
+        b = forward(store, x).data
         np.testing.assert_array_equal(a, b)
 
-    def test_train_mode_updates_running_stats_eval_does_not(self):
-        cfg = ModelConfig(**TINY)
+    @pytest.mark.parametrize("backbone", ["unet", "segunet", "attunet"])
+    def test_forward_leaves_store_unchanged(self, backbone):
+        cfg = ModelConfig(backbone=backbone, **TINY)
         store = build_model(cfg, seed=0)
         x = rand_input(np.random.default_rng(3), cfg, hw=16)
-        before = store["enc0.bn_a.mean"].data.copy()
-        forward(store, x, train=False)
-        np.testing.assert_array_equal(store["enc0.bn_a.mean"].data, before)
-        forward(store, x, train=True)
-        assert not np.array_equal(store["enc0.bn_a.mean"].data, before)
+        before = {n: t.data.tobytes() for n, t in store.items()}
+        forward(store, x)
+        with ad.no_grad():
+            forward(store, x)
+        assert {n: t.data.tobytes() for n, t in store.items()} == before
+
+    @pytest.mark.parametrize("backbone", ["unet", "segunet", "attunet"])
+    def test_same_output_bytes_with_and_without_a_tape(self, backbone):
+        cfg = ModelConfig(backbone=backbone, **TINY)
+        store = build_model(cfg, seed=8)
+        x = rand_input(np.random.default_rng(8), cfg, hw=16)
+        taped = forward(store, x)
+        with ad.no_grad():
+            untaped = forward(store, x)
+        assert taped.requires_grad and not untaped.requires_grad
+        assert taped.data.tobytes() == untaped.data.tobytes()
 
     def test_segunet_unpooled_maps_sparse_per_window(self, monkeypatch):
         cfg = ModelConfig(backbone="segunet", **TINY)
@@ -189,8 +206,8 @@ class TestForwardContracts:
         rng = np.random.default_rng(5)
         x = Tensor(rng.normal(size=(1, 1, 32, 32)))
         coef = Tensor(rng.normal(size=(1, 1, 32, 32)))
-        ad.backward(ad.reduce_sum(ad.mul(forward(store, x, train=False), coef)))
-        for name, t in store.trainable_items():
+        ad.backward(ad.reduce_sum(ad.mul(forward(store, x), coef)))
+        for name, t in store.items():
             assert t.grad is not None and np.any(t.grad != 0.0), f"dead parameter {name}"
 
 

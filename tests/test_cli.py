@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import zlib
 from dataclasses import fields
 
 import numpy as np
@@ -291,13 +292,43 @@ class TestExitCodes:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "p.mvf").exists()
 
-    @pytest.mark.parametrize("key, value", [
-        ("bn_eps", "nan"), ("bn_eps", "inf"), ("bn_eps", "-1.0"), ("bn_eps", "0.0"),
-        ("bn_momentum", "7"), ("bn_momentum", "-0.5"), ("bn_momentum", "nan"),
-    ])
+    # version 2 has neither key: each is unknown, even at its old default
+    @pytest.mark.parametrize("key, value", [("bn_eps", "1e-05"), ("bn_momentum", "0.1")])
     def test_bad_batch_norm_setting_in_checkpoint_is_a_validation_error(self, tmp_path, capsys,
                                                                        key, value):
         self._segment_with_patched_checkpoint(tmp_path, capsys, key, value)
+
+    def test_version_1_checkpoint_asks_for_retraining(self, tmp_path, capsys):
+        synth(tmp_path / "d", count=1)
+        model = tmp_path / "m.rsck"
+        save_checkpoint(build_model(ModelConfig(levels=2, base_channels=4), seed=0), model)
+        raw = bytearray(model.read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        model.write_bytes(bytes(raw))
+        assert run_cli(["segment", "--model", str(model),
+                        "--in", str(tmp_path / "d" / "vol_000.mvf"),
+                        "--out", str(tmp_path / "p.mvf")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "version 1" in err and "retrain" in err
+        assert not (tmp_path / "p.mvf").exists()
+
+    @pytest.mark.parametrize("levels, base", [(2, 100000), (10, 16)])
+    def test_too_wide_a_model_is_a_validation_error(self, tmp_path, capsys, levels, base):
+        # the widest layer, base * 2^(levels - 1), bounds every weight's size;
+        # the patched checkpoint (levels 2) gets the same widest layer
+        self._segment_with_patched_checkpoint(tmp_path, capsys, "base_channels",
+                                              str(base * 2 ** (levels - 2)))
+        data = str(tmp_path / "d")
+        assert run_cli(["train", "--data", data, "--val", data, "--levels", str(levels),
+                        "--base-channels", str(base), "--out", str(tmp_path / "w.rsck")]) == 1
+        assert capsys.readouterr().err.startswith("error: base_channels * 2^(levels - 1)")
+        assert not (tmp_path / "w.rsck").exists()
+
+    def test_too_large_a_phantom_is_a_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run_cli(["synth", "--out", str(out), "--size", "100000x100000x100000"]) == 1
+        assert capsys.readouterr().err.startswith("error: size: ")
+        assert not out.exists()
 
     def test_levels_beyond_the_bound_is_a_validation_error(self, tmp_path, capsys):
         # 2^17 px a side: a build pass's input, or one padded slice, would take 64 GiB
@@ -312,12 +343,14 @@ class TestExitCodes:
         synth(tmp_path / "d", count=1)
         model = tmp_path / "m.rsck"
         save_checkpoint(build_model(ModelConfig(levels=2, base_channels=4), seed=0), model)
-        raw = model.read_bytes()
+        raw = model.read_bytes()[:-4]
         blob_end = 12 + struct.unpack_from("<I", raw, 8)[0]
-        lines = raw[12:blob_end].decode("utf-8").splitlines()
-        blob = "".join(f"{key} = {value}\n" if ln.startswith(f"{key} =") else ln + "\n"
-                       for ln in lines).encode("utf-8")
-        model.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[blob_end:])
+        lines = [ln for ln in raw[12:blob_end].decode("utf-8").splitlines()
+                 if not ln.startswith(f"{key} =")]
+        blob = "".join(ln + "\n" for ln in lines + [f"{key} = {value}"]).encode("utf-8")
+        body = raw[:8] + struct.pack("<I", len(blob)) + blob + raw[blob_end:]
+        # a fresh CRC-32 trailer: the file is well formed and holds one bad value
+        model.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         assert run_cli(["segment", "--model", str(model),
                         "--in", str(tmp_path / "d" / "vol_000.mvf"),
                         "--out", str(tmp_path / "p.mvf")]) == 1
@@ -386,7 +419,8 @@ class TestExitCodes:
 
 
 class TestTruncatedFiles:
-    """Every cut of a checkpoint, a volume or a mask is a validation error."""
+    """Every cut of a checkpoint, a volume or a mask is a validation error, and so is
+    every bit flip of a checkpoint."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -424,6 +458,45 @@ class TestTruncatedFiles:
         header_ends = (4, 8, 12, blob_end, blob_end + 4)
         self._sweep(capsys, model, cut, ["segment", "--model", str(cut), "--in", str(vol),
                                          "--out", str(root / "p.mvf")], header_ends, seed=1)
+
+    @staticmethod
+    def _checkpoint_regions(raw):
+        """Byte offsets of the header, config echo, parameter names, payloads and CRC."""
+        blob_end = 12 + struct.unpack_from("<I", raw, 8)[0]
+        names, payloads = [], []
+        off = blob_end + 4
+        while off < len(raw) - 4:
+            (name_len,) = struct.unpack_from("<H", raw, off)
+            names += range(off + 2, off + 2 + name_len)
+            off += 2 + name_len
+            rank = raw[off]
+            size = 4 * int(np.prod(struct.unpack_from(f"<{rank}I", raw, off + 1)))
+            off += 1 + 4 * rank
+            payloads += range(off, off + size)
+            off += size
+        return (range(12), range(12, blob_end), names, payloads, range(len(raw) - 4, len(raw)))
+
+    def test_checkpoint_bit_flips(self, files, capsys):
+        root, model, vol, _ = files
+        raw = model.read_bytes()
+        rng = np.random.default_rng(4)
+        header, config, names, payloads, trailer = self._checkpoint_regions(raw)
+        spots = [*header, *trailer]
+        for region in (config, names, payloads):
+            spots += rng.choice(region, size=12, replace=False).tolist()
+        flipped, out = root / "flip.rsck", root / "flip.mvf"
+        outcomes = []
+        for at in spots:
+            bit = int(rng.integers(8))
+            damaged = bytearray(raw)
+            damaged[at] ^= 1 << bit
+            flipped.write_bytes(bytes(damaged))
+            code = run_cli(["segment", "--model", str(flipped), "--in", str(vol),
+                            "--out", str(out)])
+            err = capsys.readouterr().err
+            outcomes.append((at, bit, code, "error:" in err, out.exists()))
+        failed = [o for o in outcomes if o[2:] != (1, True, False)]
+        assert len(outcomes) == 52 and not failed, failed
 
     def test_volume(self, files, capsys):
         root, model, vol, _ = files
@@ -486,6 +559,22 @@ class TestThreads:
 
 
 class TestEntryPoint:
+    def test_segment_loads_neither_scipy_linalg_nor_scipy_spatial(self, tmp_path):
+        synth(tmp_path / "d", count=1)
+        model = tmp_path / "m.rsck"
+        save_checkpoint(build_model(ModelConfig(levels=2, base_channels=4, recurrent=True),
+                                    seed=0), model)
+        argv = ["segment", "--model", str(model), "--in", str(tmp_path / "d" / "vol_000.mvf"),
+                "--out", str(tmp_path / "p.mvf")]
+        code = ("import sys; from rseg.cli import run_cli; "
+                f"assert run_cli({argv!r}) == 0; "
+                "print(sorted(m for m in ('scipy.linalg', 'scipy.spatial') if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "p.mvf").exists()
+
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "rseg.cli", "synth", "--out", str(tmp_path / "d"),

@@ -28,6 +28,11 @@ class TestPhantomSpec:
         with pytest.raises(ValueError):
             PhantomSpec(dims=(16, 48, 16))
 
+    def test_voxel_bound_is_inclusive(self):
+        PhantomSpec(dims=(64, 512, 512))  # MAX_PHANTOM_VOXELS exactly; nothing is drawn
+        with pytest.raises(ValueError, match="voxels"):
+            PhantomSpec(dims=(65, 512, 512))
+
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             PhantomSpec(noise_sigma=-1.0)
