@@ -322,8 +322,8 @@ def _accumulate_weight_grad(w, a, b):
     get_blas_funcs("gemm", (c,))(1.0, _flat(b).T, _flat(a).T, 1.0, c, trans_a=1, overwrite_c=1)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor:
-    """Cross-correlation with zero padding (pad < kernel); gradients for x, w and b.
+def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) -> Tensor:
+    """Cross-correlation with zero padding (pad < kernel), plus a bias ``b`` if given.
 
     Each pass makes its own choice by shape, and each backward is the
     adjoint of its own forward.
@@ -347,7 +347,7 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor
     cout, cw, kh, kw = w.shape
     if cw != cin:
         raise ValueError(f"conv2d: channel mismatch, input {cin} vs kernel {cw}")
-    if b.shape != (cout,):
+    if b is not None and b.shape != (cout,):
         raise ValueError(f"conv2d: bias shape {b.shape}, expected ({cout},)")
     if py >= kh or px >= kw:
         raise ValueError(f"conv2d: padding {(py, px)} must be smaller than kernel {(kh, kw)}")
@@ -369,16 +369,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor
         # the tape keeps the padded input (about 1x x), not the k*k-fold columns
         saved = buf
         full = _shifted_gemm(buf, w.data, wp, ho).reshape(n, cout, ho, wp)
-        out = np.add(full[:, :, :, :wo], b.data.reshape(1, cout, 1, 1))
+        # contiguous, as a consumer's einsum sums a strided view in another order
+        out = np.ascontiguousarray(full[:, :, :, :wo])
     else:
         saved = _im2col(xp, kh, kw, sy, sx, ho, wo)
-        out = np.matmul(w.data.reshape(cout, -1), saved)
-        out += b.data.reshape(1, cout, 1)
-        out = out.reshape(n, cout, ho, wo)
+        out = np.matmul(w.data.reshape(cout, -1), saved).reshape(n, cout, ho, wo)
+    if b is not None:
+        out += b.data.reshape(1, cout, 1, 1)
 
     def backward_fn(g):
         g2 = g.reshape(n, cout, ho * wo)
-        _accumulate(b, g2.sum(axis=(0, 2)))
+        if b is not None:
+            _accumulate(b, g2.sum(axis=(0, 2)))
         if not shift:
             _accumulate_weight_grad(w, g2, saved)
         elif w.requires_grad:
@@ -397,10 +399,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride=(1, 1), pad=(0, 0)) -> Tensor
             gx = np.matmul(wflip, _im2col(gd, kh, kw, 1, 1, h, wdt))
         _accumulate(x, gx.reshape(n, cin, h, wdt))
 
-    return _make_result(out, "conv2d", (x, w, b), backward_fn)
+    return _make_result(out, "conv2d", (x, w) if b is None else (x, w, b), backward_fn)
 
 
-def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def conv2d_transpose(x: Tensor, w: Tensor) -> Tensor:
     """Stride-k transposed conv, k x k kernel laid out (Cin, Cout, k, k), no padding.
 
     One GEMM, then a pixel shuffle that places each input pixel's k x k block.
@@ -409,23 +411,19 @@ def conv2d_transpose(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     cw, cout, kh, kw = w.shape
     if cw != cin:
         raise ValueError(f"conv2d_transpose: channel mismatch, input {cin} vs kernel {cw}")
-    if b.shape != (cout,):
-        raise ValueError(f"conv2d_transpose: bias shape {b.shape}, expected ({cout},)")
     x2 = x.data.reshape(n, cin, h * wdt)
     wmat = w.data.reshape(cin, cout * kh * kw)
     cols = np.matmul(wmat.T, x2).reshape(n, cout, kh, kw, h, wdt)
     out = cols.transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, h * kh, wdt * kw)
-    out = out + b.data.reshape(1, cout, 1, 1)
 
     def backward_fn(g):
-        _accumulate(b, g.sum(axis=(0, 2, 3)))
         gcols = g.reshape(n, cout, h, kh, wdt, kw).transpose(0, 1, 3, 5, 2, 4)
         gcols = gcols.reshape(n, cout * kh * kw, h * wdt)
         _accumulate_weight_grad(w, x2, gcols)
         if x.requires_grad:
             _accumulate(x, np.matmul(wmat, gcols).reshape(n, cin, h, wdt))
 
-    return _make_result(out, "conv2d_transpose", (x, w, b), backward_fn)
+    return _make_result(out, "conv2d_transpose", (x, w), backward_fn)
 
 
 def maxpool2d(x: Tensor):

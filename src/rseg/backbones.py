@@ -142,13 +142,14 @@ def _check_input(x: Tensor, config: ModelConfig) -> None:
         raise ValueError(f"spatial extent {h}x{w} not divisible by 2^levels = {div}")
 
 
-def _conv(store, name, x, cout, k, stride=1, pad=0, transpose=False):
+def _conv(store, name, x, cout, k, stride=1, pad=0, transpose=False, bias=True):
+    """A conv that feeds a batch norm takes no bias: the norm subtracts it again."""
     cin = x.shape[1]
     shape = (cin, cout, k, k) if transpose else (cout, cin, k, k)
     w = store.param(f"{name}.w", shape, fan_in=cin * k * k)
-    b = store.param(f"{name}.b", (cout,))
     if transpose:
-        return ad.conv2d_transpose(x, w, b)
+        return ad.conv2d_transpose(x, w)
+    b = store.param(f"{name}.b", (cout,)) if bias else None
     return ad.conv2d(x, w, b, (stride, stride), (pad, pad))
 
 
@@ -160,8 +161,8 @@ def _bn_relu(store, bn_name, y):
 
 
 def _cbr(store, conv_name, bn_name, x, cout, stride=1):
-    """3x3 "same" conv, batch norm, relu."""
-    return _bn_relu(store, bn_name, _conv(store, conv_name, x, cout, 3, stride, 1))
+    """3x3 "same" conv without a bias, batch norm, relu."""
+    return _bn_relu(store, bn_name, _conv(store, conv_name, x, cout, 3, stride, 1, bias=False))
 
 
 def forward_unet(store: ParamStore, x: Tensor) -> Tensor:

@@ -225,10 +225,12 @@ def _cmd_synth(eff: dict) -> int:
     from .data import PhantomSpec, derive_seed, generate_phantom, save_volume
 
     dims = _parse_size(eff["size"])
-    try:
-        PhantomSpec(dims=dims)  # bounds the extents before anything is written
-    except ValueError as exc:
-        raise ValueError(f"size: {exc}") from None
+    # check each option before anything is written; the error names the option
+    for key, rest in (("size", {}), ("noise", {"noise_sigma": eff["noise"]})):
+        try:
+            PhantomSpec(dims=dims, **rest)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
     out = eff["out"]
     os.makedirs(out, exist_ok=True)
     for i in range(eff["count"]):

@@ -77,8 +77,8 @@ class PhantomSpec:
         if d * h * w > MAX_PHANTOM_VOXELS:
             raise ValueError(f"dims {self.dims} hold {d * h * w} voxels, "
                              f"at most {MAX_PHANTOM_VOXELS} allowed")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 def derive_seed(base_seed: int, index: int) -> int:

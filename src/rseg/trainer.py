@@ -9,7 +9,7 @@ stopping monitors the validation mean combined loss and restores the best
 snapshot seen. Training, validation and ``segment`` run the same forward:
 each batch norm normalizes a slice by that slice's own statistics.
 
-Checkpoints use a small binary format ("RSCK" version 2): magic, version, a
+Checkpoints use a small binary format ("RSCK" version 3): magic, version, a
 UTF-8 ``key = value`` echo of the model config, every named parameter as an
 f32 little-endian payload, then a CRC-32 (zlib) of all preceding bytes.
 """
@@ -31,7 +31,7 @@ from .metrics import VolumeMask, dice_coefficient
 from .recurrent import MODES, next_feed, segment_sequence, unroll_forward
 
 CHECKPOINT_MAGIC = b"RSCK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -220,12 +220,12 @@ def _parse_config(blob: bytes) -> ModelConfig:
         kind = kinds.get(key)
         if kind is None:
             raise ValueError(f"unknown config key {key!r} in checkpoint")
-        if kind is bool:
-            if value not in ("True", "False"):
-                raise ValueError(f"bad boolean {value!r} for config key {key!r}")
-            kwargs[key] = value == "True"
-        else:
-            kwargs[key] = kind(value)
+        try:
+            if kind is bool and value not in ("True", "False"):
+                raise ValueError(f"bad boolean {value!r}")
+            kwargs[key] = value == "True" if kind is bool else kind(value)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     return ModelConfig(**kwargs)
 
 

@@ -107,6 +107,24 @@ class TestConv2d:
     def test_gradients_match_finite_differences(self):
         assert OP_CASES["conv2d"][0](np.random.default_rng(11)) <= 1e-5
 
+    # side 16 takes the shift form, side 5 im2col
+    @pytest.mark.parametrize("side", [16, 5])
+    def test_no_bias_is_the_biased_call_less_its_bias(self, side):
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(1, 4, side, side))
+        w = rng.normal(size=(4, 4, 3, 3))
+        b = rng.normal(size=(4,))
+        coef = t(rng.normal(size=(1, 4, side, side)))
+        outs, grads = [], []
+        for bias in (t(b), None):
+            tx, tw = t(x, rg=True), t(w, rg=True)
+            out = ad.conv2d(tx, tw, bias, (1, 1), (1, 1))
+            ad.backward(ad.reduce_sum(ad.mul(out, coef)))
+            outs.append(out.data)
+            grads.append(tx.grad.tobytes() + tw.grad.tobytes())
+        assert outs[0].tobytes() == (outs[1] + b.reshape(1, 4, 1, 1)).tobytes()
+        assert grads[0] == grads[1]
+
     def test_forward_deterministic(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 3, 8, 8))
@@ -224,15 +242,14 @@ class TestWeightGradientAccumulation:
         w = ad.Tensor(rng.normal(size=(8, 8, 3, 3)).astype(dtype), requires_grad=True)
         wt = ad.Tensor(rng.normal(size=(8, 4, 2, 2)).astype(dtype), requires_grad=True)
         b = ad.Tensor(np.zeros(8, dtype=dtype), requires_grad=True)
-        bt = ad.Tensor(np.zeros(4, dtype=dtype), requires_grad=True)
         loss = None
         for _ in range(3):
             x = ad.Tensor(rng.normal(size=(1, 8, 2, 2)).astype(dtype))
-            up = ad.conv2d_transpose(ad.conv2d(x, w, b, (1, 1), (1, 1)), wt, bt)
+            up = ad.conv2d_transpose(ad.conv2d(x, w, b, (1, 1), (1, 1)), wt)
             term = ad.reduce_sum(up)
             loss = term if loss is None else ad.add(loss, term)
         ad.backward(loss)
-        for tens in (w, wt, b, bt):
+        for tens in (w, wt, b):
             assert tens.grad is tens._own and tens.grad.dtype == working
 
     def test_second_backward_over_the_same_graph_adds_to_every_gradient(self):
@@ -253,7 +270,7 @@ class TestConv2dTranspose:
     def test_single_pixel_scatter(self):
         x = t(np.array([[1.0]]).reshape(1, 1, 1, 1))
         w = t(np.ones((1, 1, 2, 2)))
-        out = ad.conv2d_transpose(x, w, t([0.0]))
+        out = ad.conv2d_transpose(x, w)
         np.testing.assert_array_equal(out.data, np.ones((1, 1, 2, 2)))
 
     def test_adjoint_identity(self):
@@ -265,7 +282,7 @@ class TestConv2dTranspose:
         z = rng.normal(size=fwd.shape)
         # the (Cout, Cin, kh, kw) conv kernel reads directly as a
         # (Cin, Cout, kh, kw) transpose kernel
-        back = ad.conv2d_transpose(t(z), t(w), t(np.zeros(cin))).data
+        back = ad.conv2d_transpose(t(z), t(w)).data
         lhs = float((fwd * z).sum())
         rhs = float((x * back).sum())
         assert abs(lhs - rhs) <= 1e-6 * max(abs(lhs), abs(rhs))

@@ -20,12 +20,12 @@ TINY = dict(levels=2, base_channels=4)
 # sha256 of repr([(name, shape), ...]) of each TINY store; a changed name,
 # shape or creation order changes every checkpoint
 LAYOUT_SHA256 = {
-    ("unet", False): "7cead4c9b2cb6ee106c860b8efd678cc87ce42ec34e39acbec120a99826ef4b2",
-    ("unet", True): "8eb31dfe4603077e9eea2287ca034941f047d0835ad0aecc8a7abf8fa7e20d1f",
-    ("segunet", False): "8d31cf25a4c488ef6607114ce4c8a75785432d208b158927174063153c8a0cbd",
-    ("segunet", True): "11d7024a226b78bc1130cb7731c0d182073f05584163ba1f5d21707842abd7ba",
-    ("attunet", False): "55831b8a52b6d450c4b6ac8cb4008aab7d15505e2ce293e2a31244bee9750de0",
-    ("attunet", True): "cdc22c8d9ad085bdb04e59a78aeebd38c6783c0c360dd3ba73df7ebe32b51f03",
+    ("unet", False): "270f8aa5ae117ee9e318d62784830cfc9314eb5df2e1ab89f83b052936e9ccad",
+    ("unet", True): "aa21ad48961cc423992a415c5f08e650f2f0533648178c1af72f8380e6f30b8a",
+    ("segunet", False): "b73aa5956b2fb76125c7ddf8f2ddaace542917c25a9b913b10bb62a67d2a3037",
+    ("segunet", True): "1a2b8eab06088edb78472161fd3d98a72dcf220d43f471c6fff53fef67e3516b",
+    ("attunet", False): "08a733ab13e1aa53f28fa5d04b37ac9c5c10ccd65aa969df20678e9c0754efd6",
+    ("attunet", True): "abfdf2fb1557f299cfc16929b675bc528e621a850e299f23d2c4a314aa55d482",
 }
 
 
@@ -75,7 +75,8 @@ class TestBuild:
     def test_unet_parameter_count_closed_form(self):
         cfg = ModelConfig(backbone="unet", levels=2, base_channels=8)
         store = build_model(cfg, seed=0)
-        # layer list: (out_ch, in_ch, k) conv + bias, plus 2*C per BN
+        # layer list: (out_ch, in_ch, k) conv, plus 2*C per BN; only the
+        # head, which feeds no BN, has a bias
         convs = [
             (8, 1, 3), (8, 8, 3),      # enc0
             (16, 8, 3), (16, 16, 3),   # enc1
@@ -84,8 +85,9 @@ class TestBuild:
             (1, 8, 1),                 # head
         ]
         bns = [8, 8, 16, 16, 16, 16, 8, 8]
-        expected = sum(co * ci * k * k + co for co, ci, k in convs) + sum(2 * c for c in bns)
+        expected = sum(co * ci * k * k for co, ci, k in convs) + 1 + sum(2 * c for c in bns)
         assert store.num_trainable() == expected
+        assert len(store.names()) == len(convs) + 1 + 2 * len(bns)
 
     def test_biases_zero_and_bn_identity(self):
         store = build_model(ModelConfig(backbone="attunet", **TINY), seed=3)
@@ -207,8 +209,26 @@ class TestForwardContracts:
         x = Tensor(rng.normal(size=(1, 1, 32, 32)))
         coef = Tensor(rng.normal(size=(1, 1, 32, 32)))
         ad.backward(ad.reduce_sum(ad.mul(forward(store, x), coef)))
-        for name, t in store.items():
-            assert t.grad is not None and np.any(t.grad != 0.0), f"dead parameter {name}"
+        largest = {name: 0.0 if t.grad is None else float(np.abs(t.grad).max())
+                   for name, t in store.items()}
+        # a gradient of roundoff size, like a bias a batch norm cancels, is dead too
+        floor = 1e-6 * max(largest.values())
+        dead = [name for name, g in largest.items() if not g >= floor]
+        assert not dead, f"dead parameters {dead}"
+
+    @pytest.mark.parametrize("backbone", ["unet", "segunet", "attunet"])
+    def test_no_bias_feeds_a_batch_norm(self, backbone):
+        cfg = ModelConfig(backbone=backbone, **TINY)
+        store = build_model(cfg, seed=0)
+        out = forward(store, rand_input(np.random.default_rng(0), cfg, hw=16))
+        norms = [t for t in ad.schedule(out) if t.op == "batchnorm2d"]
+        assert norms
+        for bn in norms:
+            conv = bn._inputs[0]
+            assert conv.op in ("conv2d", "conv2d_transpose") and len(conv._inputs) == 2
+        biases = sorted(n for n in store.names() if n.endswith(".b"))
+        gates = [f"att{l}.{c}.b" for l in range(2) for c in ("psi", "wg", "wx")]
+        assert biases == sorted(["head.b"] + (gates if backbone == "attunet" else []))
 
 
 class TestAttentionGate:

@@ -292,24 +292,40 @@ class TestExitCodes:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "p.mvf").exists()
 
-    # version 2 has neither key: each is unknown, even at its old default
+    # no version since 2 has either key: each is unknown, even at its old default
     @pytest.mark.parametrize("key, value", [("bn_eps", "1e-05"), ("bn_momentum", "0.1")])
     def test_bad_batch_norm_setting_in_checkpoint_is_a_validation_error(self, tmp_path, capsys,
                                                                        key, value):
         self._segment_with_patched_checkpoint(tmp_path, capsys, key, value)
 
+    @pytest.mark.parametrize("key, value", [("levels", "two"), ("base_channels", "4.5"),
+                                            ("recurrent", "yes")])
+    def test_badly_typed_config_echo_names_the_key(self, tmp_path, capsys, key, value):
+        err = self._segment_with_patched_checkpoint(tmp_path, capsys, key, value)
+        assert err.startswith(f"error: config key {key!r}: ")
+
     def test_version_1_checkpoint_asks_for_retraining(self, tmp_path, capsys):
+        # version 1 kept running batch-norm buffers
+        self._segment_with_version(tmp_path, capsys, 1)
+
+    def test_version_2_checkpoint_asks_for_retraining(self, tmp_path, capsys):
+        # version 2 kept a bias on every conv that feeds a batch norm
+        self._segment_with_version(tmp_path, capsys, 2)
+
+    @staticmethod
+    def _segment_with_version(tmp_path, capsys, version):
         synth(tmp_path / "d", count=1)
         model = tmp_path / "m.rsck"
         save_checkpoint(build_model(ModelConfig(levels=2, base_channels=4), seed=0), model)
         raw = bytearray(model.read_bytes())
-        raw[4:8] = struct.pack("<I", 1)
+        raw[4:8] = struct.pack("<I", version)
         model.write_bytes(bytes(raw))
         assert run_cli(["segment", "--model", str(model),
                         "--in", str(tmp_path / "d" / "vol_000.mvf"),
                         "--out", str(tmp_path / "p.mvf")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "version 1" in err and "retrain" in err
+        assert err.startswith(f"error: {model}: checkpoint version {version} ")
+        assert "retrain" in err
         assert not (tmp_path / "p.mvf").exists()
 
     @pytest.mark.parametrize("levels, base", [(2, 100000), (10, 16)])
@@ -328,6 +344,13 @@ class TestExitCodes:
         out = tmp_path / "d"
         assert run_cli(["synth", "--out", str(out), "--size", "100000x100000x100000"]) == 1
         assert capsys.readouterr().err.startswith("error: size: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+    def test_bad_noise_is_a_validation_error(self, tmp_path, capsys, noise):
+        out = tmp_path / "d"
+        assert run_cli(["synth", "--out", str(out), "--noise", noise]) == 1
+        assert capsys.readouterr().err.startswith("error: noise: noise_sigma must be finite")
         assert not out.exists()
 
     def test_levels_beyond_the_bound_is_a_validation_error(self, tmp_path, capsys):
@@ -357,6 +380,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "p.mvf").exists()
+        return err
 
     @pytest.mark.parametrize("argv, flag", [
         (["gradcheck", "--eps", "0"], "--eps"),
