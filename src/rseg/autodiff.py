@@ -530,29 +530,35 @@ BN_EPS = 1e-5
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Per-channel normalization by the input's own mean and variance over (N, H, W).
+    """relu(gamma * x-hat + beta), x-hat normalized per channel over (N, H, W).
 
     Training and inference run the same arithmetic: a backbone feeds one
     slice per call (N = 1), so every slice is normalized by its own
-    statistics. The output is written into the centred array; the tape keeps
-    only the mean and 1/sigma, and the backward rebuilds x-hat from x and
-    differentiates through both statistics. Per-channel sums run in einsum.
+    statistics. The affine map and the relu (NaN -> 0, -0.0 -> +0.0, as in
+    ``relu``) are written into the centred array; the tape keeps only the
+    mean and 1/sigma, and the backward masks g by out > 0, rebuilds x-hat
+    from x and differentiates through both statistics. Per-channel sums run
+    in einsum over a contiguous copy, so a strided view gives the same bytes.
     """
     n, c, h, w = x.shape
     for t, name in ((gamma, "gamma"), (beta, "beta")):
         if t.shape != (c,):
             raise ValueError(f"batchnorm2d: {name} shape {t.shape}, expected ({c},)")
     m = n * h * w
-    mean = (np.einsum("nchw->c", x.data) / m).reshape(1, c, 1, 1)
-    out = x.data - mean
+    xd = np.ascontiguousarray(x.data)
+    mean = (np.einsum("nchw->c", xd) / m).reshape(1, c, 1, 1)
+    out = xd - mean
     var = np.einsum("nchw,nchw->c", out, out) / m
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     out *= (gamma.data * inv_std).reshape(1, c, 1, 1)
     out += beta.data.reshape(1, c, 1, 1)
+    np.fmax(out, 0, out=out)
+    np.abs(out, out=out)
 
     def backward_fn(g):
+        g = g * (out > 0)  # a new array: an incoming gradient is never written
         # x-hat again, in the one buffer that becomes the input gradient
-        gx = x.data - mean
+        gx = xd - mean
         gx *= inv_std.reshape(1, c, 1, 1)
         gsum = np.einsum("nchw->c", g)
         gxhat_sum = np.einsum("nchw,nchw->c", g, gx)

@@ -157,7 +157,7 @@ def _bn_relu(store, bn_name, y):
     c = y.shape[1]
     gamma = store.param(f"{bn_name}.gamma", (c,), fill=1.0)
     beta = store.param(f"{bn_name}.beta", (c,))
-    return ad.relu(ad.batchnorm2d(y, gamma, beta))
+    return ad.batchnorm2d(y, gamma, beta)  # the relu included
 
 
 def _cbr(store, conv_name, bn_name, x, cout, stride=1):

@@ -37,6 +37,24 @@ def _away_from(x: np.ndarray, points, margin: float = 5e-3) -> np.ndarray:
     return x
 
 
+def bn_away_from_zero(x: np.ndarray, gamma, beta, margin: float = 5e-3) -> np.ndarray:
+    """Shift the elements of x whose batch-norm pre-activation gamma * x-hat + beta
+    lies within margin of the relu's kink at 0, until none does (gamma > 0)."""
+    shape = (1, x.shape[1], 1, 1)
+    gamma = np.reshape(gamma, shape).astype(np.float64)
+    beta = np.reshape(beta, shape).astype(np.float64)
+    for _ in range(20):
+        xd = x.astype(np.float64)
+        std = np.sqrt(xd.var(axis=(0, 2, 3)).reshape(shape) + ad.BN_EPS)
+        pre = gamma * (xd - xd.mean(axis=(0, 2, 3)).reshape(shape)) / std + beta
+        near = np.abs(pre) < margin
+        if not near.any():
+            return x
+        # about 4 margins up; the statistics move by only 1/m of that
+        x = np.where(near, xd + 4 * margin * std / gamma, xd).astype(x.dtype)
+    raise AssertionError("bn_away_from_zero: pre-activations did not settle")
+
+
 def check_add(rng):
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(3, 4))
@@ -249,6 +267,7 @@ def check_batchnorm2d(rng):
     x = rng.normal(size=(2, 3, 4, 4))
     gamma = rng.uniform(0.5, 1.5, size=(3,))
     beta = rng.normal(scale=0.3, size=(3,))
+    x = bn_away_from_zero(x, gamma, beta)
     c = rng.normal(size=(2, 3, 4, 4))
 
     def build():

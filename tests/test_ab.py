@@ -1,0 +1,45 @@
+"""tools/ab.py's sign test and its import of a second copy of the package."""
+
+import importlib.util
+import pathlib
+import shutil
+import sys
+
+import pytest
+
+import rseg
+from rseg import autodiff
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+AB = ROOT / "tools" / "ab.py"
+
+
+@pytest.fixture(scope="module")
+def ab():
+    spec = importlib.util.spec_from_file_location("tools_ab", AB)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("wins,n,p", [(10, 10, 2 / 1024), (0, 10, 2 / 1024), (5, 10, 1.0),
+                                      (9, 10, 22 / 1024), (0, 0, 1.0)])
+def test_sign_test_p(ab, wins, n, p):
+    assert ab.sign_test_p(wins, n) == p
+
+
+def test_copied_tree_imports_under_another_name(ab, tmp_path):
+    copy = tmp_path / "rseg"
+    shutil.copytree(pathlib.Path(rseg.__file__).parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    try:
+        other = ab.import_tree(copy, "rseg_ab_copy")
+        other_autodiff = importlib.import_module("rseg_ab_copy.autodiff")
+        assert other is not rseg and other_autodiff is not autodiff
+        assert pathlib.Path(other_autodiff.__file__).parent == copy
+        assert other_autodiff.Tensor is not autodiff.Tensor
+        # its relative imports resolve inside the copy
+        assert importlib.import_module("rseg_ab_copy.backbones").ad is other_autodiff
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "rseg_ab_copy"]:
+            del sys.modules[name]

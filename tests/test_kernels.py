@@ -3,12 +3,15 @@
 Each reference is the plain numpy form the kernel replaced: ``np.where``
 for relu and sigmoid, an argmax and ``take_along_axis`` window gather for
 max pooling, a reshape-sum for the upsample backward, ``np.pad``, im2col
-and an out-of-place bias add for conv2d, and the out-of-place batch-norm
-expressions with ``np.var`` and x-hat captured at forward time. The kernels
-must match them byte for byte: outputs, pool indices, and every gradient.
-The exceptions are sums taken in another order, each held to a rounding
-bound instead: the conv2d shift lowering's output and weight gradient, the
-col2im input gradient, and batch norm's outputs and gradients.
+and an out-of-place bias add for conv2d. Batch norm, which includes the
+relu, has two: the composed pair it replaced (the unfused kernel, then the
+``np.where`` relu) and the out-of-place batch-norm expressions with
+``np.var`` and x-hat captured at forward time, then the same relu. The
+kernels must match them byte for byte: outputs, pool indices, and every
+gradient. The exceptions are sums taken in another order, each held to a
+rounding bound instead: the conv2d shift lowering's output and weight
+gradient, the col2im input gradient, and batch norm's outputs and
+gradients against the out-of-place expressions.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ import numpy as np
 import pytest
 
 from rseg import autodiff as ad
+
+from _opchecks import bn_away_from_zero
 
 DTYPES = [np.float32, np.float64]
 
@@ -122,6 +127,34 @@ def batchnorm2d_reference(x, gamma, beta, eps=1e-5):
         ad._accumulate(x, gx)
 
     out = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+    return ad._make_result(out, "batchnorm2d", (x, gamma, beta), backward_fn)
+
+
+def batchnorm2d_unfused_reference(x, gamma, beta):
+    """The kernel before the relu moved into it: the same einsum sums and
+    in-place steps, gamma * x-hat + beta with no relu."""
+    n, c, h, w = x.shape
+    m = n * h * w
+    mean = (np.einsum("nchw->c", x.data) / m).reshape(1, c, 1, 1)
+    out = x.data - mean
+    var = np.einsum("nchw,nchw->c", out, out) / m
+    inv_std = 1.0 / np.sqrt(var + ad.BN_EPS)
+    out *= (gamma.data * inv_std).reshape(1, c, 1, 1)
+    out += beta.data.reshape(1, c, 1, 1)
+
+    def backward_fn(g):
+        gx = x.data - mean
+        gx *= inv_std.reshape(1, c, 1, 1)
+        gsum = np.einsum("nchw->c", g)
+        gxhat_sum = np.einsum("nchw,nchw->c", g, gx)
+        ad._accumulate(gamma, gxhat_sum)
+        ad._accumulate(beta, gsum)
+        gx *= (-gxhat_sum / m).reshape(1, c, 1, 1)
+        gx += g
+        gx -= (gsum / m).reshape(1, c, 1, 1)
+        gx *= (gamma.data * inv_std).reshape(1, c, 1, 1)
+        ad._accumulate(x, gx)
+
     return ad._make_result(out, "batchnorm2d", (x, gamma, beta), backward_fn)
 
 
@@ -425,19 +458,10 @@ def test_conv2d_shift_forward_builds_columns_only_for_a_backward(monkeypatch):
 # batch norm
 
 
-# The kernel sums with einsum, applies gamma/sigma as one factor and runs
-# its backward in place in another order; the reference sums with np.mean,
-# np.var and np.sum and multiplies x-hat by gamma. So
-# each value is held to BN_ULPS units of eps times the magnitude of its
-# terms, where a = (|x| + |mean|) / sigma bounds |x-hat| together with the
-# cancellation of centring:
-#   output           |gamma| a + |beta|
-#   gamma gradient   sum |g| a
-#   beta gradient    sum |g|
-#   input gradient   |gamma| / sigma (|g| + sum |g| / m + a sum |g| a / m)
-# Over 50 seeded cases (maps up to 64x64, means up to 30 sigma) the two
-# forms differed by at most 8.2 such units in f32 and f64.
-BN_ULPS = 16
+# Against the composed pair it replaced, the kernel runs the same numpy
+# calls in the same order, so every output and gradient matches byte for
+# byte, specials included: channel 2's pre-activations are NaN (beta NaN)
+# and about half of channel 3's are exactly -0.0 (gamma 0, beta -0.0).
 
 
 def _bn_arrays(dtype, rng, c=3, shape=(2, 5, 7)):
@@ -449,8 +473,56 @@ def _bn_arrays(dtype, rng, c=3, shape=(2, 5, 7)):
     ]
 
 
+def _bn_special_arrays(dtype, rng, shape):
+    x, gamma, beta = _bn_arrays(dtype, rng, c=4, shape=shape)
+    beta[2] = np.nan
+    gamma[3], beta[3] = 0.0, -0.0
+    return [x, gamma, beta]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("record", [True, False])
+def test_batchnorm_matches_composed_pair(dtype, record):
+    # record: the kernel runs on the tape (and backward is compared) or under no_grad
+    rng = np.random.default_rng(97)
+    for shape in ((2, 5, 7), (1, 48, 48)):
+        arrays = _bn_special_arrays(dtype, rng, shape)
+        with ad.no_grad():
+            pre = batchnorm2d_unfused_reference(*_leaves(arrays)).data
+        assert np.isnan(pre[:, 2]).all() and np.signbit(pre[:, 3]).any()
+        assert (pre[:, 3] == 0).all()
+        if record:
+            _compare(ad.batchnorm2d,
+                     lambda *t: relu_reference(batchnorm2d_unfused_reference(*t)), arrays, rng)
+            continue
+        with ad.no_grad():
+            out_m = ad.batchnorm2d(*_leaves(arrays))
+            out_r = relu_reference(batchnorm2d_unfused_reference(*_leaves(arrays)))
+        assert not out_m.requires_grad
+        assert_same_bytes(out_m.data, out_r.data)
+
+
+# Against the out-of-place expressions, the kernel sums with einsum, applies
+# gamma/sigma as one factor and runs its backward in place in another order;
+# the reference sums with np.mean, np.var and np.sum and multiplies x-hat by
+# gamma. So each value is held to BN_ULPS units of eps times the magnitude
+# of its terms, where a = (|x| + |mean|) / sigma bounds |x-hat| together
+# with the cancellation of centring, and g is the upstream gradient masked
+# by the relu:
+#   output           |gamma| a + |beta|
+#   gamma gradient   sum |g| a
+#   beta gradient    sum |g|
+#   input gradient   |gamma| / sigma (|g| + sum |g| / m + a sum |g| a / m)
+# Over 50 seeded cases (maps up to 64x64, means up to 30 sigma) the two
+# forms differed by at most 8.2 such units in f32 and f64. The relu is
+# 1-Lipschitz, so the bound carries through it; the outputs it clips are
+# +0.0 in both and compared byte for byte. Pre-activations sit at least
+# 5e-3 from 0, far outside the bound, so both forms mask the same elements.
+BN_ULPS = 16
+
+
 def _bn_magnitudes(x, gamma, beta, g):
-    """The per-value magnitudes above, in f64; g is the upstream gradient."""
+    """The per-value magnitudes above, in f64; g is the masked upstream gradient."""
     x, gamma, beta, g = (np.asarray(a, dtype=np.float64) for a in (x, gamma, beta, g))
     n, c, h, w = x.shape
     m = n * h * w
@@ -474,26 +546,54 @@ def _assert_within_ulps(mine, theirs, magnitude):
     assert np.all(diff <= BN_ULPS * np.finfo(mine.dtype).eps * magnitude)
 
 
+def _assert_relu_within_ulps(mine, theirs, magnitude):
+    clipped = theirs == 0
+    assert clipped.any() and not clipped.all()
+    assert_same_bytes(mine[clipped], theirs[clipped])
+    _assert_within_ulps(mine, theirs, magnitude)
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("record", [True, False])
 def test_batchnorm_matches_reference(dtype, record):
     # record: the kernel runs on the tape (and backward is compared) or under no_grad
     rng = np.random.default_rng(89)
     for shape in ((2, 5, 7), (1, 48, 48)):
-        arrays = _bn_arrays(dtype, rng, shape=shape)
-        upstream = rng.normal(size=arrays[0].shape).astype(dtype)
-        mags = _bn_magnitudes(*arrays, upstream)
+        x, gamma, beta = _bn_arrays(dtype, rng, shape=shape)
+        arrays = [bn_away_from_zero(x, gamma, beta), gamma, beta]
+        upstream = rng.normal(size=x.shape).astype(dtype)
         mine, theirs = _leaves(arrays), _leaves(arrays)
-        out_r = batchnorm2d_reference(*theirs)
+        out_r = relu_reference(batchnorm2d_reference(*theirs))
+        mags = _bn_magnitudes(*arrays, upstream * (out_r.data > 0))
         if not record:
             with ad.no_grad():
                 out_m = ad.batchnorm2d(*mine)
             assert not out_m.requires_grad
-            _assert_within_ulps(out_m.data, out_r.data, mags["out"])
+            _assert_relu_within_ulps(out_m.data, out_r.data, mags["out"])
             continue
         out_m = ad.batchnorm2d(*mine)
-        _assert_within_ulps(out_m.data, out_r.data, mags["out"])
+        _assert_relu_within_ulps(out_m.data, out_r.data, mags["out"])
         _backprop(out_m, upstream)
         _backprop(out_r, upstream)
         for key, tm, tr in zip(("x", "gamma", "beta"), mine, theirs):
             _assert_within_ulps(tm.grad, tr.grad, mags[key])
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_batchnorm_bytes_do_not_depend_on_the_input_layout(dtype):
+    # a conv2d shift output sliced to its valid columns, as a view and as a copy
+    rng = np.random.default_rng(101)
+    for c, h, w in ((8, 48, 48), (16, 24, 24), (3, 5, 7)):
+        wide, gamma, beta = _bn_arrays(dtype, rng, c=c, shape=(1, h, w + 2))
+        upstream = rng.normal(size=(1, c, h, w)).astype(dtype)
+        view, copy = (ad.Tensor(a, requires_grad=True)
+                      for a in (wide[..., :w], np.ascontiguousarray(wide[..., :w])))
+        assert not view.data.flags.c_contiguous
+        grads = []
+        for x in (view, copy):
+            params = _leaves([gamma, beta])
+            out = ad.batchnorm2d(x, *params)
+            _backprop(out, upstream)
+            grads.append([out.data, x.grad, *(p.grad for p in params)])
+        for a, b in zip(*grads):
+            assert_same_bytes(a, b)
