@@ -19,14 +19,14 @@ import numpy as np
 _state = threading.local()
 
 
-def _grad_enabled() -> bool:
+def grad_enabled() -> bool:
     return getattr(_state, "grad_enabled", True)
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording inside the block (inference / constants)."""
-    prev = _grad_enabled()
+    prev = grad_enabled()
     _state.grad_enabled = False
     try:
         yield
@@ -87,7 +87,7 @@ class Tensor:
 
 def _make_result(data, op: str, inputs, backward_fn) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled() and any(t.requires_grad for t in inputs):
+    if grad_enabled() and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.op = op
         out._inputs = tuple(inputs)
@@ -530,27 +530,28 @@ BN_EPS = 1e-5
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """relu(gamma * x-hat + beta), x-hat normalized per channel over (N, H, W).
+    """relu(gamma * x-hat + beta), x-hat normalized per (item, channel) over (H, W).
 
-    Training and inference run the same arithmetic: a backbone feeds one
-    slice per call (N = 1), so every slice is normalized by its own
-    statistics. The affine map and the relu (NaN -> 0, -0.0 -> +0.0, as in
-    ``relu``) are written into the centred array; the tape keeps only the
-    mean and 1/sigma, and the backward masks g by out > 0, rebuilds x-hat
-    from x and differentiates through both statistics. Per-channel sums run
-    in einsum over a contiguous copy, so a strided view gives the same bytes.
+    Each item of the batch is one slice, normalized by its own statistics,
+    in training and inference alike: a batch of T slices gives the bytes of
+    T single-slice calls. The affine map and the relu (NaN -> 0, -0.0 ->
+    +0.0, as in ``relu``) are written into the centred array; the tape keeps
+    only the means and 1/sigma, and the backward masks g by out > 0, rebuilds
+    x-hat from x and differentiates through both statistics, summing the
+    gamma and beta gradients over the items. Sums over (H, W) run in einsum
+    over a contiguous copy, so a strided view gives the same bytes.
     """
     n, c, h, w = x.shape
     for t, name in ((gamma, "gamma"), (beta, "beta")):
         if t.shape != (c,):
             raise ValueError(f"batchnorm2d: {name} shape {t.shape}, expected ({c},)")
-    m = n * h * w
+    m = h * w
     xd = np.ascontiguousarray(x.data)
-    mean = (np.einsum("nchw->c", xd) / m).reshape(1, c, 1, 1)
+    mean = (np.einsum("nchw->nc", xd) / m).reshape(n, c, 1, 1)
     out = xd - mean
-    var = np.einsum("nchw,nchw->c", out, out) / m
-    inv_std = 1.0 / np.sqrt(var + BN_EPS)
-    out *= (gamma.data * inv_std).reshape(1, c, 1, 1)
+    var = np.einsum("nchw,nchw->nc", out, out) / m
+    inv_std = (1.0 / np.sqrt(var + BN_EPS)).reshape(n, c, 1, 1)
+    out *= gamma.data.reshape(1, c, 1, 1) * inv_std
     out += beta.data.reshape(1, c, 1, 1)
     np.fmax(out, 0, out=out)
     np.abs(out, out=out)
@@ -559,20 +560,38 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         g = g * (out > 0)  # a new array: an incoming gradient is never written
         # x-hat again, in the one buffer that becomes the input gradient
         gx = xd - mean
-        gx *= inv_std.reshape(1, c, 1, 1)
-        gsum = np.einsum("nchw->c", g)
-        gxhat_sum = np.einsum("nchw,nchw->c", g, gx)
-        _accumulate(gamma, gxhat_sum)
-        _accumulate(beta, gsum)
+        gx *= inv_std
+        gsum = np.einsum("nchw->nc", g)
+        gxhat_sum = np.einsum("nchw,nchw->nc", g, gx)
+        _accumulate(gamma, gxhat_sum.sum(axis=0))
+        _accumulate(beta, gsum.sum(axis=0))
         if x.requires_grad:
             # gamma / sigma * (g - mean(g) - x-hat * mean(g * x-hat))
-            gx *= (-gxhat_sum / m).reshape(1, c, 1, 1)
+            gx *= (-gxhat_sum / m).reshape(n, c, 1, 1)
             gx += g
-            gx -= (gsum / m).reshape(1, c, 1, 1)
-            gx *= (gamma.data * inv_std).reshape(1, c, 1, 1)
+            gx -= (gsum / m).reshape(n, c, 1, 1)
+            gx *= gamma.data.reshape(1, c, 1, 1) * inv_std
             _accumulate(x, gx)
 
     return _make_result(out, "batchnorm2d", (x, gamma, beta), backward_fn)
+
+
+def take(x: Tensor, t: int) -> Tensor:
+    """Item t of the batch axis, as a batch of one.
+
+    The backward adds g into item t of one gradient buffer that x owns, so
+    taking every item of x makes one x-sized array, not one per item.
+    """
+    def backward_fn(g):
+        if not x.requires_grad:
+            return
+        if x.grad is None:
+            x.grad = x._own = np.zeros(x.shape, dtype=g.dtype)
+        elif x.grad is not x._own:
+            x.grad = x._own = np.array(x.grad, order="C")
+        x.grad[t] += g[0]
+
+    return _make_result(x.data[t : t + 1], "take", (x,), backward_fn)
 
 
 def reduce_sum(x: Tensor) -> Tensor:

@@ -210,10 +210,14 @@ def forward_segunet(store: ParamStore, x: Tensor) -> Tensor:
 
 
 def attention_gate(store: ParamStore, prefix: str, g: Tensor, x_skip: Tensor):
-    """alpha = sigmoid(psi(relu(Wg.g + Wx.x))); returns (x_skip * alpha, alpha)."""
+    """alpha = sigmoid(psi(relu(Wg.g + Wx.x + b))); returns (x_skip * alpha, alpha).
+
+    The one bias b is wg's: a second on wx would add to the same sum, the
+    same parameter stored twice.
+    """
     f_int = x_skip.shape[1] // 2
     zg = _conv(store, f"{prefix}.wg", g, f_int, 1)
-    zx = _conv(store, f"{prefix}.wx", x_skip, f_int, 1)
+    zx = _conv(store, f"{prefix}.wx", x_skip, f_int, 1, bias=False)
     s = ad.relu(ad.add(zg, zx))
     alpha = ad.sigmoid(_conv(store, f"{prefix}.psi", s, 1, 1))
     gated = ad.mul(x_skip, ad.expand_channels(alpha, x_skip.shape[1]))

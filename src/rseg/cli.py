@@ -18,6 +18,7 @@ model modules; a test keeps them equal to the library defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import math
 import os
@@ -204,6 +205,32 @@ def _set_threads(n: int) -> None:
         os.environ[var] = str(n)
 
 
+# glibc mallopt parameters and the values pinned: blocks up to 32 MiB come
+# from the heap, and up to 128 MiB of freed heap stays mapped
+_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES = -3, 32 << 20
+_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES = -1, 128 << 20
+
+
+@functools.cache
+def _pin_malloc() -> None:
+    """Keep freed arrays' pages in the process, once per process.
+
+    By default glibc returns large freed blocks to the OS, so every request
+    faults its temporaries and its tape in again. Where the C library has no
+    ``mallopt`` (macOS, Windows) this does nothing; musl's is a no-op.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def _banner(command: str, eff: dict) -> None:
     print(f"command = {command}")
     for key in sorted(eff):
@@ -368,6 +395,7 @@ def run_cli(argv) -> int:
     try:
         eff = _resolve(args.command, args)
         _set_threads(eff["threads"])
+        _pin_malloc()
         _banner(args.command, eff)
         return _COMMANDS[args.command](eff)
     except (ValueError, argparse.ArgumentTypeError, KeyError, FileNotFoundError,

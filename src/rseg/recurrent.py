@@ -10,7 +10,8 @@ The first step sees zeros ("no prior object"). Two training modes:
 
 Probabilities, not thresholded masks, are carried across steps. Under
 teacher forcing each step after the first is fed the previous slice's label
-instead; ``next_feed`` is that rule.
+instead; ``next_feed`` is that rule. Then no step waits for another, and a
+taped unroll runs all of them as one batch.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ MODES = ("detach", "full")
 
 
 def step(params: ParamStore, x_t: Tensor, y_prev: Tensor = None) -> Tensor:
-    """One slice through the backbone; sigmoid applied to the logits."""
+    """Slices (one, or a batch) through the backbone; sigmoid applied to the logits."""
     cfg = params.config
     if cfg.recurrent:
         if y_prev is None:
@@ -49,7 +50,15 @@ def unroll_forward(
     mode: str = "detach",
     teacher_forcing: bool = False,
 ) -> list:
-    """Predictions for every slice, in sequence order."""
+    """Predictions for every slice, in sequence order, each a (1, 1, H, W) tensor.
+
+    Taped, with no step's input depending on an earlier output (teacher
+    forcing, or no feedback), the slices run as one batch through one
+    ``step`` and each prediction is ``take`` of its item; batch norm
+    normalizes each item on its own, so the values are the per-slice loop's.
+    Otherwise one slice per call: untaped, a batch would hold every slice's
+    temporaries at once, where a tape holds every slice's activations anyway.
+    """
     if len(seq) == 0:
         raise ValueError("cannot unroll an empty sequence")
     if mode not in MODES:
@@ -59,6 +68,16 @@ def unroll_forward(
     first = seq.frames[0]
     if y0 is None:
         y0 = Tensor(np.zeros((1, 1, first.shape[2], first.shape[3]), dtype=first.dtype))
+    recurrent = params.config.recurrent
+    # a y0 that takes a gradient in full mode needs its own step
+    if ad.grad_enabled() and (not recurrent or teacher_forcing) and not (
+            mode == "full" and y0.requires_grad):
+        feed = None
+        if recurrent:
+            labels = [next_feed(seq, t, None, teacher_forcing).data for t in range(len(seq) - 1)]
+            feed = Tensor(np.concatenate([y0.data] + labels))
+        out = step(params, Tensor(np.concatenate(seq.frames)), feed)
+        return [ad.take(out, t) for t in range(len(seq))]
     preds = []
     y_prev = y0
     for t, frame in enumerate(seq.frames):

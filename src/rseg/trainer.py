@@ -6,8 +6,10 @@ first slice is fed what ``recurrent.next_feed`` gives for the slice before it
 (its label under teacher forcing, else its prediction) as a constant, so
 gradients never flow across chunk boundaries regardless of mode. Early
 stopping monitors the validation mean combined loss and restores the best
-snapshot seen. Training, validation and ``segment`` run the same forward:
-each batch norm normalizes a slice by that slice's own statistics.
+snapshot seen. Training, validation and ``segment`` run the same arithmetic:
+each batch norm normalizes a slice by that slice's own statistics, whether
+``unroll_forward`` runs a teacher-forced chunk as one batch or feeds one
+slice per call.
 
 Checkpoints use a small binary format ("RSCK" version 3): magic, version, a
 UTF-8 ``key = value`` echo of the model config, every named parameter as an
@@ -310,7 +312,7 @@ def load_checkpoint(path) -> ParamStore:
     params = build_store(config, from_file)
     unknown = [n for n in arrays if n not in params]
     if unknown:
-        raise ValueError(f"unknown parameter {unknown[0]!r} for this architecture")
+        raise ValueError(f"unknown parameters for this architecture: {unknown}")
     if missing:
         raise ValueError(f"checkpoint is missing parameters: {missing[:3]}...")
     if reader.off != len(reader.buf):

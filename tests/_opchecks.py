@@ -45,8 +45,8 @@ def bn_away_from_zero(x: np.ndarray, gamma, beta, margin: float = 5e-3) -> np.nd
     beta = np.reshape(beta, shape).astype(np.float64)
     for _ in range(20):
         xd = x.astype(np.float64)
-        std = np.sqrt(xd.var(axis=(0, 2, 3)).reshape(shape) + ad.BN_EPS)
-        pre = gamma * (xd - xd.mean(axis=(0, 2, 3)).reshape(shape)) / std + beta
+        std = np.sqrt(xd.var(axis=(2, 3), keepdims=True) + ad.BN_EPS)
+        pre = gamma * (xd - xd.mean(axis=(2, 3), keepdims=True)) / std + beta
         near = np.abs(pre) < margin
         if not near.any():
             return x
@@ -252,6 +252,19 @@ def check_upsample_nearest2x(rng):
     return _check(build, [x])
 
 
+def check_take(rng):
+    # item 2 taken twice and item 1 never: one buffer collects both, zeros stay
+    x = rng.normal(size=(3, 2, 4, 4))
+    c = rng.normal(size=(3, 1, 2, 4, 4))
+
+    def build():
+        tx = ad.Tensor(x, requires_grad=True)
+        parts = [_weighted_sum(ad.take(tx, t), c[i]) for i, t in enumerate((2, 0, 2))]
+        return ad.add(ad.add(parts[0], parts[1]), parts[2]), (tx,)
+
+    return _check(build, [x])
+
+
 def check_expand_channels(rng):
     x = rng.normal(size=(1, 1, 3, 3))
     c = rng.normal(size=(1, 4, 3, 3))
@@ -308,6 +321,7 @@ OP_CASES = {
     "concat_channels": (check_concat_channels, 1e-6),
     "upsample_nearest2x": (check_upsample_nearest2x, 1e-6),
     "expand_channels": (check_expand_channels, 1e-6),
+    "take": (check_take, 1e-6),
     "batchnorm2d": (check_batchnorm2d, 1e-4),
     "reduce_sum": (check_reduce_sum, 1e-6),
 }

@@ -364,9 +364,9 @@ class TestBatchNorm:
 
     def test_two_point_input(self):
         # normalized to -1/sqrt(1 + eps) and 1/sqrt(1 + eps); the relu clips the first
-        x = np.zeros((2, 1, 1, 1))
-        x[0] = -1.0
-        x[1] = 1.0
+        x = np.zeros((1, 1, 1, 2))
+        x[..., 0] = -1.0
+        x[..., 1] = 1.0
         out = ad.batchnorm2d(t(x), t(np.ones(1)), t(np.zeros(1)))
         expected = 1.0 / np.sqrt(1.0 + 1e-5)
         np.testing.assert_allclose(out.data.reshape(2), [0.0, expected], rtol=1e-12)

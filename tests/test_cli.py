@@ -1,5 +1,10 @@
+import contextlib
+import ctypes
 import inspect
+import io
 import os
+import platform
+import resource
 import struct
 import subprocess
 import sys
@@ -10,8 +15,9 @@ import numpy as np
 import pytest
 
 import rseg
-from rseg.backbones import BACKBONES, ModelConfig, build_model
-from rseg.cli import _OPTIONS, _cmd_evaluate, _parse_size, _write_history_csv, run_cli
+from rseg.backbones import BACKBONES, ModelConfig, ParamStore, build_model
+from rseg.cli import (_OPTIONS, _cmd_evaluate, _parse_size, _pin_malloc, _write_history_csv,
+                      run_cli)
 from rseg.data import PhantomSpec, load_volume, save_volume, Volume
 from rseg.metrics import EmptyMaskError, MetricsReport, VolumeMask, write_report_csv
 from rseg.recurrent import MODES, segment_volume
@@ -328,6 +334,26 @@ class TestExitCodes:
         assert "retrain" in err
         assert not (tmp_path / "p.mvf").exists()
 
+    def test_attunet_checkpoint_with_a_gate_bias_on_wx_is_a_validation_error(self, tmp_path,
+                                                                               capsys):
+        # files saved before each gate kept one bias: wg's, as wx's was the same parameter
+        synth(tmp_path / "d", count=1)
+        store = build_model(ModelConfig(backbone="attunet", levels=2, base_channels=4), seed=0)
+        old = ParamStore(store.config)
+        for name, t in store.items():
+            old.add(name, t.data)
+            if name.endswith(".wx.w"):
+                old.add(name[:-1] + "b", np.zeros(t.shape[0], dtype=np.float32))
+        model = tmp_path / "m.rsck"
+        save_checkpoint(old, model)
+        assert run_cli(["segment", "--model", str(model),
+                        "--in", str(tmp_path / "d" / "vol_000.mvf"),
+                        "--out", str(tmp_path / "p.mvf")]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: unknown parameters for this architecture: "
+                       "['att1.wx.b', 'att0.wx.b']\n")
+        assert not (tmp_path / "p.mvf").exists()
+
     @pytest.mark.parametrize("levels, base", [(2, 100000), (10, 16)])
     def test_too_wide_a_model_is_a_validation_error(self, tmp_path, capsys, levels, base):
         # the widest layer, base * 2^(levels - 1), bounds every weight's size;
@@ -580,6 +606,44 @@ class TestThreads:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         synth(tmp_path / "d", count=1, extra=("--threads", "2"))
         assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+class TestAllocator:
+    @pytest.fixture(autouse=True)
+    def _fresh_pin(self):
+        _pin_malloc.cache_clear()
+        yield
+        _pin_malloc.cache_clear()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_second_train_keeps_its_pages(self, tmp_path):
+        # the benchmark's train-small request: by default glibc unmaps the
+        # freed tape and temporaries and each call faults about 1,650 pages
+        # back in; with the thresholds pinned a repeat call faults almost none
+        for i, sub in enumerate(("train", "val")):
+            synth(tmp_path / sub, count=1, size="8x48x48", seed=20 + i, extra=("--decoys",))
+        argv = ["train", "--data", str(tmp_path / "train"), "--val", str(tmp_path / "val"),
+                "--out", str(tmp_path / "m.rsck"), "--backbone", "unet", "--levels", "2",
+                "--base-channels", "8", "--recurrent", "--teacher-forcing", "--epochs", "1",
+                "--patience", "1", "--lr", "1e-3", "--seed", "1"]
+        faults = []
+        for _ in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli(argv) == 0
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert faults[1] < 300, faults
+
+    @pytest.mark.parametrize("missing", [AttributeError, OSError])
+    def test_runs_without_mallopt(self, tmp_path, monkeypatch, missing):
+        def cdll(name):
+            if missing is OSError:
+                raise OSError("no C library")
+            return object()  # a library without mallopt, as on macOS
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        synth(tmp_path / "d", count=1)
+        assert _pin_malloc.cache_info().currsize == 1
 
 
 class TestEntryPoint:

@@ -110,20 +110,18 @@ def conv2d_reference(x, w, b, stride, pad):
 
 def batchnorm2d_reference(x, gamma, beta, eps=1e-5):
     n, c, h, w = x.shape
-    m = n * h * w
-    mean = x.data.mean(axis=(0, 2, 3))
-    inv_std = 1.0 / np.sqrt(x.data.var(axis=(0, 2, 3)) + eps)
-    xhat = (x.data - mean.reshape(1, c, 1, 1)) * inv_std.reshape(1, c, 1, 1)
+    m = h * w
+    mean = x.data.mean(axis=(2, 3), keepdims=True)
+    inv_std = 1.0 / np.sqrt(x.data.var(axis=(2, 3), keepdims=True) + eps)
+    xhat = (x.data - mean) * inv_std
 
     def backward_fn(g):
-        gsum = g.sum(axis=(0, 2, 3))
-        gxhat_sum = (g * xhat).sum(axis=(0, 2, 3))
-        ad._accumulate(gamma, gxhat_sum)
-        ad._accumulate(beta, gsum)
-        coeff = (gamma.data * inv_std).reshape(1, c, 1, 1)
-        gx = coeff * (
-            g - gsum.reshape(1, c, 1, 1) / m - xhat * gxhat_sum.reshape(1, c, 1, 1) / m
-        )
+        gsum = g.sum(axis=(2, 3), keepdims=True)
+        gxhat_sum = (g * xhat).sum(axis=(2, 3), keepdims=True)
+        ad._accumulate(gamma, (g * xhat).sum(axis=(0, 2, 3)))
+        ad._accumulate(beta, g.sum(axis=(0, 2, 3)))
+        coeff = gamma.data.reshape(1, c, 1, 1) * inv_std
+        gx = coeff * (g - gsum / m - xhat * gxhat_sum / m)
         ad._accumulate(x, gx)
 
     out = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
@@ -134,25 +132,25 @@ def batchnorm2d_unfused_reference(x, gamma, beta):
     """The kernel before the relu moved into it: the same einsum sums and
     in-place steps, gamma * x-hat + beta with no relu."""
     n, c, h, w = x.shape
-    m = n * h * w
-    mean = (np.einsum("nchw->c", x.data) / m).reshape(1, c, 1, 1)
+    m = h * w
+    mean = (np.einsum("nchw->nc", x.data) / m).reshape(n, c, 1, 1)
     out = x.data - mean
-    var = np.einsum("nchw,nchw->c", out, out) / m
+    var = np.einsum("nchw,nchw->nc", out, out) / m
     inv_std = 1.0 / np.sqrt(var + ad.BN_EPS)
-    out *= (gamma.data * inv_std).reshape(1, c, 1, 1)
+    out *= (gamma.data * inv_std).reshape(n, c, 1, 1)
     out += beta.data.reshape(1, c, 1, 1)
 
     def backward_fn(g):
         gx = x.data - mean
-        gx *= inv_std.reshape(1, c, 1, 1)
-        gsum = np.einsum("nchw->c", g)
-        gxhat_sum = np.einsum("nchw,nchw->c", g, gx)
-        ad._accumulate(gamma, gxhat_sum)
-        ad._accumulate(beta, gsum)
-        gx *= (-gxhat_sum / m).reshape(1, c, 1, 1)
+        gx *= inv_std.reshape(n, c, 1, 1)
+        gsum = np.einsum("nchw->nc", g)
+        gxhat_sum = np.einsum("nchw,nchw->nc", g, gx)
+        ad._accumulate(gamma, gxhat_sum.sum(axis=0))
+        ad._accumulate(beta, gsum.sum(axis=0))
+        gx *= (-gxhat_sum / m).reshape(n, c, 1, 1)
         gx += g
-        gx -= (gsum / m).reshape(1, c, 1, 1)
-        gx *= (gamma.data * inv_std).reshape(1, c, 1, 1)
+        gx -= (gsum / m).reshape(n, c, 1, 1)
+        gx *= (gamma.data * inv_std).reshape(n, c, 1, 1)
         ad._accumulate(x, gx)
 
     return ad._make_result(out, "batchnorm2d", (x, gamma, beta), backward_fn)
@@ -508,13 +506,14 @@ def test_batchnorm_matches_composed_pair(dtype, record):
 # gamma. So each value is held to BN_ULPS units of eps times the magnitude
 # of its terms, where a = (|x| + |mean|) / sigma bounds |x-hat| together
 # with the cancellation of centring, and g is the upstream gradient masked
-# by the relu:
+# by the relu; mean, sigma and the sums over (H, W) are each item's own,
+# and the gamma and beta sums then run over the items too:
 #   output           |gamma| a + |beta|
 #   gamma gradient   sum |g| a
 #   beta gradient    sum |g|
 #   input gradient   |gamma| / sigma (|g| + sum |g| / m + a sum |g| a / m)
-# Over 50 seeded cases (maps up to 64x64, means up to 30 sigma) the two
-# forms differed by at most 8.2 such units in f32 and f64. The relu is
+# Over 50 seeded cases (1 to 3 items, maps up to 64x64, means up to 30
+# sigma) the two forms differed by at most 2.5 such units in f32 and f64. The relu is
 # 1-Lipschitz, so the bound carries through it; the outputs it clips are
 # +0.0 in both and compared byte for byte. Pre-activations sit at least
 # 5e-3 from 0, far outside the bound, so both forms mask the same elements.
@@ -525,17 +524,17 @@ def _bn_magnitudes(x, gamma, beta, g):
     """The per-value magnitudes above, in f64; g is the masked upstream gradient."""
     x, gamma, beta, g = (np.asarray(a, dtype=np.float64) for a in (x, gamma, beta, g))
     n, c, h, w = x.shape
-    m = n * h * w
-    mean = x.mean(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-    inv_std = 1.0 / np.sqrt(x.var(axis=(0, 2, 3)) + 1e-5).reshape(1, c, 1, 1)
+    m = h * w
+    mean = x.mean(axis=(2, 3), keepdims=True)
+    inv_std = 1.0 / np.sqrt(x.var(axis=(2, 3), keepdims=True) + 1e-5)
     a = (np.abs(x) + np.abs(mean)) * inv_std
     gam = np.abs(gamma).reshape(1, c, 1, 1)
-    gabs_sum = np.abs(g).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-    ga_sum = (np.abs(g) * a).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
+    gabs_sum = np.abs(g).sum(axis=(2, 3), keepdims=True)
+    ga_sum = (np.abs(g) * a).sum(axis=(2, 3), keepdims=True)
     return {
         "out": gam * a + np.abs(beta).reshape(1, c, 1, 1),
-        "gamma": ga_sum.reshape(c),
-        "beta": gabs_sum.reshape(c),
+        "gamma": ga_sum.sum(axis=0).reshape(c),
+        "beta": gabs_sum.sum(axis=0).reshape(c),
         "x": gam * inv_std * (np.abs(g) + gabs_sum / m + a * ga_sum / m),
     }
 
@@ -597,3 +596,31 @@ def test_batchnorm_bytes_do_not_depend_on_the_input_layout(dtype):
             grads.append([out.data, x.grad, *(p.grad for p in params)])
         for a, b in zip(*grads):
             assert_same_bytes(a, b)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_batchnorm_batch_is_its_items(dtype):
+    # each item is one slice with its own statistics: a batch of three gives
+    # the output and input-gradient bytes of three single-item calls; the
+    # gamma and beta gradients sum the items in another order
+    rng = np.random.default_rng(107)
+    for c, h, w in ((8, 48, 48), (16, 12, 12), (3, 5, 7)):
+        x, gamma, beta = _bn_arrays(dtype, rng, c=c, shape=(3, h, w))
+        x = bn_away_from_zero(x, gamma, beta)
+        upstream = rng.normal(size=x.shape).astype(dtype)
+        batch = _leaves([x, gamma, beta])
+        out = ad.batchnorm2d(*batch)
+        _backprop(out, upstream)
+        items = _leaves([gamma, beta])
+        outs, grads = [], []
+        for i in range(3):
+            xi = ad.Tensor(x[i : i + 1], requires_grad=True)
+            out_i = ad.batchnorm2d(xi, *items)
+            _backprop(out_i, upstream[i : i + 1])
+            outs.append(out_i.data)
+            grads.append(xi.grad)
+        assert_same_bytes(out.data, np.concatenate(outs))
+        assert_same_bytes(batch[0].grad, np.concatenate(grads))
+        mags = _bn_magnitudes(x, gamma, beta, upstream * (out.data > 0))
+        for key, mine, theirs in zip(("gamma", "beta"), batch[1:], items):
+            _assert_within_ulps(mine.grad, theirs.grad, mags[key])

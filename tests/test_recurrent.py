@@ -6,7 +6,7 @@ from rseg.autodiff import Tensor
 from rseg.backbones import ModelConfig, build_model
 from rseg.data import PhantomSpec, SliceSequence, generate_phantom, normalize_intensity, to_sequence
 from rseg.gradcheck import max_rel_error, numeric_grad_sampled, sample_indices
-from rseg.loss import LossWeights, combined_loss
+from rseg.loss import LossWeights, combined_loss, sequence_loss
 from rseg.recurrent import segment_volume, step, unroll_forward
 
 
@@ -248,6 +248,139 @@ class TestGradientModes:
         ad.backward(combined_loss(iso, y3))
         for n, t in store.items():
             np.testing.assert_array_equal(unroll_grads[n], t.grad)
+        store.zero_grads()
+
+
+def record_gradient_magnitudes(monkeypatch) -> dict:
+    """id(parameter) -> (f64 sum of |products| its gradient sums, number of products).
+
+    Wraps conv2d, conv2d_transpose and batchnorm2d so that each backward also
+    sums the absolute values of the products its parameter gradients add up:
+    the conv itself run on |x| with |upstream|, and |g x-hat| and |g| for batch
+    norm. A gradient summed in two orders differs by at most 2 K eps times that.
+    """
+    mags = {}
+    real = {name: getattr(ad, name) for name in ("conv2d", "conv2d_transpose", "batchnorm2d")}
+
+    def add(param, magnitude, terms):
+        m, k = mags.get(id(param), (0.0, 0))
+        mags[id(param)] = (m + magnitude, k + terms)
+
+    def after_backward(out, fn):
+        inner = out._backward
+
+        def backward_fn(g):
+            inner(g)
+            fn(np.abs(g.astype(np.float64)), g.shape[0] * g.shape[2] * g.shape[3])
+
+        out._backward = backward_fn
+        return out
+
+    def leaf(shape):
+        return Tensor(np.zeros(shape), requires_grad=True)
+
+    def conv2d(x, w, b=None, stride=(1, 1), pad=(0, 0)):
+        def fn(g, terms):
+            tw, tb = leaf(w.shape), None if b is None else leaf(b.shape)
+            out = real["conv2d"](Tensor(np.abs(x.data.astype(np.float64))), tw, tb, stride, pad)
+            ad.backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+            add(w, tw.grad, terms)
+            if b is not None:
+                add(b, tb.grad, terms)
+
+        return after_backward(real["conv2d"](x, w, b, stride, pad), fn)
+
+    def conv2d_transpose(x, w):
+        def fn(g, terms):
+            tw = leaf(w.shape)
+            out = real["conv2d_transpose"](Tensor(np.abs(x.data.astype(np.float64))), tw)
+            ad.backward(ad.reduce_sum(ad.mul(out, Tensor(g))))
+            add(w, tw.grad, x.shape[0] * x.shape[2] * x.shape[3])
+
+        return after_backward(real["conv2d_transpose"](x, w), fn)
+
+    def batchnorm2d(x, gamma, beta):
+        out = real["batchnorm2d"](x, gamma, beta)
+
+        def fn(g, terms):
+            xd = x.data.astype(np.float64)
+            xhat = xd - xd.mean(axis=(2, 3), keepdims=True)
+            xhat /= np.sqrt(xd.var(axis=(2, 3), keepdims=True) + ad.BN_EPS)
+            g = g * (out.data > 0)
+            add(gamma, (g * np.abs(xhat)).sum(axis=(0, 2, 3)), terms)
+            add(beta, g.sum(axis=(0, 2, 3)), terms)
+
+        return after_backward(out, fn)
+
+    for name, fn in (("conv2d", conv2d), ("conv2d_transpose", conv2d_transpose),
+                     ("batchnorm2d", batchnorm2d)):
+        monkeypatch.setattr(ad, name, fn)
+    return mags
+
+
+class TestBatchedUnroll:
+    """A taped unroll whose steps take no earlier output runs as one batch.
+
+    The oracle is the loop it replaced: one ``step`` per slice, fed zeros
+    and then each previous label. Every item's values go through the same
+    arithmetic, so predictions and loss match byte for byte; only the
+    parameter gradients sum the slices in another order.
+    """
+
+    @staticmethod
+    def _per_slice(store, seq):
+        feed = np.zeros_like(seq.frames[0])
+        preds = []
+        for frame, label in zip(seq.frames, seq.labels):
+            prev = Tensor(feed) if store.config.recurrent else None
+            preds.append(step(store, Tensor(frame), prev))
+            feed = label
+        return preds
+
+    @pytest.mark.parametrize("backbone", ["unet", "segunet", "attunet"])
+    @pytest.mark.parametrize("recurrent", [True, False], ids=["teacher-forced", "plain"])
+    def test_batch_matches_the_per_slice_loop(self, backbone, recurrent, monkeypatch):
+        cfg = ModelConfig(backbone=backbone, levels=2, base_channels=4, recurrent=recurrent)
+        store = build_model(cfg, seed=11)
+        seq = make_seq(np.random.default_rng(11), 5)
+        targets = [Tensor(lbl) for lbl in seq.labels]
+        preds = unroll_forward(store, seq, teacher_forcing=recurrent)
+        assert all(p.op == "take" and p.shape == (1, 1, 16, 16) for p in preds)
+        loss = sequence_loss(preds, targets)
+        store.zero_grads()
+        ad.backward(loss)
+        batched = {n: t.grad.copy() for n, t in store.items()}
+        store.zero_grads()
+
+        mags = record_gradient_magnitudes(monkeypatch)
+        ref = self._per_slice(store, seq)
+        ref_loss = sequence_loss(ref, targets)
+        ad.backward(ref_loss)
+        monkeypatch.undo()
+        for p, r in zip(preds, ref):
+            assert p.data.tobytes() == r.data.tobytes()
+        assert loss.data.tobytes() == ref_loss.data.tobytes()
+        with ad.no_grad():
+            untaped = unroll_forward(store, seq, teacher_forcing=recurrent)
+        for p, u in zip(preds, untaped):
+            assert u.op == "leaf" and p.data.tobytes() == u.data.tobytes()
+        eps = np.finfo(np.float32).eps
+        for name, t in store.items():
+            magnitude, terms = mags[id(t)]
+            diff = np.abs(batched[name].astype(np.float64) - t.grad)
+            assert np.all(diff <= 2 * terms * eps * magnitude), name
+        store.zero_grads()
+
+    def test_free_running_and_a_full_mode_y0_gradient_keep_the_loop(self):
+        cfg = ModelConfig(backbone="unet", levels=2, base_channels=4, recurrent=True)
+        store = build_model(cfg, seed=12)
+        seq = make_seq(np.random.default_rng(12), 3)
+        assert all(p.op == "sigmoid" for p in unroll_forward(store, seq))
+        y0 = Tensor(np.full((1, 1, 16, 16), 0.5, dtype=np.float32), requires_grad=True)
+        preds = unroll_forward(store, seq, y0=y0, mode="full", teacher_forcing=True)
+        assert all(p.op == "sigmoid" for p in preds)
+        ad.backward(combined_loss(preds[0], Tensor(seq.labels[0])))
+        assert y0.grad is not None and np.abs(y0.grad).max() > 0.0
         store.zero_grads()
 
 

@@ -168,8 +168,9 @@ class TestTrainStep:
             np.testing.assert_allclose(seq_grads[name], total, rtol=1e-6, atol=1e-12)
 
     def test_teacher_forcing_feeds_labels_across_chunks(self, monkeypatch):
-        # 16 slices in two 8-slice chunks: slice 8, the second chunk's first,
-        # must be fed label 7 like every other slice, not chunk 1's last prediction
+        # 16 slices in two 8-slice chunks, each one batched feed: slice 8, the
+        # second chunk's first, must be fed label 7 like every other slice,
+        # not chunk 1's last prediction
         fed = []
 
         def spy(params, x_t, y_prev=None):
@@ -180,9 +181,12 @@ class TestTrainStep:
         seq = make_seq(np.random.default_rng(12), 16)
         tconfig = TrainConfig(lr=1e-3, epochs=1, teacher_forcing=True, max_seq_len=8)
         train(tiny_store(seed=12), tconfig, [seq], [make_seq(np.random.default_rng(13), 2)])
-        np.testing.assert_array_equal(fed[0], np.zeros_like(seq.labels[0]))
+        # then validation's free-running slices, one per call
+        assert [f.shape[0] for f in fed] == [8, 8, 1, 1]
+        per_slice = np.concatenate(fed[:2])
+        np.testing.assert_array_equal(per_slice[:1], np.zeros_like(seq.labels[0]))
         for t in range(1, 16):
-            np.testing.assert_array_equal(fed[t], seq.labels[t - 1])
+            np.testing.assert_array_equal(per_slice[t : t + 1], seq.labels[t - 1])
 
     def test_unlabeled_sequence_rejected(self):
         store = tiny_store(seed=0)

@@ -21,9 +21,16 @@ sums each side's two:
 
 One untimed warm-up request per side comes first. The report gives each
 round's ratio (work / base), the median ratio, the number of rounds in
-which the work side was faster, the exact two-sided sign-test p, and
-whether both sides wrote the same checkpoint, history and mask bytes.
+which the work side was faster, the exact two-sided sign-test p, each
+side's minor page faults per timed request (``getrusage``), and whether
+both sides wrote the same checkpoint, history and mask bytes.
 ``--json FILE`` also writes the table.
+
+Both sides share one process and so one allocator: whichever side first
+sets a malloc option sets it for both, and pages one side frees the other
+reuses. So the A/B cancels allocator and page-fault costs, and a change
+that moves them shows only in ``perfbench`` runs of each tree, in
+alternating pairs of processes; the fault counts show where to look.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ import json
 import math
 import os
 import random
+import resource
 import statistics
 import subprocess
 import sys
@@ -101,6 +109,7 @@ class Side:
         self.cli = self.module("cli")
         self.dir = Path(workdir) / name
         self.dir.mkdir()
+        self.faults = []  # minor page faults of each call
 
     def module(self, sub: str):
         return importlib.import_module(f"{self.name}.{sub}")
@@ -109,9 +118,11 @@ class Side:
         """Wall seconds of one in-process CLI call; a non-zero exit stops the run."""
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             t0 = time.perf_counter()
             code = self.cli.run_cli([str(a) for a in argv])
             dt = time.perf_counter() - t0
+            self.faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
         if code != 0:
             raise SystemExit(f"ab: {self.name} exited {code}: {err.getvalue().strip()}")
         return dt
@@ -180,6 +191,7 @@ def compare(base_dir, work_dir, workload, rounds, seed) -> dict:
         for side in (base, work):
             requests.prepare(side)
             requests.run(side)  # warm-up
+            side.faults.clear()
         order = random.Random(seed)
         times = {"rseg_base": [], "rseg_work": []}
         for _ in range(rounds):
@@ -189,6 +201,8 @@ def compare(base_dir, work_dir, workload, rounds, seed) -> dict:
             times[second.name].append(requests.run(second) + requests.run(second))
             times[first.name].append(t_first + requests.run(first))
         same = requests.outputs(base) == requests.outputs(work)
+        # per request: a segment request is several CLI calls
+        faults = {side.name: round(sum(side.faults) / (2 * rounds), 1) for side in (base, work)}
     ratios = [w / b for b, w in zip(times["rseg_base"], times["rseg_work"])]
     wins = sum(r < 1.0 for r in ratios)
     decided = sum(r != 1.0 for r in ratios)
@@ -200,6 +214,8 @@ def compare(base_dir, work_dir, workload, rounds, seed) -> dict:
         "median_ratio": round(statistics.median(ratios), 4),
         "work_faster": wins,
         "sign_test_p": sign_test_p(wins, decided),
+        "base_faults_per_request": faults["rseg_base"],
+        "work_faults_per_request": faults["rseg_work"],
         "same_outputs": same,
     }
 
@@ -226,6 +242,8 @@ def main(argv=None) -> None:
         print(f"{i:5d} {b:9.3f} {w:9.3f} {r:7.4f}")
     print(f"{args.workload}: median ratio {report['median_ratio']:.4f}, work faster in "
           f"{report['work_faster']}/{args.rounds}, sign-test p {report['sign_test_p']:.3g}, "
+          f"minor faults per request base {report['base_faults_per_request']} "
+          f"work {report['work_faults_per_request']}, "
           f"outputs {'identical' if report['same_outputs'] else 'DIFFER'}")
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
