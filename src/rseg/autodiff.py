@@ -11,6 +11,7 @@ training; gradient checks run in f64.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from contextlib import contextmanager
 
@@ -34,13 +35,7 @@ def no_grad():
         _state.grad_enabled = prev
 
 
-_tid_counter = 0
-
-
-def _next_tid() -> int:
-    global _tid_counter
-    _tid_counter += 1
-    return _tid_counter
+_tids = itertools.count(1)
 
 
 class Tensor:
@@ -61,7 +56,7 @@ class Tensor:
         self.grad = None
         self.requires_grad = requires_grad
         self.op = "leaf"
-        self._tid = _next_tid()
+        self._tid = next(_tids)
         self._inputs = ()
         self._backward = None
         self._own = None  # a grad buffer only this tensor holds; cleared with grad
@@ -576,29 +571,35 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _make_result(out, "batchnorm2d", (x, gamma, beta), backward_fn)
 
 
-def take(x: Tensor, t: int) -> Tensor:
-    """Item t of the batch axis, as a batch of one.
+def concat_batch(parts) -> Tensor:
+    """Tensors joined along the batch axis; each input's gradient is its slice of g."""
+    ends = np.cumsum([p.shape[0] for p in parts])
 
-    The backward adds g into item t of one gradient buffer that x owns, so
-    taking every item of x makes one x-sized array, not one per item.
+    def backward_fn(g):
+        for p, end in zip(parts, ends):
+            _accumulate(p, g[end - p.shape[0] : end])
+
+    return _make_result(np.concatenate([p.data for p in parts]), "concat_batch", parts,
+                        backward_fn)
+
+
+def reduce_sum(x: Tensor, items: int = None) -> Tensor:
+    """Sum of x, or with ``items = n`` the (n,) sums of its n equal consecutive parts.
+
+    Each item of a C-ordered stack sums as it would alone; a vector sums left
+    to right, the order of a chain of ``add``s.
     """
+    if items is not None:
+        data = x.data.reshape(items, -1).sum(axis=1)
+    else:
+        data = np.cumsum(x.data)[-1] if x.data.ndim == 1 and x.data.size else x.data.sum()
+
     def backward_fn(g):
-        if not x.requires_grad:
-            return
-        if x.grad is None:
-            x.grad = x._own = np.zeros(x.shape, dtype=g.dtype)
-        elif x.grad is not x._own:
-            x.grad = x._own = np.array(x.grad, order="C")
-        x.grad[t] += g[0]
+        gx = np.empty(x.shape, dtype=x.dtype)
+        gx.reshape(np.size(g), -1)[...] = np.reshape(g, (-1, 1))
+        _accumulate(x, gx)
 
-    return _make_result(x.data[t : t + 1], "take", (x,), backward_fn)
-
-
-def reduce_sum(x: Tensor) -> Tensor:
-    def backward_fn(g):
-        _accumulate(x, np.full(x.shape, g, dtype=x.dtype))
-
-    return _make_result(np.asarray(x.data.sum(), dtype=x.dtype), "sum", (x,), backward_fn)
+    return _make_result(np.asarray(data, dtype=x.dtype), "sum", (x,), backward_fn)
 
 
 # ---------------------------------------------------------------------------

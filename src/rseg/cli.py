@@ -148,11 +148,18 @@ def _add_option(parser: argparse.ArgumentParser, opt: _Opt) -> None:
                             help=opt.help, dest=opt.dest)
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str = None) -> _Parser:
+    """The parser of ``command``'s argv; with no known command, of every command.
+
+    A parse reads one subcommand's options, and building another's costs a
+    fraction of a millisecond each, so a call builds only the one it runs.
+    """
     parser = _Parser(prog="rseg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for command, (summary, options) in _OPTIONS.items():
-        p = sub.add_parser(command, help=summary)
+    for name, (summary, options) in _OPTIONS.items():
+        if command in _OPTIONS and name != command:
+            continue
+        p = sub.add_parser(name, help=summary)
         for opt in options:
             _add_option(p, opt)
         p.add_argument("--config", default=None, help="key = value file; flags override it")
@@ -212,11 +219,13 @@ _M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES = -1, 128 << 20
 
 
 @functools.cache
-def _pin_malloc() -> None:
-    """Keep freed arrays' pages in the process, once per process.
+def pin_malloc() -> None:
+    """Keep freed arrays' pages in the process; the first call per process acts.
 
     By default glibc returns large freed blocks to the OS, so every request
-    faults its temporaries and its tape in again. Where the C library has no
+    faults its temporaries and its tape in again. Every ``rseg`` command
+    calls this; importing ``rseg`` does not, so a library caller that trains
+    or segments repeatedly makes the call itself. Where the C library has no
     ``mallopt`` (macOS, Windows) this does nothing; musl's is a no-op.
     """
     import ctypes
@@ -229,6 +238,15 @@ def _pin_malloc() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
+def _check_output(option: str, path: str) -> None:
+    """Fail before any work when ``path`` cannot become a file; the error names the option."""
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        raise ValueError(f"--{option}: {path} is a directory")
+    if not os.path.isdir(parent):
+        raise ValueError(f"--{option}: directory {parent} does not exist")
 
 
 def _banner(command: str, eff: dict) -> None:
@@ -310,6 +328,9 @@ def _cmd_train(eff: dict) -> int:
                           seed=eff["seed"], bptt_mode=eff["bptt"],
                           teacher_forcing=eff["teacher_forcing"],
                           threshold=eff["threshold"], max_seq_len=eff["max_seq_len"])
+    csv_path = os.path.splitext(eff["out"])[0] + ".csv"
+    for path in (eff["out"], csv_path):
+        _check_output("out", path)
     pad_to = 2 ** mconfig.levels
     train_set = _load_dataset(eff["data"], pad_to)
     val_set = _load_dataset(eff["val"], pad_to)
@@ -319,7 +340,6 @@ def _cmd_train(eff: dict) -> int:
         print(f"epoch {h.epoch:03d} train {h.train_loss:.6f} "
               f"val {h.val_loss:.6f} dice {h.val_dice:.6f}")
     save_checkpoint(store, eff["out"])
-    csv_path = os.path.splitext(eff["out"])[0] + ".csv"
     _write_history_csv(csv_path, history)
     print(f"saved checkpoint to {eff['out']}")
     print(f"saved history to {csv_path}")
@@ -331,6 +351,7 @@ def _cmd_segment(eff: dict) -> int:
     from .recurrent import segment_volume
     from .trainer import load_checkpoint
 
+    _check_output("out", eff["out"])
     store = load_checkpoint(eff["model"])
     vol = load_volume(eff["in"])
     if not isinstance(vol, Volume):
@@ -345,6 +366,7 @@ def _cmd_evaluate(eff: dict) -> int:
     from .data import load_volume
     from .metrics import EmptyMaskError, VolumeMask, evaluate, write_report_csv
 
+    _check_output("csv", eff["csv"])
     pred = load_volume(eff["pred"])
     gt = load_volume(eff["gt"])
     if not isinstance(pred, VolumeMask) or not isinstance(gt, VolumeMask):
@@ -381,7 +403,7 @@ _COMMANDS = {
 
 
 def run_cli(argv) -> int:
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except UsageError as exc:
@@ -395,7 +417,7 @@ def run_cli(argv) -> int:
     try:
         eff = _resolve(args.command, args)
         _set_threads(eff["threads"])
-        _pin_malloc()
+        pin_malloc()
         _banner(args.command, eff)
         return _COMMANDS[args.command](eff)
     except (ValueError, argparse.ArgumentTypeError, KeyError, FileNotFoundError,

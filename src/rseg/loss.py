@@ -1,8 +1,8 @@
 """Combined Dice + binary cross-entropy objective and its analytic gradient.
 
-Per-step losses operate on one slice's prediction; the sequence loss is the
-plain sum over steps, so the gradient of the total with respect to any one
-step's prediction is exactly that step's own gradient.
+Each loss scores one slice, or with ``items = n`` each slice of an n-stack.
+The sequence loss is the plain sum of the per-slice losses, so the gradient of
+the total with respect to any one slice's prediction is exactly its own gradient.
 """
 
 from __future__ import annotations
@@ -40,50 +40,49 @@ def _check_pair(pred: Tensor, target: Tensor, op: str) -> None:
         raise ValueError(f"{op}: target must be binary")
 
 
-def bce_loss(pred: Tensor, target: Tensor) -> Tensor:
+def bce_loss(pred: Tensor, target: Tensor, items: int = None) -> Tensor:
     """Mean binary cross-entropy; predictions clamped away from {0, 1}."""
     _check_pair(pred, target, "bce_loss")
-    n = pred.data.size
+    n = pred.data.size // (items or 1)
     p = ad.clamp(pred, BCE_CLAMP, 1.0 - BCE_CLAMP)
     ones = Tensor(np.ones_like(pred.data))
     pos = ad.mul(target, ad.log(p))
     neg = ad.mul(ad.sub(ones, target), ad.log(ad.sub(ones, p)))
-    return ad.scale(ad.reduce_sum(ad.add(pos, neg)), -1.0 / n)
+    return ad.scale(ad.reduce_sum(ad.add(pos, neg), items), -1.0 / n)
 
 
-def dice_loss(pred: Tensor, target: Tensor, smoothing: float = DICE_SMOOTHING) -> Tensor:
+def dice_loss(pred: Tensor, target: Tensor, smoothing: float = DICE_SMOOTHING,
+              items: int = None) -> Tensor:
     """1 - 2|y.p| / (|y| + |p|), smoothed so empty-vs-empty is well defined."""
     _check_pair(pred, target, "dice_loss")
-    inter = ad.reduce_sum(ad.mul(target, pred))
-    total = ad.reduce_sum(ad.add(target, pred))
-    s = Tensor(np.asarray(smoothing, dtype=pred.dtype))
+    inter = ad.reduce_sum(ad.mul(target, pred), items)
+    total = ad.reduce_sum(ad.add(target, pred), items)
+    s = Tensor(np.full(inter.shape, smoothing, dtype=pred.dtype))
     num = ad.add(ad.scale(inter, 2.0), s)
     den = ad.add(total, s)
-    return ad.sub(Tensor(np.asarray(1.0, dtype=pred.dtype)), ad.div(num, den))
+    return ad.sub(Tensor(np.ones(inter.shape, dtype=pred.dtype)), ad.div(num, den))
 
 
-def combined_loss(
-    pred: Tensor,
-    target: Tensor,
-    w: LossWeights = LossWeights(),
-    smoothing: float = DICE_SMOOTHING,
-) -> Tensor:
+def combined_loss(pred: Tensor, target: Tensor, w: LossWeights = LossWeights(),
+                  smoothing: float = DICE_SMOOTHING, items: int = None) -> Tensor:
     return ad.add(
-        ad.scale(bce_loss(pred, target), w.omega1),
-        ad.scale(dice_loss(pred, target, smoothing), w.omega2),
+        ad.scale(bce_loss(pred, target, items), w.omega1),
+        ad.scale(dice_loss(pred, target, smoothing, items), w.omega2),
     )
 
 
-def sequence_loss(preds: list, targets: list) -> Tensor:
-    """Plain sum of per-step combined losses at the default weights; no averaging."""
-    if len(preds) != len(targets):
-        raise ValueError(f"sequence_loss: {len(preds)} predictions vs {len(targets)} targets")
-    if not preds:
-        raise ValueError("sequence_loss: empty sequence")
-    total = combined_loss(preds[0], targets[0])
-    for p, t in zip(preds[1:], targets[1:]):
-        total = ad.add(total, combined_loss(p, t))
-    return total
+def sequence_loss(preds, targets) -> Tensor:
+    """Sum of the per-slice combined losses at the default weights, in slice order.
+
+    Takes stacks along axis 0, as ``unroll_forward`` returns, or lists of slices to join.
+    """
+    if isinstance(preds, Tensor):
+        return ad.reduce_sum(combined_loss(preds, targets, items=len(preds.data)))
+    if len(preds) != len(targets) or len({t.shape for t in (*preds, *targets)}) != 1:
+        raise ValueError(f"sequence_loss: {len(preds)} predictions and {len(targets)} targets; "
+                         "it needs one of each per slice, all of one shape")
+    stacked = Tensor(np.concatenate([t.data for t in targets]))
+    return ad.reduce_sum(combined_loss(ad.concat_batch(preds), stacked, items=len(preds)))
 
 
 def grad_loss_wrt_pred(

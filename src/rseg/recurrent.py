@@ -11,7 +11,8 @@ The first step sees zeros ("no prior object"). Two training modes:
 Probabilities, not thresholded masks, are carried across steps. Under
 teacher forcing each step after the first is fed the previous slice's label
 instead; ``next_feed`` is that rule. Then no step waits for another, and a
-taped unroll runs all of them as one batch.
+taped unroll runs all of them as one batch. Either way the predictions
+come back as one (T, 1, H, W) stack.
 """
 
 from __future__ import annotations
@@ -49,15 +50,15 @@ def unroll_forward(
     y0: Tensor = None,
     mode: str = "detach",
     teacher_forcing: bool = False,
-) -> list:
-    """Predictions for every slice, in sequence order, each a (1, 1, H, W) tensor.
+) -> Tensor:
+    """Predictions for every slice, in sequence order, as one (T, 1, H, W) stack.
 
     Taped, with no step's input depending on an earlier output (teacher
     forcing, or no feedback), the slices run as one batch through one
-    ``step`` and each prediction is ``take`` of its item; batch norm
-    normalizes each item on its own, so the values are the per-slice loop's.
-    Otherwise one slice per call: untaped, a batch would hold every slice's
-    temporaries at once, where a tape holds every slice's activations anyway.
+    ``step``; batch norm normalizes each item on its own, so the values are
+    the per-slice loop's. Otherwise one slice per call, joined once at the
+    end: untaped, a batch would hold every slice's temporaries at once,
+    where a tape holds every slice's activations anyway.
     """
     if len(seq) == 0:
         raise ValueError("cannot unroll an empty sequence")
@@ -65,9 +66,8 @@ def unroll_forward(
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if teacher_forcing and seq.labels is None:
         raise ValueError("teacher forcing needs a labeled sequence")
-    first = seq.frames[0]
     if y0 is None:
-        y0 = Tensor(np.zeros((1, 1, first.shape[2], first.shape[3]), dtype=first.dtype))
+        y0 = Tensor(np.zeros_like(seq.frames[0]))
     recurrent = params.config.recurrent
     # a y0 that takes a gradient in full mode needs its own step
     if ad.grad_enabled() and (not recurrent or teacher_forcing) and not (
@@ -76,8 +76,7 @@ def unroll_forward(
         if recurrent:
             labels = [next_feed(seq, t, None, teacher_forcing).data for t in range(len(seq) - 1)]
             feed = Tensor(np.concatenate([y0.data] + labels))
-        out = step(params, Tensor(np.concatenate(seq.frames)), feed)
-        return [ad.take(out, t) for t in range(len(seq))]
+        return step(params, Tensor(np.concatenate(seq.frames)), feed)
     preds = []
     y_prev = y0
     for t, frame in enumerate(seq.frames):
@@ -85,7 +84,7 @@ def unroll_forward(
         pred = step(params, Tensor(frame), feed)
         preds.append(pred)
         y_prev = next_feed(seq, t, pred, teacher_forcing)
-    return preds
+    return ad.concat_batch(preds)
 
 
 def next_feed(seq: SliceSequence, t: int, pred: Tensor, teacher_forcing: bool) -> Tensor:
@@ -94,7 +93,7 @@ def next_feed(seq: SliceSequence, t: int, pred: Tensor, teacher_forcing: bool) -
 
 
 def segment_sequence(params: ParamStore, seq: SliceSequence, threshold: float):
-    """Untaped free-running pass with a zero prior; (per-slice probabilities, cropped mask).
+    """Untaped free-running pass with a zero prior; ((T, 1, H, W) probabilities, cropped mask).
 
     The mask thresholds strictly and drops the padding that ``to_sequence`` added.
     """
@@ -102,7 +101,7 @@ def segment_sequence(params: ParamStore, seq: SliceSequence, threshold: float):
         raise ValueError(f"threshold must be inside (0, 1), got {threshold}")
     with ad.no_grad():
         preds = unroll_forward(params, seq, mode="detach")
-    voxels = seq.restore([p.data > threshold for p in preds]).astype(np.uint8)
+    voxels = seq.restore(preds.data > threshold).astype(np.uint8)
     return preds, VolumeMask(voxels, seq.spacing_mm)
 
 

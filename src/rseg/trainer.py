@@ -116,13 +116,12 @@ def sequence_gradients(params: ParamStore, tconfig: TrainConfig, seq: SliceSeque
     if seq.labels is None:
         raise ValueError("training requires a labeled sequence")
     start = None if y0 is None else Tensor(y0)
-    preds = unroll_forward(params, seq, y0=start, mode=tconfig.bptt_mode,
-                           teacher_forcing=tconfig.teacher_forcing)
-    targets = [Tensor(lbl) for lbl in seq.labels]
-    loss = sequence_loss(preds, targets)
+    out = unroll_forward(params, seq, y0=start, mode=tconfig.bptt_mode,
+                         teacher_forcing=tconfig.teacher_forcing)
+    loss = sequence_loss(out, Tensor(np.concatenate(seq.labels)))
     params.zero_grads()
     ad.backward(loss)
-    return float(loss.data), preds[-1].data
+    return float(loss.data), out.data[-1:]
 
 
 def train_step(params: ParamStore, tconfig: TrainConfig, state: AdamState,
@@ -140,19 +139,18 @@ def _chunks(seq: SliceSequence, max_len: int):
 
 def validation_stats(params: ParamStore, tconfig: TrainConfig, val_set):
     """``segment_sequence`` on each sequence; (mean per-slice loss, mean volume Dice)."""
-    total = 0.0
-    slices = 0
-    dices = []
+    losses, dices = [], []
     for seq in val_set:
         if seq.labels is None:
             raise ValueError("validation requires labeled sequences")
-        preds, mask = segment_sequence(params, seq, tconfig.threshold)
-        for p, lbl in zip(preds, seq.labels):
-            total += float(combined_loss(p, Tensor(lbl)).data)
-            slices += 1
-        gt = seq.restore([lbl > 0.5 for lbl in seq.labels])
+        probs, mask = segment_sequence(params, seq, tconfig.threshold)
+        labels = np.concatenate(seq.labels)
+        losses.append(combined_loss(probs, Tensor(labels), items=len(seq)).data)
+        gt = seq.restore(labels > 0.5)
         dices.append(dice_coefficient(mask, VolumeMask(gt, seq.spacing_mm)))
-    return total / slices, float(np.mean(dices))
+    losses = np.concatenate(losses)
+    # a running f64 total of the slice losses, added in slice order
+    return float(np.cumsum(losses, dtype=np.float64)[-1] / len(losses)), float(np.mean(dices))
 
 
 def train(params: ParamStore, tconfig: TrainConfig, train_set, val_set):

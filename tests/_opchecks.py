@@ -252,17 +252,18 @@ def check_upsample_nearest2x(rng):
     return _check(build, [x])
 
 
-def check_take(rng):
-    # item 2 taken twice and item 1 never: one buffer collects both, zeros stay
-    x = rng.normal(size=(3, 2, 4, 4))
-    c = rng.normal(size=(3, 1, 2, 4, 4))
+def check_concat_batch(rng):
+    # unequal parts, one of them joined twice: each use hands it its own slice
+    x = rng.normal(size=(1, 2, 3, 3))
+    y = rng.normal(size=(2, 2, 3, 3))
+    c = rng.normal(size=(4, 2, 3, 3))
 
     def build():
         tx = ad.Tensor(x, requires_grad=True)
-        parts = [_weighted_sum(ad.take(tx, t), c[i]) for i, t in enumerate((2, 0, 2))]
-        return ad.add(ad.add(parts[0], parts[1]), parts[2]), (tx,)
+        ty = ad.Tensor(y, requires_grad=True)
+        return _weighted_sum(ad.concat_batch([tx, ty, tx]), c), (tx, ty)
 
-    return _check(build, [x])
+    return _check(build, [x, y])
 
 
 def check_expand_channels(rng):
@@ -293,11 +294,14 @@ def check_batchnorm2d(rng):
 
 
 def check_reduce_sum(rng):
+    # the whole sum, plus weighted per-item sums that the vector sum adds in order
     x = rng.normal(size=(3, 4))
+    c = rng.normal(size=(3,))
 
     def build():
         tx = ad.Tensor(x, requires_grad=True)
-        return ad.reduce_sum(tx), (tx,)
+        items = _weighted_sum(ad.reduce_sum(tx, items=3), c)
+        return ad.add(ad.reduce_sum(tx), items), (tx,)
 
     return _check(build, [x])
 
@@ -321,7 +325,7 @@ OP_CASES = {
     "concat_channels": (check_concat_channels, 1e-6),
     "upsample_nearest2x": (check_upsample_nearest2x, 1e-6),
     "expand_channels": (check_expand_channels, 1e-6),
-    "take": (check_take, 1e-6),
+    "concat_batch": (check_concat_batch, 1e-6),
     "batchnorm2d": (check_batchnorm2d, 1e-4),
     "reduce_sum": (check_reduce_sum, 1e-6),
 }

@@ -398,6 +398,21 @@ class TestReduceAndBackward:
         assert ad.reduce_sum(t([1.0, 2.0, 3.0])).item() == 6.0
         assert ad.reduce_sum(t(np.zeros((4, 4)))).item() == 0.0
 
+    def test_per_item_sums_and_their_gradient(self):
+        x = t(np.arange(12.0).reshape(3, 2, 2), rg=True)
+        sums = ad.reduce_sum(x, items=3)
+        np.testing.assert_array_equal(sums.data, [6.0, 22.0, 38.0])
+        ad.backward(ad.reduce_sum(ad.mul(sums, t([1.0, 2.0, 3.0]))))
+        np.testing.assert_array_equal(x.grad, np.repeat([1.0, 2.0, 3.0], 4).reshape(3, 2, 2))
+
+    def test_vector_sums_left_to_right(self):
+        # in a chain each 1 vanishes beside 2^24 (sum 0); numpy's pairwise sum gives 4
+        v = np.array([2.0 ** 24, 1.0, 1.0, -(2.0 ** 24)] * 3, dtype=np.float32)
+        chain = v[0]
+        for x in v[1:]:
+            chain = chain + x
+        assert ad.reduce_sum(ad.Tensor(v)).data.tobytes() == np.float32(chain).tobytes()
+
     def test_sum_gradient_is_ones(self):
         x = t(np.arange(6.0).reshape(2, 3), rg=True)
         ad.backward(ad.reduce_sum(x))

@@ -16,8 +16,9 @@ import pytest
 
 import rseg
 from rseg.backbones import BACKBONES, ModelConfig, ParamStore, build_model
-from rseg.cli import (_OPTIONS, _cmd_evaluate, _parse_size, _pin_malloc, _write_history_csv,
-                      run_cli)
+from rseg import cli
+from rseg.cli import (_OPTIONS, UsageError, _cmd_evaluate, _parse_size, _write_history_csv,
+                      build_parser, pin_malloc, run_cli)
 from rseg.data import PhantomSpec, load_volume, save_volume, Volume
 from rseg.metrics import EmptyMaskError, MetricsReport, VolumeMask, write_report_csv
 from rseg.recurrent import MODES, segment_volume
@@ -611,9 +612,25 @@ class TestThreads:
 class TestAllocator:
     @pytest.fixture(autouse=True)
     def _fresh_pin(self):
-        _pin_malloc.cache_clear()
+        pin_malloc.cache_clear()
         yield
-        _pin_malloc.cache_clear()
+        pin_malloc.cache_clear()
+
+    def test_every_command_pins(self, tmp_path, monkeypatch):
+        # the test session pins malloc itself, so only a spy sees a CLI that does not
+        calls = []
+        monkeypatch.setattr(cli, "pin_malloc", lambda: calls.append(True))
+        synth(tmp_path / "d", count=1)
+        assert run_cli(["gradcheck"]) == 0
+        assert calls == [True, True]
+
+    def test_importing_the_package_pins_nothing(self):
+        code = ("import rseg.cli, rseg.trainer, rseg.recurrent; "
+                "print(rseg.cli.pin_malloc.cache_info().currsize)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0"]
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
     def test_second_train_keeps_its_pages(self, tmp_path):
@@ -643,7 +660,85 @@ class TestAllocator:
 
         monkeypatch.setattr(ctypes, "CDLL", cdll)
         synth(tmp_path / "d", count=1)
-        assert _pin_malloc.cache_info().currsize == 1
+        assert pin_malloc.cache_info().currsize == 1
+
+
+class TestParser:
+    """A call builds only the parser of the command it runs, and prints what the full one does."""
+
+    @staticmethod
+    def _full_parser_output(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                build_parser().parse_args(argv)
+            except UsageError as exc:
+                print(exc, file=sys.stderr)
+            except SystemExit:
+                pass
+        return out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], *([command, "--help"] for command in _OPTIONS),
+        ["frobnicate"], ["--threads", "2"], ["synth", "--bogus"], ["synth", "--count", "0"],
+        ["train", "--lr", "nan"], ["segment", "--threshold", "x"], ["evaluate", "--pred"],
+        ["gradcheck", "--dtype", "f16"],
+    ], ids=" ".join)
+    def test_help_and_usage_errors_are_unchanged(self, argv, capsys):
+        want = self._full_parser_output(argv)
+        assert run_cli(argv) == (0 if "--help" in argv else 1)
+        got = capsys.readouterr()
+        assert (got.out, got.err) == want
+
+    def test_a_command_builds_only_its_own_parser(self):
+        (full,) = (a for a in build_parser()._actions if a.dest == "command")
+        (one,) = (a for a in build_parser("evaluate")._actions if a.dest == "command")
+        assert list(full.choices) == list(_OPTIONS) and list(one.choices) == ["evaluate"]
+
+
+class TestOutputPaths:
+    """An output path that cannot be written fails before any data or model loads."""
+
+    @staticmethod
+    def _bad(tmp_path, kind, name):
+        if kind == "missing directory":
+            return tmp_path / "nowhere" / name
+        target = tmp_path / "taken" / name
+        os.makedirs(target)
+        return target
+
+    @pytest.mark.parametrize("kind", ["missing directory", "a directory"])
+    def test_train_out_fails_before_the_first_epoch(self, tmp_path, capsys, kind):
+        synth(tmp_path / "d", count=1)
+        out = self._bad(tmp_path, kind, "m.rsck")
+        capsys.readouterr()
+        assert run_cli(["train", "--data", str(tmp_path / "d"), "--val", str(tmp_path / "d"),
+                        "--out", str(out), "--levels", "2", "--base-channels", "4",
+                        "--epochs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out: ")
+        assert not any(line.startswith("epoch ") for line in captured.out.splitlines())
+
+    def test_train_history_csv_that_is_a_directory(self, tmp_path, capsys):
+        synth(tmp_path / "d", count=1)
+        os.makedirs(tmp_path / "m.csv")
+        assert run_cli(["train", "--data", str(tmp_path / "d"), "--val", str(tmp_path / "d"),
+                        "--out", str(tmp_path / "m.rsck"), "--epochs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --out: {tmp_path / 'm.csv'} is a directory")
+        assert not any(line.startswith("epoch ") for line in captured.out.splitlines())
+
+    # the inputs do not exist: an error naming the output shows it was checked first
+    @pytest.mark.parametrize("kind", ["missing directory", "a directory"])
+    @pytest.mark.parametrize("command, option", [("segment", "out"), ("evaluate", "csv")])
+    def test_segment_and_evaluate_check_before_loading(self, tmp_path, capsys, kind,
+                                                       command, option):
+        target = self._bad(tmp_path, kind, "x.out")
+        inputs = {"segment": ["--model", tmp_path / "m.rsck", "--in", tmp_path / "v.mvf"],
+                  "evaluate": ["--pred", tmp_path / "p.mvf", "--gt", tmp_path / "g.mvf"]}
+        argv = [command, *inputs[command], f"--{option}", target]
+        assert run_cli([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --{option}: ")
 
 
 class TestEntryPoint:

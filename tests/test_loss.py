@@ -204,3 +204,46 @@ class TestClosedFormGradient:
         closed = grad_loss_wrt_pred(p, y, smoothing=1e-6)
         ad.backward(combined_loss(p, y, smoothing=1e-6))
         assert max_rel_error(closed.data, p.grad) <= 1e-6
+
+
+class TestPerItem:
+    """``items`` scores each slice of a stack as the slice alone, byte for byte."""
+
+    @staticmethod
+    def _stack(rng, dtype, n=9):
+        preds = rng.uniform(0.01, 0.99, size=(n, 1, 20, 20)).astype(dtype)
+        preds[0, 0, 0, :2] = (0.0, 1.0)  # inside the BCE clamp's flat part
+        targets = (rng.uniform(size=preds.shape) < 0.3).astype(dtype)
+        targets[1] = 0.0  # an empty slice: Dice rests on the smoothing alone
+        return preds, targets
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_item_losses_and_gradients_are_the_slice_ones(self, dtype):
+        preds, targets = self._stack(np.random.default_rng(12), dtype)
+        stack = Tensor(preds, requires_grad=True)
+        losses = combined_loss(stack, Tensor(targets), items=len(preds))
+        assert losses.shape == (len(preds),) and losses.dtype == dtype
+        ad.backward(ad.reduce_sum(losses))
+        for t in range(len(preds)):
+            solo = Tensor(preds[t:t + 1].copy(), requires_grad=True)
+            loss = combined_loss(solo, Tensor(targets[t:t + 1]))
+            ad.backward(loss)
+            assert losses.data[t].tobytes() == loss.data.tobytes(), t
+            assert stack.grad[t:t + 1].tobytes() == solo.grad.tobytes(), t
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sequence_total_is_the_chain_of_slice_losses(self, dtype):
+        preds, targets = self._stack(np.random.default_rng(13), dtype)
+        chain = combined_loss(Tensor(preds[:1]), Tensor(targets[:1]))
+        for t in range(1, len(preds)):
+            chain = ad.add(chain, combined_loss(Tensor(preds[t:t + 1]), Tensor(targets[t:t + 1])))
+        stacked = sequence_loss(Tensor(preds), Tensor(targets))
+        listed = sequence_loss([Tensor(p[None]) for p in preds], [Tensor(y[None]) for y in targets])
+        assert stacked.data.tobytes() == chain.data.tobytes()
+        assert listed.data.tobytes() == chain.data.tobytes()
+
+    def test_slices_of_several_shapes_rejected(self):
+        p = Tensor(np.full((2, 2), 0.5))
+        q = Tensor(np.full((1, 4), 0.5))
+        with pytest.raises(ValueError, match="one shape"):
+            sequence_loss([p, q], [Tensor(np.zeros((2, 2))), Tensor(np.zeros((1, 4)))])

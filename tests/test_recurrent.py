@@ -19,6 +19,19 @@ def make_seq(rng, n, hw=16, dtype=np.float32, with_labels=True):
                          orig_hw=(hw, hw), pad_offset=(0, 0), spacing_mm=(1.0, 1.0, 1.0))
 
 
+def item_losses(preds, seq, w=LossWeights()):
+    """The combined loss of each slice of an unrolled stack, as one vector."""
+    return combined_loss(preds, Tensor(np.concatenate(seq.labels)), w, items=len(seq))
+
+
+def item_loss(preds, seq, t, w=LossWeights()):
+    """Slice t's loss, picked out of ``item_losses`` by a one-hot weighted sum."""
+    losses = item_losses(preds, seq, w)
+    pick = np.zeros(losses.shape, dtype=losses.dtype)
+    pick[t] = 1.0
+    return ad.reduce_sum(ad.mul(losses, Tensor(pick)))
+
+
 def zero_head(store):
     store["head.w"].data[...] = 0.0
     store["head.b"].data[...] = 0.0
@@ -110,10 +123,8 @@ class TestUnroll:
         cfg = ModelConfig(backbone="unet", levels=2, base_channels=4, recurrent=True)
         store = build_model(cfg, seed=3)
         preds = unroll_forward(store, seq)
-        assert len(preds) == vol.dims[0]
-        for p in preds:
-            assert p.shape == (1, 1, 48, 48)
-            assert np.all(p.data > 0.0) and np.all(p.data < 1.0)
+        assert preds.shape == (vol.dims[0], 1, 48, 48)
+        assert np.all(preds.data > 0.0) and np.all(preds.data < 1.0)
 
     def test_empty_sequence_rejected(self):
         cfg = ModelConfig(backbone="unet", levels=2, base_channels=4)
@@ -149,7 +160,7 @@ class TestUnroll:
                                  pad_offset=seq.pad_offset, spacing_mm=seq.spacing_mm)
         preds_shuffled = unroll_forward(store, shuffled)
         for j, i in enumerate(perm):
-            np.testing.assert_array_equal(preds_shuffled[j].data, preds[i].data)
+            np.testing.assert_array_equal(preds_shuffled.data[j], preds.data[i])
 
     def test_causality(self):
         cfg = ModelConfig(backbone="unet", levels=2, base_channels=4, recurrent=True)
@@ -163,9 +174,8 @@ class TestUnroll:
                              orig_hw=seq.orig_hw, pad_offset=seq.pad_offset,
                              spacing_mm=seq.spacing_mm)
         preds2 = unroll_forward(store, seq2)
-        for t in range(3):
-            np.testing.assert_array_equal(preds[t].data, preds2[t].data)
-        assert not np.array_equal(preds[3].data, preds2[3].data)
+        np.testing.assert_array_equal(preds.data[:3], preds2.data[:3])
+        assert not np.array_equal(preds.data[3], preds2.data[3])
 
     def test_teacher_forcing_changes_the_feed(self):
         store = crafted_copy_net(k=4.0)
@@ -173,12 +183,12 @@ class TestUnroll:
         seq = make_seq(rng, 3)
         free = unroll_forward(store, seq)
         forced = unroll_forward(store, seq, teacher_forcing=True)
-        np.testing.assert_array_equal(free[0].data, forced[0].data)  # both start from y0
-        assert not np.array_equal(free[1].data, forced[1].data)
+        np.testing.assert_array_equal(free.data[0], forced.data[0])  # both start from y0
+        assert not np.array_equal(free.data[1], forced.data[1])
         # with the copying net, the forced step-2 output on the grid that both
         # strided convs sample reads the step-1 label: above 1/2 on its ones,
         # 1/2 on its zeros
-        grid = forced[1].data[0, 0, ::4, ::4]
+        grid = forced.data[1, 0, ::4, ::4]
         ones = seq.labels[0][0, 0, ::4, ::4] == 1.0
         assert ones.any() and (~ones).any()
         assert np.all(grid[ones] > 0.5 + 1e-3)
@@ -195,8 +205,7 @@ class TestGradientModes:
         y2 = Tensor(seq.labels[1])
 
         def loss2(mode):
-            preds = unroll_forward(store, seq, mode=mode)
-            return combined_loss(preds[1], y2, w)
+            return item_loss(unroll_forward(store, seq, mode=mode), seq, 1, w)
 
         store.zero_grads()
         ad.backward(loss2("full"))
@@ -214,7 +223,7 @@ class TestGradientModes:
 
         # detach oracle: the isolated step-2 loss with the realized feed frozen
         with ad.no_grad():
-            frozen_prev = unroll_forward(store, seq)[0].data.copy()
+            frozen_prev = unroll_forward(store, seq).data[:1].copy()
 
         def f_detach():
             out = step(store, Tensor(seq.frames[1]), Tensor(frozen_prev))
@@ -222,7 +231,7 @@ class TestGradientModes:
 
         def f_full():
             preds = unroll_forward(store, seq, mode="full")
-            return float(combined_loss(preds[1], y2, w).data)
+            return float(item_losses(preds, seq, w).data[1])
 
         for name, tens in store.items():
             idxs = sample_indices(rng, tens.data.size, 3)
@@ -240,11 +249,11 @@ class TestGradientModes:
 
         preds = unroll_forward(store, seq, mode="detach")
         store.zero_grads()
-        ad.backward(combined_loss(preds[2], y3))
+        ad.backward(item_loss(preds, seq, 2))
         unroll_grads = {n: t.grad.copy() for n, t in store.items()}
         store.zero_grads()
 
-        iso = step(store, Tensor(seq.frames[2]), Tensor(preds[1].data.copy()))
+        iso = step(store, Tensor(seq.frames[2]), Tensor(preds.data[1:2].copy()))
         ad.backward(combined_loss(iso, y3))
         for n, t in store.items():
             np.testing.assert_array_equal(unroll_grads[n], t.grad)
@@ -345,8 +354,8 @@ class TestBatchedUnroll:
         seq = make_seq(np.random.default_rng(11), 5)
         targets = [Tensor(lbl) for lbl in seq.labels]
         preds = unroll_forward(store, seq, teacher_forcing=recurrent)
-        assert all(p.op == "take" and p.shape == (1, 1, 16, 16) for p in preds)
-        loss = sequence_loss(preds, targets)
+        assert preds.op == "sigmoid" and preds.shape == (5, 1, 16, 16)
+        loss = sequence_loss(preds, Tensor(np.concatenate(seq.labels)))
         store.zero_grads()
         ad.backward(loss)
         batched = {n: t.grad.copy() for n, t in store.items()}
@@ -357,13 +366,11 @@ class TestBatchedUnroll:
         ref_loss = sequence_loss(ref, targets)
         ad.backward(ref_loss)
         monkeypatch.undo()
-        for p, r in zip(preds, ref):
-            assert p.data.tobytes() == r.data.tobytes()
+        assert preds.data.tobytes() == np.concatenate([r.data for r in ref]).tobytes()
         assert loss.data.tobytes() == ref_loss.data.tobytes()
         with ad.no_grad():
             untaped = unroll_forward(store, seq, teacher_forcing=recurrent)
-        for p, u in zip(preds, untaped):
-            assert u.op == "leaf" and p.data.tobytes() == u.data.tobytes()
+        assert untaped.op == "leaf" and untaped.data.tobytes() == preds.data.tobytes()
         eps = np.finfo(np.float32).eps
         for name, t in store.items():
             magnitude, terms = mags[id(t)]
@@ -375,11 +382,11 @@ class TestBatchedUnroll:
         cfg = ModelConfig(backbone="unet", levels=2, base_channels=4, recurrent=True)
         store = build_model(cfg, seed=12)
         seq = make_seq(np.random.default_rng(12), 3)
-        assert all(p.op == "sigmoid" for p in unroll_forward(store, seq))
+        assert unroll_forward(store, seq).op == "concat_batch"
         y0 = Tensor(np.full((1, 1, 16, 16), 0.5, dtype=np.float32), requires_grad=True)
         preds = unroll_forward(store, seq, y0=y0, mode="full", teacher_forcing=True)
-        assert all(p.op == "sigmoid" for p in preds)
-        ad.backward(combined_loss(preds[0], Tensor(seq.labels[0])))
+        assert preds.op == "concat_batch"
+        ad.backward(item_loss(preds, seq, 0))
         assert y0.grad is not None and np.abs(y0.grad).max() > 0.0
         store.zero_grads()
 

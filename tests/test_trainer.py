@@ -157,7 +157,7 @@ class TestTrainStep:
         with ad.no_grad():
             realized = unroll_forward(store, seq, mode="detach")
         per_step = []
-        for t, frozen_prev in enumerate([np.zeros_like(realized[0].data), realized[0].data]):
+        for t, frozen_prev in enumerate([np.zeros_like(realized.data[:1]), realized.data[:1]]):
             out = step(store, Tensor(seq.frames[t]), Tensor(frozen_prev.copy()))
             store.zero_grads()
             ad.backward(combined_loss(out, Tensor(seq.labels[t])))
