@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over dense numpy tensors.
 
 Tensors are immutable once produced by an op. Every op records its backward
-rule on the output tensor; ``backward(loss)`` replays the recorded graph in
-reverse creation order, which is a valid topological order because tensors
-are created strictly after their inputs.
+rule on the output tensor; ``backward(loss)`` runs the recorded graph once
+in reverse creation order, which is a valid topological order because
+tensors are created strictly after their inputs, and frees each node's
+rule, saved arrays and gradient as soon as it has run.
 
 Image tensors use the (N, C, H, W) layout. f32 is the working dtype for
 training; gradient checks run in f64.
@@ -325,16 +326,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
 
     - Forward: stride-1 k x k kernels (k > 1) with cout <= cin on maps of at
       least SHIFT_MIN_PIXELS outputs run one GEMM per tap over shifted views
-      of the padded input (shift), and the tape keeps that input. Every
-      other call runs im2col plus one GEMM, and the tape keeps the columns.
+      of the padded input (shift). Every other call runs im2col plus one
+      GEMM. The tape keeps x, w and b only, not the padded input or the
+      columns.
     - Input gradient: when the call is weight-bound, cout*cin >
       (cout + cin)*N*ho*wo, or its kernel is 1x1, wmat^T @ g, added tap by
       tap into a zero padded input (col2im; a stride-1 1x1 call is the GEMM
       alone). Otherwise the zero-dilated output gradient correlated with the
       flipped, channel-swapped kernel.
-    - Weight gradient: after a shift forward, one GEMM per tap against the
-      same views; after im2col, one GEMM against the columns, added in place
-      into a buffer the weight owns (_accumulate_weight_grad).
+    - Weight gradient: x is padded again and, after a shift forward, one
+      GEMM per tap runs against the same views; after im2col, one GEMM
+      against the columns built again, added in place into a buffer the
+      weight owns (_accumulate_weight_grad).
     """
     sy, sx = _pair(stride)
     py, px = _pair(pad)
@@ -354,21 +357,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
     shift = sy == sx == 1 and kh * kw > 1 and cout <= cin and ho * wo >= SHIFT_MIN_PIXELS
     # the cut comes from the per-shape table in BENCH_conv_backward.json
     weight_bound = not shift and cout * cin > (cout + cin) * n * ho * wo
-    xp = x.data
-    if py or px or shift:
+
+    def padded():
+        """(buf, xp): x zero padded, flattened per channel into buf; xp its (N, C, hp, wp) view."""
+        if not (py or px or shift):
+            return None, x.data
         # the shift form reads kw - 1 elements past the last padded row
         buf = np.zeros((n, cin, hp * wp + (kw - 1 if shift else 0)), dtype=x.dtype)
         xp = buf[:, :, : hp * wp].reshape(n, cin, hp, wp)
         xp[:, :, py : py + h, px : px + wdt] = x.data
+        return buf, xp
+
+    buf, xp = padded()
     if shift:
-        # the tape keeps the padded input (about 1x x), not the k*k-fold columns
-        saved = buf
         full = _shifted_gemm(buf, w.data, wp, ho).reshape(n, cout, ho, wp)
         # contiguous, as a consumer's einsum sums a strided view in another order
         out = np.ascontiguousarray(full[:, :, :, :wo])
     else:
-        saved = _im2col(xp, kh, kw, sy, sx, ho, wo)
-        out = np.matmul(w.data.reshape(cout, -1), saved).reshape(n, cout, ho, wo)
+        out = np.matmul(w.data.reshape(cout, -1), _im2col(xp, kh, kw, sy, sx, ho, wo))
+        out = out.reshape(n, cout, ho, wo)
     if b is not None:
         out += b.data.reshape(1, cout, 1, 1)
 
@@ -376,10 +383,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
         g2 = g.reshape(n, cout, ho * wo)
         if b is not None:
             _accumulate(b, g2.sum(axis=(0, 2)))
-        if not shift:
-            _accumulate_weight_grad(w, g2, saved)
-        elif w.requires_grad:
-            _accumulate(w, _shifted_weight_grad(g, saved, wp, kh, kw))
+        if w.requires_grad:
+            # x padded again, and after im2col its columns, built for this product only
+            if shift:
+                _accumulate(w, _shifted_weight_grad(g, padded()[0], wp, kh, kw))
+            else:
+                _accumulate_weight_grad(w, g2, _im2col(padded()[1], kh, kw, sy, sx, ho, wo))
         if not x.requires_grad:
             return
         if weight_bound or kh * kw == 1:
@@ -607,7 +616,12 @@ def reduce_sum(x: Tensor, items: int = None) -> Tensor:
 
 
 def schedule(root: Tensor) -> list:
-    """Recorded nodes reachable from root, in creation (execution) order."""
+    """Recorded nodes reachable from root, in creation (execution) order.
+
+    A node an earlier ``backward`` consumed is no longer recorded, so the
+    schedule of a consumed root is empty; a consumed node below a live one
+    raises ValueError.
+    """
     seen = set()
     nodes = []
     stack = [root]
@@ -617,19 +631,33 @@ def schedule(root: Tensor) -> list:
             continue
         seen.add(id(t))
         nodes.append(t)
+        for i in t._inputs:
+            if i._backward is None and i.op != "leaf":
+                raise ValueError(f"backward: a {i.op} node was consumed by an earlier backward")
         stack.extend(t._inputs)
     nodes.sort(key=lambda t: t._tid)
     return nodes
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad for every requires_grad tensor reachable from loss."""
+    """Populate .grad for every requires_grad leaf reachable from loss, consuming the graph.
+
+    Each node drops its gradient, its backward rule and its inputs once the
+    rule has run, so every saved array and intermediate gradient is freed
+    after its last consumer. Leaves keep their gradients; a second backward
+    over the same graph raises ValueError.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
+    if loss._backward is None and loss.op != "leaf":
+        raise ValueError("backward: the graph was consumed by an earlier backward")
     nodes = schedule(loss)
     loss.grad = np.ones_like(loss.data)
-    for t in reversed(nodes):
-        if t.grad is not None:
-            # a parent may keep this buffer as its gradient: never add into it again
-            t._own = None
-            t._backward(t.grad)
+    while nodes:
+        # popped, not iterated: the list must not keep a consumed node's data alive
+        t = nodes.pop()
+        g, fn = t.grad, t._backward
+        t.grad = t._own = t._backward = None
+        t._inputs = ()
+        if g is not None:
+            fn(g)

@@ -248,7 +248,7 @@ def save_checkpoint(params: ParamStore, path) -> None:
         out += struct.pack(f"<{arr.ndim}I", *arr.shape)
         out += arr.tobytes()
     out += struct.pack("<I", zlib.crc32(out))
-    _write_atomic(path, bytes(out))
+    _write_atomic(path, out)
 
 
 class _Reader:

@@ -1,10 +1,12 @@
-"""tools/ab.py's sign test and its import of a second copy of the package."""
+"""tools/ab.py's sign test, its traced peak and its import of a second copy of the package."""
 
 import importlib.util
 import pathlib
 import shutil
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import rseg
@@ -26,6 +28,22 @@ def ab():
                                       (9, 10, 22 / 1024), (0, 0, 1.0)])
 def test_sign_test_p(ab, wins, n, p):
     assert ab.sign_test_p(wins, n) == p
+
+
+def test_traced_peak_is_the_most_a_request_held_at_once(ab):
+    def request():
+        a = np.ones(2 ** 18)  # 2 MB
+        del a
+        b = np.ones(2 ** 17)  # 1 MB, after the first is freed
+        return b
+
+    peak = ab.traced_peak_mb(request)
+    assert 2.0 <= peak < 2.05
+    assert not tracemalloc.is_tracing()
+    # a failing request still stops tracing
+    with pytest.raises(ZeroDivisionError):
+        ab.traced_peak_mb(lambda: 1 / 0)
+    assert not tracemalloc.is_tracing()
 
 
 def test_copied_tree_imports_under_another_name(ab, tmp_path):

@@ -17,6 +17,7 @@ gradients against the out-of-place expressions.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -368,12 +369,13 @@ CONV_CASES = [
     (1, 24, 20, (5, 5), 1, 2, 0, "col2im"),  # strided 1x1
 ]
 
-# the helpers each form calls, in order: forward, weight gradient, input gradient
+# the helpers each form calls, in order: forward, weight gradient (after
+# im2col, the columns built again), input gradient
 FORM_CALLS = {
     "shift": ["_shifted_gemm", "_shifted_weight_grad", "_im2col"],
-    "dilated": ["_im2col", "_accumulate_weight_grad", "_im2col"],
-    "col2im": ["_im2col", "_accumulate_weight_grad", "_col2im"],
-    "gemm": ["_im2col", "_accumulate_weight_grad"],
+    "dilated": ["_im2col", "_im2col", "_accumulate_weight_grad", "_im2col"],
+    "col2im": ["_im2col", "_im2col", "_accumulate_weight_grad", "_col2im"],
+    "gemm": ["_im2col", "_im2col", "_accumulate_weight_grad"],
 }
 
 
@@ -447,9 +449,33 @@ def test_conv2d_shift_forward_builds_columns_only_for_a_backward(monkeypatch):
     out = ad.conv2d(*_leaves(arrays), (1, 1), (1, 1))
     assert built == []
     _backprop(out, rng.normal(size=out.shape).astype(np.float32))
-    # the input gradient's correlation; the weight gradient reads the kept
-    # padded input through the forward's shifted views
+    # the input gradient's correlation; the weight gradient reads the input,
+    # padded again, through the forward's shifted views
     assert built == [(3, 3, 1, 1, 16, 16)]
+
+
+# what a taped conv2d call may keep beyond its output: the tensor, its
+# closures and their cells (about 2.8 KB on CPython 3), no array
+TAPE_SLACK_BYTES = 4096
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("case", CONV_CASES,
+                         ids=lambda c: f"n{c[0]}-{c[1]}to{c[2]}-{c[3][0]}x{c[3][1]}-k{c[4]}s{c[5]}")
+def test_taped_conv2d_keeps_no_more_than_its_output(dtype, case):
+    stride, pad = ad._pair(case[5]), ad._pair(case[6])
+    _, arrays = _conv_case(dtype, case, 107)
+    leaves = _leaves(arrays)
+    ad.conv2d(*leaves, stride, pad)  # warm-up: first-call caches are not the tape's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.conv2d(*leaves, stride, pad)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # no padded copy of x and no columns
+    assert kept <= out.data.nbytes + TAPE_SLACK_BYTES
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,25 @@ class TestGradientModes:
             num_f = numeric_grad_sampled(f_full, tens.data, idxs)
             assert max_rel_error(detach_grads[name].reshape(-1)[idxs], num_d, floor=1e-4) <= 1e-3, name
             assert max_rel_error(full_grads[name].reshape(-1)[idxs], num_f, floor=1e-4) <= 1e-3, name
+
+    def test_full_bptt_backward_frees_the_tape(self):
+        cfg = ModelConfig(backbone="attunet", levels=2, base_channels=4, recurrent=True)
+        store = build_model(cfg, seed=2)
+        seq = make_seq(np.random.default_rng(2), 8, hw=32)
+        labels = Tensor(np.concatenate(seq.labels))
+        # warm-up: the first backward imports scipy.linalg
+        ad.backward(sequence_loss(unroll_forward(store, seq, mode="full"), labels))
+        tracemalloc.start()
+        try:
+            preds = unroll_forward(store, seq, mode="full")
+            loss = sequence_loss(preds, labels)
+            taped = tracemalloc.get_traced_memory()[0]
+            ad.backward(loss)
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # preds and loss are still held here; the tape is gone
+        assert left < taped
 
     def test_detach_gradient_equals_isolated_step_gradient(self):
         cfg = ModelConfig(backbone="unet", levels=2, base_channels=4, recurrent=True)

@@ -22,15 +22,19 @@ sums each side's two:
 One untimed warm-up request per side comes first. The report gives each
 round's ratio (work / base), the median ratio, the number of rounds in
 which the work side was faster, the exact two-sided sign-test p, each
-side's minor page faults per timed request (``getrusage``), and whether
-both sides wrote the same checkpoint, history and mask bytes.
+side's minor page faults per timed request (``getrusage``), each side's
+traced peak over one more untimed request (``tracemalloc``: the most
+memory that request's Python and numpy allocations held at once), and
+whether both sides wrote the same checkpoint, history and mask bytes.
 ``--json FILE`` also writes the table.
 
 Both sides share one process and so one allocator: whichever side first
 sets a malloc option sets it for both, and pages one side frees the other
 reuses. So the A/B cancels allocator and page-fault costs, and a change
 that moves them shows only in ``perfbench`` runs of each tree, in
-alternating pairs of processes; the fault counts show where to look.
+alternating pairs of processes; the fault counts show where to look. The
+traced peaks count what each tree allocates, apart from the allocator, so
+a change in the memory a request holds shows there.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ import sys
 import tarfile
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,6 +80,16 @@ def sign_test_p(wins: int, n: int) -> float:
     """Exact two-sided sign-test p of ``wins`` out of ``n`` fair coin flips."""
     k = min(wins, n - wins)
     return min(1.0, 2 * sum(math.comb(n, i) for i in range(k + 1)) / 2 ** n)
+
+
+def traced_peak_mb(request) -> float:
+    """Peak traced memory in MB (2^20 bytes) of what one ``request()`` allocates."""
+    tracemalloc.start()
+    try:
+        request()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def import_tree(package_dir, name: str):
@@ -203,6 +218,8 @@ def compare(base_dir, work_dir, workload, rounds, seed) -> dict:
         same = requests.outputs(base) == requests.outputs(work)
         # per request: a segment request is several CLI calls
         faults = {side.name: round(sum(side.faults) / (2 * rounds), 1) for side in (base, work)}
+        peaks = {side.name: round(traced_peak_mb(lambda: requests.run(side)), 2)
+                 for side in (base, work)}
     ratios = [w / b for b, w in zip(times["rseg_base"], times["rseg_work"])]
     wins = sum(r < 1.0 for r in ratios)
     decided = sum(r != 1.0 for r in ratios)
@@ -216,6 +233,8 @@ def compare(base_dir, work_dir, workload, rounds, seed) -> dict:
         "sign_test_p": sign_test_p(wins, decided),
         "base_faults_per_request": faults["rseg_base"],
         "work_faults_per_request": faults["rseg_work"],
+        "base_traced_peak_mb": peaks["rseg_base"],
+        "work_traced_peak_mb": peaks["rseg_work"],
         "same_outputs": same,
     }
 
@@ -244,6 +263,8 @@ def main(argv=None) -> None:
           f"{report['work_faster']}/{args.rounds}, sign-test p {report['sign_test_p']:.3g}, "
           f"minor faults per request base {report['base_faults_per_request']} "
           f"work {report['work_faults_per_request']}, "
+          f"traced peak MB base {report['base_traced_peak_mb']} "
+          f"work {report['work_traced_peak_mb']}, "
           f"outputs {'identical' if report['same_outputs'] else 'DIFFER'}")
     if args.json:
         Path(args.json).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
