@@ -271,7 +271,8 @@ def _cmd_synth(eff: dict) -> int:
 
     dims = _parse_size(eff["size"])
     # check each option before anything is written; the error names the option
-    for key, rest in (("size", {}), ("noise", {"noise_sigma": eff["noise"]})):
+    for key, rest in (("size", {}), ("noise", {"noise_sigma": eff["noise"]}),
+                      ("seed", {"seed": eff["seed"]})):
         try:
             PhantomSpec(dims=dims, **rest)
         except ValueError as exc:
@@ -329,6 +330,8 @@ def _cmd_train(eff: dict) -> int:
                           teacher_forcing=eff["teacher_forcing"],
                           threshold=eff["threshold"], max_seq_len=eff["max_seq_len"])
     csv_path = os.path.splitext(eff["out"])[0] + ".csv"
+    if csv_path == eff["out"]:
+        raise ValueError(f"--out: {csv_path} is where the history CSV goes; name another file")
     for path in (eff["out"], csv_path):
         _check_output("out", path)
     pad_to = 2 ** mconfig.levels

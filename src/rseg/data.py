@@ -79,6 +79,8 @@ class PhantomSpec:
                              f"at most {MAX_PHANTOM_VOXELS} allowed")
         if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def derive_seed(base_seed: int, index: int) -> int:
@@ -262,10 +264,10 @@ def normalize_intensity(v: Volume) -> Volume:
 
 @dataclass(frozen=True)
 class SliceSequence:
-    """Per-slice (1, 1, H, W) frames in slice order, plus crop records."""
+    """C-ordered (T, 1, H, W) f32 frames in slice order, labels alike or None, crop records."""
 
-    frames: list
-    labels: list | None
+    frames: np.ndarray
+    labels: np.ndarray | None
     orig_hw: tuple
     pad_offset: tuple
     spacing_mm: tuple
@@ -273,14 +275,13 @@ class SliceSequence:
     def __len__(self) -> int:
         return len(self.frames)
 
-    def restore(self, planes) -> np.ndarray:
-        """Stack per-step (1, 1, H, W) planes back to (D, H, W) and crop the padding."""
-        if len(planes) != len(self.frames):
-            raise ValueError(f"restore: {len(planes)} planes for {len(self.frames)} slices")
-        stack = np.concatenate([np.asarray(p).reshape(1, *p.shape[-2:]) for p in planes], axis=0)
+    def restore(self, stack) -> np.ndarray:
+        """Crop a (T, 1, H, W) stack back to the volume's (D, h, w) extent."""
+        if len(stack) != len(self.frames):
+            raise ValueError(f"restore: {len(stack)} slices for a {len(self)}-slice sequence")
         h, w = self.orig_hw
         top, left = self.pad_offset
-        return np.ascontiguousarray(stack[:, top : top + h, left : left + w])
+        return np.ascontiguousarray(stack[:, 0, top : top + h, left : left + w])
 
 
 def to_sequence(v: Volume, labels: VolumeMask = None, pad_to: int = 1) -> SliceSequence:
@@ -289,20 +290,20 @@ def to_sequence(v: Volume, labels: VolumeMask = None, pad_to: int = 1) -> SliceS
         raise ValueError(f"pad_to must be a power of two, got {pad_to}")
     if labels is not None and labels.dims != v.dims:
         raise ValueError(f"labels dims {labels.dims} != volume dims {v.dims}")
-    _, h, w = v.dims
+    d, h, w = v.dims
     hp = -(-h // pad_to) * pad_to
     wp = -(-w // pad_to) * pad_to
     top = (hp - h) // 2
     left = (wp - w) // 2
 
-    def pad_plane(plane):
-        out = np.zeros((1, 1, hp, wp), dtype=np.float32)
-        out[0, 0, top : top + h, left : left + w] = plane
+    def pad(volume):
+        out = np.zeros((d, 1, hp, wp), dtype=np.float32)
+        out[:, 0, top : top + h, left : left + w] = volume
         return out
 
     return SliceSequence(
-        frames=[pad_plane(plane) for plane in v.intensities],
-        labels=None if labels is None else [pad_plane(plane) for plane in labels.voxels],
+        frames=pad(v.intensities),
+        labels=None if labels is None else pad(labels.voxels),
         orig_hw=(h, w),
         pad_offset=(top, left),
         spacing_mm=v.spacing_mm,

@@ -11,8 +11,8 @@ The first step sees zeros ("no prior object"). Two training modes:
 Probabilities, not thresholded masks, are carried across steps. Under
 teacher forcing each step after the first is fed the previous slice's label
 instead; ``next_feed`` is that rule. Then no step waits for another, and a
-taped unroll runs all of them as one batch. Either way the predictions
-come back as one (T, 1, H, W) stack.
+taped unroll runs the sequence's (T, 1, H, W) frame stack as one batch, fed
+its label stack shifted by one slice. Predictions come back as such a stack.
 """
 
 from __future__ import annotations
@@ -67,21 +67,18 @@ def unroll_forward(
     if teacher_forcing and seq.labels is None:
         raise ValueError("teacher forcing needs a labeled sequence")
     if y0 is None:
-        y0 = Tensor(np.zeros_like(seq.frames[0]))
+        y0 = Tensor(np.zeros_like(seq.frames[:1]))
     recurrent = params.config.recurrent
     # a y0 that takes a gradient in full mode needs its own step
     if ad.grad_enabled() and (not recurrent or teacher_forcing) and not (
             mode == "full" and y0.requires_grad):
-        feed = None
-        if recurrent:
-            labels = [next_feed(seq, t, None, teacher_forcing).data for t in range(len(seq) - 1)]
-            feed = Tensor(np.concatenate([y0.data] + labels))
-        return step(params, Tensor(np.concatenate(seq.frames)), feed)
+        feed = Tensor(np.concatenate([y0.data, seq.labels[:-1]])) if recurrent else None
+        return step(params, Tensor(seq.frames), feed)
     preds = []
     y_prev = y0
-    for t, frame in enumerate(seq.frames):
+    for t in range(len(seq)):
         feed = y_prev.detach() if mode == "detach" else y_prev
-        pred = step(params, Tensor(frame), feed)
+        pred = step(params, Tensor(seq.frames[t:t + 1]), feed)
         preds.append(pred)
         y_prev = next_feed(seq, t, pred, teacher_forcing)
     return ad.concat_batch(preds)
@@ -89,7 +86,7 @@ def unroll_forward(
 
 def next_feed(seq: SliceSequence, t: int, pred: Tensor, teacher_forcing: bool) -> Tensor:
     """What the slice after slice t is fed: label t under teacher forcing, else its prediction."""
-    return Tensor(seq.labels[t]) if teacher_forcing else pred
+    return Tensor(seq.labels[t:t + 1]) if teacher_forcing else pred
 
 
 def segment_sequence(params: ParamStore, seq: SliceSequence, threshold: float):

@@ -64,6 +64,8 @@ class TrainConfig:
             raise ValueError(f"threshold must lie in (0, 1), got {self.threshold}")
         if self.max_seq_len < 1:
             raise ValueError(f"max_seq_len must be at least 1, got {self.max_seq_len}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,7 @@ def sequence_gradients(params: ParamStore, tconfig: TrainConfig, seq: SliceSeque
     start = None if y0 is None else Tensor(y0)
     out = unroll_forward(params, seq, y0=start, mode=tconfig.bptt_mode,
                          teacher_forcing=tconfig.teacher_forcing)
-    loss = sequence_loss(out, Tensor(np.concatenate(seq.labels)))
+    loss = sequence_loss(out, Tensor(seq.labels))
     params.zero_grads()
     ad.backward(loss)
     return float(loss.data), out.data[-1:]
@@ -133,7 +135,7 @@ def train_step(params: ParamStore, tconfig: TrainConfig, state: AdamState,
 
 
 def _chunks(seq: SliceSequence, max_len: int):
-    for i in range(0, len(seq.frames), max_len):
+    for i in range(0, len(seq), max_len):
         yield replace(seq, frames=seq.frames[i:i + max_len], labels=seq.labels[i:i + max_len])
 
 
@@ -144,9 +146,8 @@ def validation_stats(params: ParamStore, tconfig: TrainConfig, val_set):
         if seq.labels is None:
             raise ValueError("validation requires labeled sequences")
         probs, mask = segment_sequence(params, seq, tconfig.threshold)
-        labels = np.concatenate(seq.labels)
-        losses.append(combined_loss(probs, Tensor(labels), items=len(seq)).data)
-        gt = seq.restore(labels > 0.5)
+        losses.append(combined_loss(probs, Tensor(seq.labels), items=len(seq)).data)
+        gt = seq.restore(seq.labels > 0.5)
         dices.append(dice_coefficient(mask, VolumeMask(gt, seq.spacing_mm)))
     losses = np.concatenate(losses)
     # a running f64 total of the slice losses, added in slice order
@@ -180,7 +181,7 @@ def train(params: ParamStore, tconfig: TrainConfig, train_set, val_set):
                         f"non-finite training loss {loss!r} at epoch {epoch}, sequence {idx}"
                     )
                 total += loss
-                slices += len(chunk.frames)
+                slices += len(chunk)
         val_loss, val_dice = validation_stats(params, tconfig, val_set)
         if not np.isfinite(val_loss):
             raise FloatingPointError(f"non-finite validation loss at epoch {epoch}")

@@ -61,3 +61,16 @@ def test_copied_tree_imports_under_another_name(ab, tmp_path):
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] == "rseg_ab_copy"]:
             del sys.modules[name]
+
+
+def test_workloads_are_perfbench_workloads(ab):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert ab.WORKLOADS == tuple(bench.WORKLOADS)
+    for name, (args, dims) in ab.TRAIN.items():
+        workload = bench.WORKLOADS[name]()
+        assert args == [str(a) for a in workload.model_args], name
+        assert dims == workload.dims, name
+    assert ab.SEGMENT_SHAPES == bench.InferEvalWorkload.SHAPES

@@ -253,11 +253,11 @@ class TestTape:
         for _ in range(2):
             store = build_model(ModelConfig(levels=2, base_channels=8, recurrent=True), seed=0)
             rng = np.random.default_rng(9)
-            frames = [rng.normal(size=(1, 1, 48, 48)).astype(np.float32) for _ in range(8)]
-            labels = [(rng.random((1, 1, 48, 48)) > 0.5).astype(np.float32) for _ in range(8)]
+            frames = rng.normal(size=(8, 1, 48, 48)).astype(np.float32)
+            labels = (rng.random((8, 1, 48, 48)) > 0.5).astype(np.float32)
             seq = SliceSequence(frames, labels, (48, 48), (0, 0), (1.0, 1.0, 1.0))
             preds = unroll_forward(store, seq, teacher_forcing=True)
-            nodes = ad.schedule(sequence_loss(preds, Tensor(np.concatenate(labels))))
+            nodes = ad.schedule(sequence_loss(preds, Tensor(labels)))
             counts.append(Counter(t.op for t in nodes))
         assert counts[0] == counts[1]
         # 20 backbone nodes, and one loss graph of 22 over the whole stack

@@ -458,6 +458,24 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: config key {key!r}: ")
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    def test_negative_seed_fails_before_any_work(self, tmp_path, capsys, command, source):
+        out = tmp_path / "d"
+        argv = [command, "--out", str(out)]
+        if command == "train":
+            # a data directory that does not exist: the seed is checked before loading
+            argv += ["--data", str(tmp_path / "none"), "--val", str(tmp_path / "none")]
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            (tmp_path / "run.cfg").write_text("seed = -1\n")
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "seed must be >= 0, got -1" in err
+        assert not out.exists()
+
     def test_nan_spacing_is_a_validation_error(self, tmp_path, capsys):
         synth(tmp_path / "d", count=1)
         path = tmp_path / "d" / "mask_000.mvf"
@@ -727,6 +745,20 @@ class TestOutputPaths:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: --out: {tmp_path / 'm.csv'} is a directory")
         assert not any(line.startswith("epoch ") for line in captured.out.splitlines())
+
+    def test_train_out_that_is_its_own_history_csv(self, tmp_path, capsys):
+        # the CSV path is --out with its extension replaced by .csv; writing it
+        # would overwrite the checkpoint
+        synth(tmp_path / "d", count=1)
+        capsys.readouterr()
+        out = tmp_path / "m.csv"
+        assert run_cli(["train", "--data", str(tmp_path / "d"), "--val", str(tmp_path / "d"),
+                        "--out", str(out), "--levels", "2", "--base-channels", "4",
+                        "--epochs", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: --out: {out} is where the history CSV goes")
+        assert not any(line.startswith("epoch ") for line in captured.out.splitlines())
+        assert not out.exists()
 
     # the inputs do not exist: an error naming the output shows it was checked first
     @pytest.mark.parametrize("kind", ["missing directory", "a directory"])

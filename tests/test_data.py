@@ -19,6 +19,7 @@ from rseg.data import (
     to_sequence,
 )
 from rseg.metrics import VolumeMask
+from rseg.trainer import _chunks
 
 
 class TestPhantomSpec:
@@ -36,6 +37,10 @@ class TestPhantomSpec:
     def test_negative_noise_rejected(self):
         with pytest.raises(ValueError):
             PhantomSpec(noise_sigma=-1.0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            PhantomSpec(seed=-1)
 
 
 class TestGenerator:
@@ -240,7 +245,7 @@ class TestToSequence:
     def test_pad_then_crop_restores_labels_bit_exact(self):
         vol, mask = generate_phantom(PhantomSpec(dims=(8, 45, 50), seed=2))
         seq = to_sequence(vol, mask, pad_to=8)
-        assert seq.frames[0].shape == (1, 1, 48, 56)
+        assert seq.frames[:1].shape == (1, 1, 48, 56)
         restored = seq.restore(seq.labels)
         np.testing.assert_array_equal(restored, mask.voxels.astype(np.float32))
 
@@ -249,10 +254,29 @@ class TestToSequence:
         seq = to_sequence(vol, mask, pad_to=8)
         h, w = seq.orig_hw
         top, left = seq.pad_offset
-        frame = seq.frames[0][0, 0]
+        frame = seq.frames[0, 0]
         border = np.ones_like(frame, dtype=bool)
         border[top : top + h, left : left + w] = False
         assert np.all(frame[border] == 0.0)
+
+    def test_frames_and_labels_are_c_ordered_f32_stacks(self):
+        vol, mask = generate_phantom(PhantomSpec(dims=(9, 45, 50), seed=2))
+        seq = to_sequence(vol, mask, pad_to=8)
+        for stack in (seq.frames, seq.labels):
+            assert isinstance(stack, np.ndarray)
+            assert stack.shape == (9, 1, 48, 56)
+            assert stack.dtype == np.float32 and stack.flags.c_contiguous
+        assert to_sequence(vol, pad_to=8).labels is None
+
+    def test_chunks_are_views_of_the_stacks(self):
+        vol, mask = generate_phantom(PhantomSpec(dims=(9, 32, 32), seed=2))
+        seq = to_sequence(vol, mask)
+        chunks = list(_chunks(seq, 4))
+        assert [len(c) for c in chunks] == [4, 4, 1]
+        for chunk in chunks:
+            assert np.shares_memory(chunk.frames, seq.frames)
+            assert np.shares_memory(chunk.labels, seq.labels)
+            assert chunk.frames.flags.c_contiguous
 
     def test_non_power_of_two_pad_rejected(self):
         vol, _ = generate_phantom(PhantomSpec(seed=1))
@@ -262,8 +286,9 @@ class TestToSequence:
     def test_restore_length_mismatch_rejected(self):
         vol, mask = generate_phantom(PhantomSpec(seed=1))
         seq = to_sequence(vol, mask)
-        with pytest.raises(ValueError):
-            seq.restore(seq.labels[:-1])
+        for stack in (seq.labels[:-1], np.concatenate([seq.labels, seq.labels[:1]])):
+            with pytest.raises(ValueError, match="restore"):
+                seq.restore(stack)
 
 
 class TestDeriveSeed:

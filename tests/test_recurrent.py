@@ -13,17 +13,17 @@ from rseg.recurrent import segment_volume, step, unroll_forward
 
 
 def make_seq(rng, n, hw=16, dtype=np.float32, with_labels=True):
-    frames = [rng.normal(size=(1, 1, hw, hw)).astype(dtype) for _ in range(n)]
+    frames = rng.normal(size=(n, 1, hw, hw)).astype(dtype)
     labels = None
     if with_labels:
-        labels = [(rng.uniform(size=(1, 1, hw, hw)) < 0.3).astype(dtype) for _ in range(n)]
+        labels = (rng.uniform(size=(n, 1, hw, hw)) < 0.3).astype(dtype)
     return SliceSequence(frames=frames, labels=labels,
                          orig_hw=(hw, hw), pad_offset=(0, 0), spacing_mm=(1.0, 1.0, 1.0))
 
 
 def item_losses(preds, seq, w=LossWeights()):
     """The combined loss of each slice of an unrolled stack, as one vector."""
-    return combined_loss(preds, Tensor(np.concatenate(seq.labels)), w, items=len(seq))
+    return combined_loss(preds, Tensor(seq.labels), w, items=len(seq))
 
 
 def item_loss(preds, seq, t, w=LossWeights()):
@@ -131,7 +131,7 @@ class TestUnroll:
     def test_empty_sequence_rejected(self):
         cfg = ModelConfig(backbone="unet", levels=2, base_channels=4)
         store = build_model(cfg, seed=0)
-        empty = SliceSequence(frames=[], labels=None,
+        empty = SliceSequence(frames=np.zeros((0, 1, 16, 16), np.float32), labels=None,
                               orig_hw=(16, 16), pad_offset=(0, 0), spacing_mm=(1, 1, 1))
         with pytest.raises(ValueError):
             unroll_forward(store, empty)
@@ -157,7 +157,7 @@ class TestUnroll:
         seq = make_seq(rng, 5)
         preds = unroll_forward(store, seq)
         perm = [3, 0, 4, 2, 1]
-        shuffled = SliceSequence(frames=[seq.frames[i] for i in perm], labels=None,
+        shuffled = SliceSequence(frames=seq.frames[perm], labels=None,
                                  orig_hw=seq.orig_hw,
                                  pad_offset=seq.pad_offset, spacing_mm=seq.spacing_mm)
         preds_shuffled = unroll_forward(store, shuffled)
@@ -170,8 +170,8 @@ class TestUnroll:
         rng = np.random.default_rng(6)
         seq = make_seq(rng, 4)
         preds = unroll_forward(store, seq)
-        frames2 = [f.copy() for f in seq.frames]
-        frames2[3] = frames2[3] + 1.0
+        frames2 = seq.frames.copy()
+        frames2[3] += 1.0
         seq2 = SliceSequence(frames=frames2, labels=None,
                              orig_hw=seq.orig_hw, pad_offset=seq.pad_offset,
                              spacing_mm=seq.spacing_mm)
@@ -191,7 +191,7 @@ class TestUnroll:
         # strided convs sample reads the step-1 label: above 1/2 on its ones,
         # 1/2 on its zeros
         grid = forced.data[1, 0, ::4, ::4]
-        ones = seq.labels[0][0, 0, ::4, ::4] == 1.0
+        ones = seq.labels[0, 0, ::4, ::4] == 1.0
         assert ones.any() and (~ones).any()
         assert np.all(grid[ones] > 0.5 + 1e-3)
         np.testing.assert_allclose(grid[~ones], 0.5, atol=1e-3)
@@ -204,7 +204,7 @@ class TestGradientModes:
         rng = np.random.default_rng(0)
         seq = make_seq(rng, 2, hw=16, dtype=np.float64)
         w = LossWeights(0.5, 0.5)
-        y2 = Tensor(seq.labels[1])
+        y2 = Tensor(seq.labels[1:2])
 
         def loss2(mode):
             return item_loss(unroll_forward(store, seq, mode=mode), seq, 1, w)
@@ -228,7 +228,7 @@ class TestGradientModes:
             frozen_prev = unroll_forward(store, seq).data[:1].copy()
 
         def f_detach():
-            out = step(store, Tensor(seq.frames[1]), Tensor(frozen_prev))
+            out = step(store, Tensor(seq.frames[1:2]), Tensor(frozen_prev))
             return float(combined_loss(out, y2, w).data)
 
         def f_full():
@@ -246,7 +246,7 @@ class TestGradientModes:
         cfg = ModelConfig(backbone="attunet", levels=2, base_channels=4, recurrent=True)
         store = build_model(cfg, seed=2)
         seq = make_seq(np.random.default_rng(2), 8, hw=32)
-        labels = Tensor(np.concatenate(seq.labels))
+        labels = Tensor(seq.labels)
         # warm-up: the first backward imports scipy.linalg
         ad.backward(sequence_loss(unroll_forward(store, seq, mode="full"), labels))
         tracemalloc.start()
@@ -266,7 +266,7 @@ class TestGradientModes:
         store = build_model(cfg, seed=1, dtype=np.float64)
         rng = np.random.default_rng(1)
         seq = make_seq(rng, 3, hw=16, dtype=np.float64)
-        y3 = Tensor(seq.labels[2])
+        y3 = Tensor(seq.labels[2:3])
 
         preds = unroll_forward(store, seq, mode="detach")
         store.zero_grads()
@@ -274,7 +274,7 @@ class TestGradientModes:
         unroll_grads = {n: t.grad.copy() for n, t in store.items()}
         store.zero_grads()
 
-        iso = step(store, Tensor(seq.frames[2]), Tensor(preds.data[1:2].copy()))
+        iso = step(store, Tensor(seq.frames[2:3]), Tensor(preds.data[1:2].copy()))
         ad.backward(combined_loss(iso, y3))
         for n, t in store.items():
             np.testing.assert_array_equal(unroll_grads[n], t.grad)
@@ -359,12 +359,12 @@ class TestBatchedUnroll:
 
     @staticmethod
     def _per_slice(store, seq):
-        feed = np.zeros_like(seq.frames[0])
+        feed = np.zeros_like(seq.frames[:1])
         preds = []
-        for frame, label in zip(seq.frames, seq.labels):
+        for t in range(len(seq)):
             prev = Tensor(feed) if store.config.recurrent else None
-            preds.append(step(store, Tensor(frame), prev))
-            feed = label
+            preds.append(step(store, Tensor(seq.frames[t:t + 1]), prev))
+            feed = seq.labels[t:t + 1]
         return preds
 
     @pytest.mark.parametrize("backbone", ["unet", "segunet", "attunet"])
@@ -373,10 +373,10 @@ class TestBatchedUnroll:
         cfg = ModelConfig(backbone=backbone, levels=2, base_channels=4, recurrent=recurrent)
         store = build_model(cfg, seed=11)
         seq = make_seq(np.random.default_rng(11), 5)
-        targets = [Tensor(lbl) for lbl in seq.labels]
+        targets = [Tensor(seq.labels[t:t + 1]) for t in range(len(seq))]
         preds = unroll_forward(store, seq, teacher_forcing=recurrent)
         assert preds.op == "sigmoid" and preds.shape == (5, 1, 16, 16)
-        loss = sequence_loss(preds, Tensor(np.concatenate(seq.labels)))
+        loss = sequence_loss(preds, Tensor(seq.labels))
         store.zero_grads()
         ad.backward(loss)
         batched = {n: t.grad.copy() for n, t in store.items()}

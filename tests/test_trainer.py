@@ -20,13 +20,13 @@ from rseg.trainer import (AdamState, TrainConfig, adam_step, load_checkpoint,
 
 
 def make_seq(rng, n, hw=16, dtype=np.float32, labels="random"):
-    frames = [rng.normal(size=(1, 1, hw, hw)).astype(dtype) for _ in range(n)]
+    frames = rng.normal(size=(n, 1, hw, hw)).astype(dtype)
     if labels == "random":
-        lbl = [(rng.uniform(size=(1, 1, hw, hw)) < 0.3).astype(dtype) for _ in range(n)]
+        lbl = (rng.uniform(size=(n, 1, hw, hw)) < 0.3).astype(dtype)
     elif labels == "ones":
-        lbl = [np.ones((1, 1, hw, hw), dtype=dtype) for _ in range(n)]
+        lbl = np.ones((n, 1, hw, hw), dtype=dtype)
     elif labels == "zeros":
-        lbl = [np.zeros((1, 1, hw, hw), dtype=dtype) for _ in range(n)]
+        lbl = np.zeros((n, 1, hw, hw), dtype=dtype)
     else:
         lbl = None
     return SliceSequence(frames=frames, labels=lbl,
@@ -158,9 +158,9 @@ class TestTrainStep:
             realized = unroll_forward(store, seq, mode="detach")
         per_step = []
         for t, frozen_prev in enumerate([np.zeros_like(realized.data[:1]), realized.data[:1]]):
-            out = step(store, Tensor(seq.frames[t]), Tensor(frozen_prev.copy()))
+            out = step(store, Tensor(seq.frames[t:t + 1]), Tensor(frozen_prev.copy()))
             store.zero_grads()
-            ad.backward(combined_loss(out, Tensor(seq.labels[t])))
+            ad.backward(combined_loss(out, Tensor(seq.labels[t:t + 1])))
             per_step.append({n: g.grad.copy() for n, g in store.items()})
             store.zero_grads()
         for name in seq_grads:
@@ -184,9 +184,9 @@ class TestTrainStep:
         # then validation's free-running slices, one per call
         assert [f.shape[0] for f in fed] == [8, 8, 1, 1]
         per_slice = np.concatenate(fed[:2])
-        np.testing.assert_array_equal(per_slice[:1], np.zeros_like(seq.labels[0]))
+        np.testing.assert_array_equal(per_slice[:1], np.zeros_like(seq.labels[:1]))
         for t in range(1, 16):
-            np.testing.assert_array_equal(per_slice[t : t + 1], seq.labels[t - 1])
+            np.testing.assert_array_equal(per_slice[t : t + 1], seq.labels[t - 1 : t])
 
     def test_unlabeled_sequence_rejected(self):
         store = tiny_store(seed=0)
@@ -203,7 +203,7 @@ class TestTrainLoop:
         store = tiny_store(seed=0)
         rng = np.random.default_rng(5)
         frames_seq = make_seq(rng, 2, labels="ones")
-        val_seq = SliceSequence(frames=frames_seq.frames, labels=[np.zeros_like(l) for l in frames_seq.labels],
+        val_seq = SliceSequence(frames=frames_seq.frames, labels=np.zeros_like(frames_seq.labels),
                                 orig_hw=frames_seq.orig_hw,
                                 pad_offset=frames_seq.pad_offset, spacing_mm=frames_seq.spacing_mm)
         tconfig = TrainConfig(lr=0.1, epochs=10, patience=1, seed=0)
@@ -223,7 +223,7 @@ class TestTrainLoop:
                                         recurrent=True), seed=0)
         tconfig = TrainConfig()
         seq = to_sequence(vol, mask, pad_to=8)
-        assert seq.frames[0].shape[2:] != mask.dims[1:]
+        assert seq.frames.shape[2:] != mask.dims[1:]
         _, val_dice = validation_stats(store, tconfig, [seq])
         seg = segment_volume(store, vol, threshold=tconfig.threshold)
         assert val_dice == dice_coefficient(seg, mask)
@@ -293,6 +293,8 @@ class TestTrainLoop:
             TrainConfig(threshold=1.0)
         with pytest.raises(ValueError):
             TrainConfig(max_seq_len=0)
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=-1)
 
 
 class TestCheckpoint:
