@@ -225,8 +225,18 @@ def _pair(v):
 
 
 # conv2d runs its shift lowering only on maps with at least this many output
-# pixels; below it im2col is faster (per-shape table in BENCH_conv_shift.json)
+# pixels; below it im2col is faster (per-shape table in BENCH_conv_shift.json;
+# at N = 8 in BENCH_conv_batch.json, where no forward choice moves)
 SHIFT_MIN_PIXELS = 256
+# conv2d's backward cuts on a call's output pixels over its batch, N*ho*wo,
+# from the per-shape table at N = 1 and 8 in BENCH_conv_batch.json. From
+# BATCH_MIN_PIXELS the dilated input gradient builds one item's columns at a
+# time, the weight gradient takes one GEMM per item and a strided input
+# gradient runs col2im; from SHIFT_GRAD_MIN_PIXELS a stride-1 call takes its
+# weight gradient, and with cin <= cout its input gradient, by shifted GEMMs.
+# Every N = 1 call of the workloads sits below both.
+BATCH_MIN_PIXELS = 1024
+SHIFT_GRAD_MIN_PIXELS = 2048
 
 
 def _im2col(xp, kh, kw, sy, sx, ho, wo):
@@ -301,13 +311,21 @@ def _accumulate_weight_grad(w, a, b):
     """Add the contraction of a (N, M, P) with b (N, K, P) over N and P to w.grad.
 
     A weight shared by T GEMM-lowered conv calls makes one weight-sized
-    array: the first call's tensordot product, which w then owns, and each
-    later call adds into it by one BLAS gemm with beta = 1.
+    array: the first call's product, which w then owns, and each later call
+    adds into it by one BLAS gemm with beta = 1. The first product is one
+    GEMM over N*P, or from BATCH_MIN_PIXELS with N > 1 one GEMM per item
+    summed in item order: OpenBLAS runs the long-K product several times
+    slower, and tensordot copies both operands to build it.
     """
     if not w.requires_grad:
         return
     if w.grad is None or w.grad is not w._own:
-        _accumulate(w, np.tensordot(a, b, axes=([0, 2], [0, 2])).reshape(w.shape))
+        n, _, p = a.shape
+        if n > 1 and n * p >= BATCH_MIN_PIXELS:
+            prod = np.matmul(a, b.swapaxes(1, 2)).sum(axis=0)
+        else:
+            prod = np.tensordot(a, b, axes=([0, 2], [0, 2]))
+        _accumulate(w, prod.reshape(w.shape))
         w._own = w.grad  # the fresh product, or _accumulate's sum
         return
     # imported here: scipy.linalg takes about 0.2 s to load and inference never needs it
@@ -330,14 +348,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
       GEMM. The tape keeps x, w and b only, not the padded input or the
       columns.
     - Input gradient: when the call is weight-bound, cout*cin >
-      (cout + cin)*N*ho*wo, or its kernel is 1x1, wmat^T @ g, added tap by
-      tap into a zero padded input (col2im; a stride-1 1x1 call is the GEMM
-      alone). Otherwise the zero-dilated output gradient correlated with the
-      flipped, channel-swapped kernel.
-    - Weight gradient: x is padded again and, after a shift forward, one
-      GEMM per tap runs against the same views; after im2col, one GEMM
-      against the columns built again, added in place into a buffer the
-      weight owns (_accumulate_weight_grad).
+      (cout + cin)*N*ho*wo, its kernel is 1x1, or it is strided with
+      N*ho*wo >= BATCH_MIN_PIXELS, wmat^T @ g, added tap by tap into a zero
+      padded input (col2im; a stride-1 1x1 call is the GEMM alone).
+      Otherwise the zero-dilated output gradient correlated with the
+      flipped, channel-swapped kernel: by one GEMM per tap over its shifted
+      views when stride is 1, cin <= cout and N*ho*wo >= SHIFT_GRAD_MIN_PIXELS
+      (shift), else by im2col columns (dilated), one item's at a time from
+      N*ho*wo >= BATCH_MIN_PIXELS and the whole batch's below it.
+    - Weight gradient: x is padded again and, after a shift forward or for
+      a stride-1 k x k call with N*ho*wo >= SHIFT_GRAD_MIN_PIXELS, one GEMM
+      per tap runs against the shifted views; otherwise one GEMM, or one
+      per item (_accumulate_weight_grad), against the columns built again,
+      added in place into a buffer the weight owns.
     """
     sy, sx = _pair(stride)
     py, px = _pair(pad)
@@ -354,21 +377,26 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
     if ho <= 0 or wo <= 0 or h + 2 * py < kh or wdt + 2 * px < kw:
         raise ValueError(f"conv2d: non-positive output extent for input {x.shape}")
     hp, wp = h + 2 * py, wdt + 2 * px
+    pixels = n * ho * wo
     shift = sy == sx == 1 and kh * kw > 1 and cout <= cin and ho * wo >= SHIFT_MIN_PIXELS
-    # the cut comes from the per-shape table in BENCH_conv_backward.json
-    weight_bound = not shift and cout * cin > (cout + cin) * n * ho * wo
+    shift_grads = sy == sx == 1 and kh * kw > 1 and pixels >= SHIFT_GRAD_MIN_PIXELS
+    # the cut comes from the per-shape table in BENCH_conv_backward.json, and
+    # holds at N = 8 in BENCH_conv_batch.json
+    weight_bound = not shift and cout * cin > (cout + cin) * pixels
+    col2im = weight_bound or kh * kw == 1 or (sy * sx > 1 and pixels >= BATCH_MIN_PIXELS)
 
-    def padded():
-        """(buf, xp): x zero padded, flattened per channel into buf; xp its (N, C, hp, wp) view."""
-        if not (py or px or shift):
+    def padded(tail):
+        """(buf, xp): x zero padded, flattened per channel into buf with ``tail``
+        more zeros (the shift form reads kw - 1 past the last padded row); xp
+        its (N, C, hp, wp) view."""
+        if not (py or px or tail):
             return None, x.data
-        # the shift form reads kw - 1 elements past the last padded row
-        buf = np.zeros((n, cin, hp * wp + (kw - 1 if shift else 0)), dtype=x.dtype)
+        buf = np.zeros((n, cin, hp * wp + tail), dtype=x.dtype)
         xp = buf[:, :, : hp * wp].reshape(n, cin, hp, wp)
         xp[:, :, py : py + h, px : px + wdt] = x.data
         return buf, xp
 
-    buf, xp = padded()
+    buf, xp = padded(kw - 1 if shift else 0)
     if shift:
         full = _shifted_gemm(buf, w.data, wp, ho).reshape(n, cout, ho, wp)
         # contiguous, as a consumer's einsum sums a strided view in another order
@@ -385,22 +413,34 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
             _accumulate(b, g2.sum(axis=(0, 2)))
         if w.requires_grad:
             # x padded again, and after im2col its columns, built for this product only
-            if shift:
-                _accumulate(w, _shifted_weight_grad(g, padded()[0], wp, kh, kw))
+            if shift or shift_grads:
+                _accumulate(w, _shifted_weight_grad(g, padded(kw - 1)[0], wp, kh, kw))
             else:
-                _accumulate_weight_grad(w, g2, _im2col(padded()[1], kh, kw, sy, sx, ho, wo))
+                _accumulate_weight_grad(w, g2, _im2col(padded(0)[1], kh, kw, sy, sx, ho, wo))
         if not x.requires_grad:
             return
-        if weight_bound or kh * kw == 1:
+        if col2im:
             gx = np.matmul(w.data.reshape(cout, -1).T, g2)
             if kh * kw * sy * sx > 1:  # a 1x1 kernel has no padding
                 gx = _col2im(gx.reshape(n, cin, kh, kw, ho, wo), hp, wp, sy, sx)
                 gx = gx[:, :, py : py + h, px : px + wdt]
         else:
-            gd = np.zeros((n, cout, h + kh - 1, wdt + kw - 1), dtype=g.dtype)
+            hd, wd = h + kh - 1, wdt + kw - 1
+            shift_x = shift_grads and cin <= cout
+            gbuf = np.zeros((n, cout, hd * wd + (kw - 1 if shift_x else 0)), dtype=g.dtype)
+            gd = gbuf[:, :, : hd * wd].reshape(n, cout, hd, wd)
             gd[:, :, kh - 1 - py :: sy, kw - 1 - px :: sx][:, :, :ho, :wo] = g
-            wflip = w.data[:, :, ::-1, ::-1].swapaxes(0, 1).reshape(cin, -1)
-            gx = np.matmul(wflip, _im2col(gd, kh, kw, 1, 1, h, wdt))
+            wflip = w.data[:, :, ::-1, ::-1].swapaxes(0, 1)
+            if shift_x:
+                full = _shifted_gemm(gbuf, wflip, wd, h).reshape(n, cin, h, wd)
+                gx = np.ascontiguousarray(full[:, :, :, :wdt])
+            else:
+                wflip = wflip.reshape(cin, -1)
+                gx = np.empty((n, cin, h * wdt), dtype=g.dtype)
+                step = 1 if pixels >= BATCH_MIN_PIXELS else n
+                for i in range(0, n, step):  # no name keeps a chunk's columns past its GEMM
+                    np.matmul(wflip, _im2col(gd[i : i + step], kh, kw, 1, 1, h, wdt),
+                              out=gx[i : i + step])
         _accumulate(x, gx.reshape(n, cin, h, wdt))
 
     return _make_result(out, "conv2d", (x, w) if b is None else (x, w, b), backward_fn)

@@ -242,6 +242,8 @@ def pin_malloc() -> None:
 
 def _check_output(option: str, path: str) -> None:
     """Fail before any work when ``path`` cannot become a file; the error names the option."""
+    if not path:
+        raise ValueError(f"--{option}: the path is empty")
     parent = os.path.dirname(path) or os.curdir
     if os.path.isdir(path):
         raise ValueError(f"--{option}: {path} is a directory")
@@ -278,6 +280,8 @@ def _cmd_synth(eff: dict) -> int:
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
     out = eff["out"]
+    if os.path.exists(out) and not os.path.isdir(out):
+        raise ValueError(f"--out: {out} is a file, not a directory")
     os.makedirs(out, exist_ok=True)
     for i in range(eff["count"]):
         spec = PhantomSpec(dims=dims, noise_sigma=eff["noise"], decoys=eff["decoys"],

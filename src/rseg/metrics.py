@@ -121,12 +121,17 @@ def evaluate(pred: VolumeMask, gt: VolumeMask, scan_id: str) -> MetricsReport:
 
 
 def write_report_csv(reports, path) -> None:
-    """scan_id,dice,asd_mm,hd95_mm,hd_mm rows with 6 decimals, LF endings; atomic."""
+    """scan_id,dice,asd_mm,hd95_mm,hd_mm rows with 6 decimals, LF endings; atomic.
+
+    A scan_id holding a comma, a quote or a line break is quoted, its quotes
+    doubled (RFC 4180); any other is written as it is.
+    """
     from .data import _write_atomic  # data imports this module
 
     lines = ["scan_id,dice,asd_mm,hd95_mm,hd_mm"]
     for r in reports:
-        lines.append(
-            f"{r.scan_id},{r.dice:.6f},{r.asd_mm:.6f},{r.hd95_mm:.6f},{r.hd_mm:.6f}"
-        )
+        scan_id = r.scan_id
+        if any(c in scan_id for c in ',"\r\n'):
+            scan_id = '"' + scan_id.replace('"', '""') + '"'
+        lines.append(f"{scan_id},{r.dice:.6f},{r.asd_mm:.6f},{r.hd95_mm:.6f},{r.hd_mm:.6f}")
     _write_atomic(path, ("\n".join(lines) + "\n").encode())

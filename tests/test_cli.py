@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import ctypes
 import inspect
 import io
@@ -203,6 +204,18 @@ class TestSegmentAndEvaluate:
         rows = csv.read_text().splitlines()
         assert rows[0] == "scan_id,dice,asd_mm,hd95_mm,hd_mm"
         assert rows[1] == "mask_000,1.000000,0.000000,0.000000,0.000000"
+
+    def test_evaluate_quotes_a_scan_id_that_holds_a_comma(self, tmp_path, capsys):
+        synth(tmp_path / "d", count=1)
+        gt = tmp_path / "d" / "mask_000.mvf"
+        pred = tmp_path / "p,x.mvf"
+        pred.write_bytes(gt.read_bytes())
+        report = tmp_path / "r.csv"
+        assert run_cli(["evaluate", "--pred", str(pred), "--gt", str(gt),
+                        "--csv", str(report)]) == 0
+        with open(report, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1] == ["p,x", "1.000000", "0.000000", "0.000000", "0.000000"]
 
     @pytest.mark.parametrize("side", ["prediction", "ground truth"])
     def test_evaluate_empty_mask_names_its_input(self, tmp_path, capsys, side):
@@ -772,6 +785,24 @@ class TestOutputPaths:
         assert run_cli([str(a) for a in argv]) == 1
         assert capsys.readouterr().err.startswith(f"error: --{option}: ")
 
+    @pytest.mark.parametrize("command, option", [("train", "out"), ("segment", "out"),
+                                                 ("evaluate", "csv")])
+    def test_an_empty_output_path_fails_before_any_work(self, tmp_path, capsys, command,
+                                                        option):
+        inputs = {"train": ["--data", tmp_path, "--val", tmp_path],
+                  "segment": ["--model", tmp_path / "m.rsck", "--in", tmp_path / "v.mvf"],
+                  "evaluate": ["--pred", tmp_path / "p.mvf", "--gt", tmp_path / "g.mvf"]}
+        argv = [command, *inputs[command], f"--{option}", ""]
+        assert run_cli([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith(f"error: --{option}: the path is empty")
+
+    def test_synth_out_that_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"x")
+        assert run_cli(["synth", "--out", str(taken), "--count", "1", "--size", "8x32x32"]) == 1
+        assert f"error: --out: {taken} is a file" in capsys.readouterr().err
+        assert taken.read_bytes() == b"x"
+
 
 class TestEntryPoint:
     def test_segment_loads_neither_scipy_linalg_nor_scipy_spatial(self, tmp_path):
@@ -798,3 +829,191 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "command = synth" in proc.stdout
         assert sorted(os.listdir(tmp_path / "d")) == ["mask_000.mvf", "vol_000.mvf"]
+
+
+
+class TestExitCodeFuzz:
+    """Seeded random calls of all five subcommands: hostile flag and config
+    values (non-UTF-8 bytes included), bad paths and mutated input files.
+    Each call exits 0, or 1 with an ``error:`` line; none exits 2 or raises.
+
+    A call draws its options from pools of valid values, then takes zero,
+    one or two faults, so that most faults reach the code past the parser.
+    Every value a draw can pick is invalid or cheap to run: no pool holds a
+    count, an epoch number or a model size that would make a call slow. The
+    gradcheck pools leave out f32 and tiny steps, whose failed check exits 2
+    by design (a runtime failure, not an invalid input).
+    """
+
+    CASES = {"synth": 30, "train": 40, "segment": 60, "evaluate": 60, "gradcheck": 16}
+    VALID = {
+        "count": ("1", "٢", " 1 "),
+        "size": ("8x32x32", "8X32X32", " 8 x32x 32"),
+        "seed": ("0", "3", "9" * 30),
+        "noise": ("30", "0", "1e30", "1e-320"),
+        "backbone": ("unet", "segunet", "attunet"),
+        "levels": ("2", "3"),
+        "base_channels": ("4", "5"),
+        "bptt": ("detach", "full"),
+        "lr": ("1e-3", "1e-320", "1e3"),
+        "epochs": ("1", "2"),
+        "patience": ("1", "5"),
+        "threshold": ("0.5", "1e-320", "0.999"),
+        "max_seq_len": ("1", "3", "9" * 30),
+        "eps": ("1e-5",),
+        "dtype": ("f64",),
+        "threads": ("1", "2"),
+    }
+    HOSTILE = ("", "0", "-1", "x", "nan", "inf", "-inf", "1e309", "1.5", "0x10", "1_0",
+               "-" + "9" * 30, "\udcff", "8x32", "0x32x32", "axbxc", "99999x99999x99999",
+               "UNet", "1", "11", "2048", "f16", "1e-320")
+    FLAGS = ("true", "false", "1", "0", "yes", "off")
+    BAD_FLAGS = ("maybe", "", "2", "\udcff")
+    BAD_LINES = (b"no equals sign", b"bogus_key = 1", b"seed = \xff\xfe", b"\xc3\x28 = 1",
+                 b" = 3", b"\xff")
+    INPUTS = {"model": "m.rsck", "in": "d/vol_000.mvf", "pred": "d/mask_001.mvf",
+              "gt": "d/mask_000.mvf", "data": "d", "val": "d"}
+    OUTPUTS = {"synth": "synth", "train": "m.rsck", "segment": "p.mvf", "evaluate": "r.csv"}
+
+    @pytest.fixture(scope="class")
+    def pool(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        synth(root / "d", count=2, size="8x32x32", extra=["--decoys"])
+        config = ModelConfig(backbone="unet", levels=2, base_channels=4, recurrent=True)
+        save_checkpoint(build_model(config, seed=0), root / "m.rsck")
+        empty = VolumeMask(np.zeros((8, 32, 32), dtype=np.uint8), (1.0, 1.0, 1.0))
+        save_volume(empty, root / "empty.mvf")
+        (root / "p,x \"q\".mvf").write_bytes((root / "d" / "mask_001.mvf").read_bytes())
+        (root / "nodata").mkdir()
+        return root
+
+    @staticmethod
+    def _pick(rng, seq):
+        return seq[int(rng.integers(len(seq)))]
+
+    def _mutate(self, raw, rng):
+        """``raw`` cut, bit-flipped, overwritten, extended, emptied or replaced by noise."""
+        kind = int(rng.integers(6))
+        at = int(rng.integers(len(raw)))
+        data = bytearray(raw)
+        if kind == 0:
+            del data[at:]
+        elif kind == 1:
+            data[at] ^= 1 << int(rng.integers(8))
+        elif kind == 2:
+            data[at : at + 8] = rng.bytes(8)
+        elif kind == 3:
+            data += rng.bytes(int(rng.integers(1, 64)))
+        elif kind == 4:
+            data = b""
+        else:
+            data = rng.bytes(int(rng.integers(1, 128)))
+        return bytes(data)
+
+    def _mutated_input(self, rng, root, case, key):
+        good = root / self.INPUTS[key]
+        if good.is_dir():  # a data directory with one file mutated or one mask missing
+            copy = case / key
+            copy.mkdir()
+            names = sorted(os.listdir(good))
+            victim = self._pick(rng, names)
+            for name in names:
+                raw = (good / name).read_bytes()
+                if name == victim:
+                    if rng.random() < 0.2 and name.startswith("mask_"):
+                        continue
+                    raw = self._mutate(raw, rng)
+                (copy / name).write_bytes(raw)
+            return str(copy)
+        path = case / f"mut_{good.name}"
+        path.write_bytes(self._mutate(good.read_bytes(), rng))
+        return str(path)
+
+    def _argv(self, rng, root, case, command):
+        options = {opt.key: opt for opt in cli._OPTIONS[command][1] + (cli._THREADS,)}
+        valued = [k for k, o in options.items()
+                  if k not in self.INPUTS and k not in ("out", "csv") and o.coerce is not cli._flag]
+        kinds = ["value", "config", "argv"]
+        if command != "gradcheck":
+            kinds.append("output")
+        if command in ("train", "segment", "evaluate"):
+            kinds += ["input", "mutate", "mutate"]
+        faults = [self._pick(rng, kinds) for _ in range(self._pick(rng, (0, 1, 1, 1, 2)))]
+        hostile_key = self._pick(rng, valued) if "value" in faults else None
+        inputs = [k for k in options if k in self.INPUTS]
+        bad_input = self._pick(rng, inputs) if "input" in faults else None
+        mutated = self._pick(rng, inputs) if "mutate" in faults else None
+        argv, config = [command], []
+        for key, opt in options.items():
+            flag = "--" + key.replace("_", "-")
+            if key in self.INPUTS:
+                if key == bad_input:
+                    bad = ["missing.mvf", "nodata", "empty.mvf", "d/vol_000.mvf", "m.rsck", ""]
+                    value = str(root / self._pick(rng, bad))
+                elif key == mutated:
+                    value = self._mutated_input(rng, root, case, key)
+                elif key == "pred" and rng.random() < 0.3:
+                    value = str(root / "p,x \"q\".mvf")  # a scan_id the CSV must quote
+                else:
+                    value = str(root / self.INPUTS[key])
+            elif key in ("out", "csv"):
+                value = str(case / self.OUTPUTS[command])
+                if "output" in faults:
+                    value = self._pick(rng, [str(case / "no_dir" / "f"), str(case),
+                                             str(root / "m.rsck"), ""])
+            elif opt.coerce is cli._flag:
+                roll = rng.random()
+                if roll < 0.3:
+                    argv.append(flag)
+                elif roll < 0.5:
+                    config.append((key, self._pick(rng, self.FLAGS)))
+                elif roll < 0.55 and "value" in faults:
+                    config.append((key, self._pick(rng, self.BAD_FLAGS)))
+                continue
+            elif key == hostile_key:
+                value = self._pick(rng, self.HOSTILE)
+            elif key in ("epochs", "count") or rng.random() < 0.4:
+                value = self._pick(rng, self.VALID[key])
+            else:
+                continue
+            if key not in self.INPUTS and key not in ("out", "csv") and rng.random() < 0.3:
+                config.append((key, value))
+            else:
+                argv.append(f"{flag}={value}")  # a value may start with a dash
+        if config or "config" in faults:
+            lines = [f"{k} = {v}".encode("utf-8", "surrogateescape") for k, v in config]
+            lines.insert(0, b"# a comment")
+            if "config" in faults:
+                lines.insert(int(rng.integers(len(lines) + 1)), self._pick(rng, self.BAD_LINES))
+            path = case / "c.cfg"
+            path.write_bytes(b"\n".join(lines) + b"\n")
+            argv += ["--config", str(path)]
+        if "argv" in faults:
+            broken = self._pick(rng, ["--bogus", "stray", "--threads", "--config", "drop"])
+            if broken != "drop":
+                argv.append(broken)
+            elif len(argv) > 1:  # one argument left out: often a required option
+                argv.pop(int(rng.integers(1, len(argv))))
+        return argv
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_exit_codes(self, pool, command, capsys, monkeypatch):
+        for var in cli._THREAD_ENV:  # --threads sets these; later tests get them back
+            monkeypatch.setenv(var, os.environ.get(var, "1"))
+        rng = np.random.default_rng(list(self.CASES).index(command) + 2026)
+        failed, codes = [], []
+        for i in range(self.CASES[command]):
+            case = pool / f"{command}_{i}"
+            case.mkdir()
+            argv = self._argv(rng, pool, case, command)
+            try:
+                code = run_cli(argv)
+            except (Exception, SystemExit) as exc:  # run_cli must return, whatever the input
+                code = f"raised {type(exc).__name__}: {exc}"
+            err = capsys.readouterr().err
+            codes.append(code)
+            if not (code == 0 or (code == 1 and "error:" in err)) or "Traceback" in err:
+                failed.append((argv, code, err[-300:]))
+        assert not failed, failed
+        # both outcomes occur: the faults reach past the parser, and clean draws run
+        assert codes.count(0) >= 2 and codes.count(1) >= 2

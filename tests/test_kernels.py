@@ -10,8 +10,9 @@ relu, has two: the composed pair it replaced (the unfused kernel, then the
 kernels must match them byte for byte: outputs, pool indices, and every
 gradient. The exceptions are sums taken in another order, each held to a
 rounding bound instead: the conv2d shift lowering's output and weight
-gradient, the col2im input gradient, and batch norm's outputs and
-gradients against the out-of-place expressions.
+gradient, the col2im and shift input gradients, the weight gradient taken
+as one GEMM per item of a batch, and batch norm's outputs and gradients
+against the out-of-place expressions.
 """
 
 from __future__ import annotations
@@ -346,10 +347,16 @@ def test_conv2d_matches_pad_reference(dtype, k, stride, pad):
 
 
 # The forward is a shift lowering for stride 1, k > 1, cout <= cin and at
-# least ad.SHIFT_MIN_PIXELS = 256 output pixels, else im2col. The input
-# gradient is wmat^T @ g (col2im, or the GEMM alone for a stride-1 1x1) when
-# cout*cin > (cout + cin)*N*ho*wo or k = 1, else the dilated correlation.
-# These shapes sit on both sides of both cuts.
+# least ad.SHIFT_MIN_PIXELS = 256 output pixels per item, else im2col. The
+# input gradient is wmat^T @ g (col2im, or the GEMM alone for a stride-1 1x1)
+# when cout*cin > (cout + cin)*N*ho*wo, k = 1, or the call is strided with
+# N*ho*wo >= ad.BATCH_MIN_PIXELS = 1024; else the dilated correlation, by
+# shifted GEMMs (shift) for stride 1 and cin <= cout from N*ho*wo >=
+# ad.SHIFT_GRAD_MIN_PIXELS = 2048, else by im2col columns, one item's at a
+# time from N*ho*wo >= 1024. The weight gradient runs shifted GEMMs after a
+# shift forward or for stride 1, k > 1 from N*ho*wo >= 2048; else one GEMM
+# against the columns, or from N*ho*wo >= 1024 with N > 1 one per item
+# ("+items"). These shapes sit on both sides of every cut.
 CONV_CASES = [
     # n, cin, cout, (h, w), k, stride, pad, form
     (1, 16, 16, (16, 16), 3, 1, 1, "shift"),  # ho*wo exactly at the cut
@@ -367,6 +374,17 @@ CONV_CASES = [
     (1, 32, 24, (6, 7), 3, 2, 1, "col2im"),  # stride 2, 3x4 outputs
     (1, 24, 16, (3, 3), 1, 1, 0, "gemm"),  # 1x1, weight-bound
     (1, 24, 20, (5, 5), 1, 2, 0, "col2im"),  # strided 1x1
+    # N = 8, N*ho*wo on both sides of 1024 and of 2048
+    (8, 8, 4, (11, 11), 3, 1, 1, "dilated"),  # N*ho*wo = 968
+    (8, 8, 4, (12, 12), 3, 1, 1, "dilated+items"),  # 1152
+    (8, 4, 8, (15, 17), 3, 1, 1, "dilated+items"),  # cin < cout, 2040
+    (8, 4, 8, (16, 16), 3, 1, 1, "shift-grads"),  # cin < cout, 2048
+    (8, 8, 4, (16, 16), 3, 1, 1, "shift+items"),  # cin > cout, 2048
+    (8, 6, 6, (16, 16), 3, 1, 1, "shift-all"),  # cin = cout, 2048
+    (8, 8, 8, (22, 22), 3, 2, 1, "dilated"),  # stride 2, 968
+    (8, 8, 8, (24, 24), 3, 2, 1, "col2im+items"),  # stride 2, 1152
+    (8, 8, 8, (11, 11), 1, 1, 0, "gemm"),  # 1x1, 968
+    (8, 8, 8, (12, 12), 1, 1, 0, "gemm+items"),  # 1x1, 1152
 ]
 
 # the helpers each form calls, in order: forward, weight gradient (after
@@ -376,7 +394,21 @@ FORM_CALLS = {
     "dilated": ["_im2col", "_im2col", "_accumulate_weight_grad", "_im2col"],
     "col2im": ["_im2col", "_im2col", "_accumulate_weight_grad", "_col2im"],
     "gemm": ["_im2col", "_im2col", "_accumulate_weight_grad"],
+    # the N = 8 forms: the dilated correlation takes one item's columns at a time
+    "dilated+items": ["_im2col", "_im2col", "_accumulate_weight_grad"] + ["_im2col"] * 8,
+    "col2im+items": ["_im2col", "_im2col", "_accumulate_weight_grad", "_col2im"],
+    "gemm+items": ["_im2col", "_im2col", "_accumulate_weight_grad"],
+    "shift-grads": ["_im2col", "_shifted_weight_grad", "_shifted_gemm"],
+    "shift+items": ["_shifted_gemm", "_shifted_weight_grad"] + ["_im2col"] * 8,
+    "shift-all": ["_shifted_gemm", "_shifted_weight_grad", "_shifted_gemm"],
 }
+
+# what each form sums in another order than the im2col reference, held to a
+# rounding bound: the output ("out"), the weight ("w") or input ("x") gradient
+ROUNDED = {"shift": {"out", "w"}, "dilated": set(), "col2im": {"x"}, "gemm": set(),
+           "dilated+items": {"w"}, "col2im+items": {"w", "x"}, "gemm+items": {"w"},
+           "shift-grads": {"w", "x"}, "shift+items": {"out", "w"},
+           "shift-all": {"out", "w", "x"}}
 
 
 def _conv_case(dtype, case, seed):
@@ -423,16 +455,16 @@ def test_conv2d_lowerings_against_im2col_reference(dtype, case, monkeypatch):
     _backprop(out_abs, np.abs(upstream).astype(np.float64))
     (xm, wm, bm), (xr, wr, br) = mine, theirs
     _, ho, wo = out_m.shape[1:]
-    if form == "shift":
+    if "out" in ROUNDED[form]:
         _assert_within_rounding(out_m.data, out_r.data, cin * k * k + 1, out_abs.data)
     else:
         assert_same_bytes(out_m.data, out_r.data)
     assert_same_bytes(bm.grad, br.grad)
-    if form == "shift":
+    if "w" in ROUNDED[form]:
         _assert_within_rounding(wm.grad, wr.grad, n * ho * wo, magnitudes[1].grad)
     else:
         assert_same_bytes(wm.grad, wr.grad)
-    if form == "col2im":
+    if "x" in ROUNDED[form]:
         _assert_within_rounding(xm.grad, xr.grad, cout * k * k, magnitudes[0].grad)
     else:
         assert_same_bytes(xm.grad, xr.grad)
@@ -476,6 +508,56 @@ def test_taped_conv2d_keeps_no_more_than_its_output(dtype, case):
         tracemalloc.stop()
     # no padded copy of x and no columns
     assert kept <= out.data.nbytes + TAPE_SLACK_BYTES
+
+
+# the train-small step's two dilated input gradients at N = 8: dec1.conv and dec0.conv
+DILATED_ITEMS = [(8, 32, 16, 24), (8, 16, 8, 48)]
+
+
+def _dilated_call(dtype, n, cin, cout, hw, seed):
+    """A taped 3x3 "same" conv whose weight takes no gradient, and an upstream g."""
+    rng = np.random.default_rng(seed)
+    x = ad.Tensor(rng.normal(size=(n, cin, hw, hw)).astype(dtype), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(cout, cin, 3, 3)).astype(dtype))
+    out = ad.conv2d(x, w, None, (1, 1), (1, 1))
+    return x, w, out, rng.normal(size=out.shape).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", DILATED_ITEMS, ids=lambda s: f"n{s[0]}-{s[1]}to{s[2]}-{s[3]}")
+def test_conv2d_dilated_items_match_the_batched_correlation(dtype, shape):
+    n, cin, cout, hw = shape
+    x, w, out, g = _dilated_call(dtype, *shape, 109)
+    assert n * hw * hw >= ad.BATCH_MIN_PIXELS
+    out._backward(g)
+    gd = np.zeros((n, cout, hw + 2, hw + 2), dtype=dtype)
+    gd[:, :, 1:-1, 1:-1] = g
+    wflip = w.data[:, :, ::-1, ::-1].swapaxes(0, 1).reshape(cin, -1)
+    batched = np.matmul(wflip, ad._im2col(gd, 3, 3, 1, 1, hw, hw))
+    assert_same_bytes(x.grad, batched.reshape(x.shape))
+
+
+# what the dilated backward may hold beyond its arrays: the flipped kernel
+# (at most 18 KB here) and small temporaries
+DILATED_SLACK_BYTES = 32768
+
+
+@pytest.mark.parametrize("shape", DILATED_ITEMS, ids=lambda s: f"n{s[0]}-{s[1]}to{s[2]}-{s[3]}")
+def test_conv2d_dilated_backward_holds_one_item_of_columns(shape):
+    n, cin, cout, hw = shape
+    x, w, out, g = _dilated_call(np.float32, *shape, 113)
+    item_columns = cout * 9 * hw * hw * 4
+    # the dilated, padded g and the input gradient
+    held = n * cout * (hw + 2) ** 2 * 4 + x.data.nbytes
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None
+    assert peak <= held + item_columns + DILATED_SLACK_BYTES < held + n * item_columns
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 
 from rseg.metrics import (
     EmptyMaskError,
+    MetricsReport,
     VolumeMask,
     dice_coefficient,
     evaluate,
@@ -257,3 +260,20 @@ class TestCsv:
         lines = raw.decode().splitlines()
         assert lines[0] == "scan_id,dice,asd_mm,hd95_mm,hd_mm"
         assert lines[1] == "case_01,1.000000,0.000000,0.000000,0.000000"
+
+    def test_scan_ids_round_trip_through_csv_reader(self, tmp_path):
+        ids = ["p,x", 'say "hi"', "two\nlines", "cr\rid", 'a,"b"\r\n', "plain", "sp ace", ""]
+        path = tmp_path / "report.csv"
+        write_report_csv([MetricsReport(i, 0.5, 1.0, 2.0, 3.0) for i in ids], path)
+        with open(path, newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == ["scan_id", "dice", "asd_mm", "hd95_mm", "hd_mm"]
+        assert rows[1:] == [[i, "0.500000", "1.000000", "2.000000", "3.000000"] for i in ids]
+
+    def test_only_an_id_that_needs_quotes_is_quoted(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_report_csv([MetricsReport(i, 1.0, 0.0, 0.0, 0.0) for i in ("p x'y", 'p,"x"')], path)
+        assert path.read_bytes().decode().splitlines()[1:] == [
+            "p x'y,1.000000,0.000000,0.000000,0.000000",
+            '"p,""x""",1.000000,0.000000,0.000000,0.000000',
+        ]
