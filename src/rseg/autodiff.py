@@ -228,13 +228,12 @@ def _pair(v):
 # pixels; below it im2col is faster (per-shape table in BENCH_conv_shift.json;
 # at N = 8 in BENCH_conv_batch.json, where no forward choice moves)
 SHIFT_MIN_PIXELS = 256
-# conv2d's backward cuts on a call's output pixels over its batch, N*ho*wo,
+# conv2d's backward cuts for a batch, N > 1, on its output pixels N*ho*wo,
 # from the per-shape table at N = 1 and 8 in BENCH_conv_batch.json. From
-# BATCH_MIN_PIXELS the dilated input gradient builds one item's columns at a
-# time, the weight gradient takes one GEMM per item and a strided input
-# gradient runs col2im; from SHIFT_GRAD_MIN_PIXELS a stride-1 call takes its
-# weight gradient, and with cin <= cout its input gradient, by shifted GEMMs.
-# Every N = 1 call of the workloads sits below both.
+# BATCH_MIN_PIXELS the weight gradient takes one GEMM per item and a strided
+# input gradient runs col2im; from SHIFT_GRAD_MIN_PIXELS a stride-1 call
+# takes its weight gradient, and with cin <= cout its input gradient, by
+# shifted GEMMs. An N = 1 call takes neither, whatever its size.
 BATCH_MIN_PIXELS = 1024
 SHIFT_GRAD_MIN_PIXELS = 2048
 
@@ -348,19 +347,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
       GEMM. The tape keeps x, w and b only, not the padded input or the
       columns.
     - Input gradient: when the call is weight-bound, cout*cin >
-      (cout + cin)*N*ho*wo, its kernel is 1x1, or it is strided with
-      N*ho*wo >= BATCH_MIN_PIXELS, wmat^T @ g, added tap by tap into a zero
-      padded input (col2im; a stride-1 1x1 call is the GEMM alone).
+      (cout + cin)*N*ho*wo, its kernel is 1x1, or it is strided with N > 1
+      and N*ho*wo >= BATCH_MIN_PIXELS, wmat^T @ g, added tap by tap into a
+      zero padded input (col2im; a stride-1 1x1 call is the GEMM alone).
       Otherwise the zero-dilated output gradient correlated with the
       flipped, channel-swapped kernel: by one GEMM per tap over its shifted
-      views when stride is 1, cin <= cout and N*ho*wo >= SHIFT_GRAD_MIN_PIXELS
-      (shift), else by im2col columns (dilated), one item's at a time from
-      N*ho*wo >= BATCH_MIN_PIXELS and the whole batch's below it.
+      views when stride is 1, cin <= cout, N > 1 and N*ho*wo >=
+      SHIFT_GRAD_MIN_PIXELS (shift), else by one item's im2col columns at a
+      time (dilated).
     - Weight gradient: x is padded again and, after a shift forward or for
-      a stride-1 k x k call with N*ho*wo >= SHIFT_GRAD_MIN_PIXELS, one GEMM
-      per tap runs against the shifted views; otherwise one GEMM, or one
-      per item (_accumulate_weight_grad), against the columns built again,
-      added in place into a buffer the weight owns.
+      a stride-1 k x k call with N > 1 and N*ho*wo >= SHIFT_GRAD_MIN_PIXELS,
+      one GEMM per tap runs against the shifted views; otherwise one GEMM,
+      or one per item (_accumulate_weight_grad), against the columns built
+      again, added in place into a buffer the weight owns.
     """
     sy, sx = _pair(stride)
     py, px = _pair(pad)
@@ -379,11 +378,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
     hp, wp = h + 2 * py, wdt + 2 * px
     pixels = n * ho * wo
     shift = sy == sx == 1 and kh * kw > 1 and cout <= cin and ho * wo >= SHIFT_MIN_PIXELS
-    shift_grads = sy == sx == 1 and kh * kw > 1 and pixels >= SHIFT_GRAD_MIN_PIXELS
+    shift_grads = n > 1 and sy == sx == 1 and kh * kw > 1 and pixels >= SHIFT_GRAD_MIN_PIXELS
     # the cut comes from the per-shape table in BENCH_conv_backward.json, and
     # holds at N = 8 in BENCH_conv_batch.json
     weight_bound = not shift and cout * cin > (cout + cin) * pixels
-    col2im = weight_bound or kh * kw == 1 or (sy * sx > 1 and pixels >= BATCH_MIN_PIXELS)
+    col2im = weight_bound or kh * kw == 1 or (n > 1 and sy * sx > 1 and pixels >= BATCH_MIN_PIXELS)
 
     def padded(tail):
         """(buf, xp): x zero padded, flattened per channel into buf with ``tail``
@@ -437,10 +436,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
             else:
                 wflip = wflip.reshape(cin, -1)
                 gx = np.empty((n, cin, h * wdt), dtype=g.dtype)
-                step = 1 if pixels >= BATCH_MIN_PIXELS else n
-                for i in range(0, n, step):  # no name keeps a chunk's columns past its GEMM
-                    np.matmul(wflip, _im2col(gd[i : i + step], kh, kw, 1, 1, h, wdt),
-                              out=gx[i : i + step])
+                for i in range(n):  # no name keeps an item's columns past its GEMM
+                    np.matmul(wflip, _im2col(gd[i : i + 1], kh, kw, 1, 1, h, wdt)[0], out=gx[i])
         _accumulate(x, gx.reshape(n, cin, h, wdt))
 
     return _make_result(out, "conv2d", (x, w) if b is None else (x, w, b), backward_fn)

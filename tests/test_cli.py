@@ -839,10 +839,13 @@ class TestExitCodeFuzz:
 
     A call draws its options from pools of valid values, then takes zero,
     one or two faults, so that most faults reach the code past the parser.
-    Every value a draw can pick is invalid or cheap to run: no pool holds a
-    count, an epoch number or a model size that would make a call slow. The
-    gradcheck pools leave out f32 and tiny steps, whose failed check exits 2
-    by design (a runtime failure, not an invalid input).
+    A hostile value is invalid for the key it goes to (``HOSTILE`` for every
+    key, ``HOSTILE_FOR`` for one), so a call that takes one, or a bad config
+    line, exits 1. Every pool value is cheap to run: no pool holds a count,
+    an epoch number or a model size that would make a call slow, and a
+    dropped argument is never the epochs or count one. The gradcheck pools
+    leave out f32 and tiny steps, whose failed check exits 2 by design (a
+    runtime failure, not an invalid input).
     """
 
     CASES = {"synth": 30, "train": 40, "segment": 60, "evaluate": 60, "gradcheck": 16}
@@ -864,9 +867,25 @@ class TestExitCodeFuzz:
         "dtype": ("f64",),
         "threads": ("1", "2"),
     }
-    HOSTILE = ("", "0", "-1", "x", "nan", "inf", "-inf", "1e309", "1.5", "0x10", "1_0",
-               "-" + "9" * 30, "\udcff", "8x32", "0x32x32", "axbxc", "99999x99999x99999",
-               "UNet", "1", "11", "2048", "f16", "1e-320")
+    HOSTILE = ("", "x", "-1", "nan", "inf", "-inf", "1e309", "0x10", "-" + "9" * 30,
+               "\udcff", "8x32", "0x32x32", "axbxc", "99999x99999x99999", "UNet", "f16")
+    HOSTILE_FOR = {
+        "count": ("0", "1.5"),
+        "size": ("7x32x32", "8x32x31"),
+        "seed": ("1.5",),
+        "noise": ("-0.5",),
+        "levels": ("0", "1", "11", "2048"),
+        "base_channels": ("0", "3", "2048"),
+        "bptt": ("Detach", "none"),
+        "lr": ("0", "1e-400"),
+        "epochs": ("0", "1.5"),
+        "patience": ("0", "1.5"),
+        "threshold": ("0", "1", "1.5"),
+        "max_seq_len": ("0", "1.5"),
+        "eps": ("0", "1e-400"),
+        "dtype": ("f8",),
+        "threads": ("0", "1.5"),
+    }
     FLAGS = ("true", "false", "1", "0", "yes", "off")
     BAD_FLAGS = ("maybe", "", "2", "\udcff")
     BAD_LINES = (b"no equals sign", b"bogus_key = 1", b"seed = \xff\xfe", b"\xc3\x28 = 1",
@@ -930,6 +949,8 @@ class TestExitCodeFuzz:
         return str(path)
 
     def _argv(self, rng, root, case, command):
+        """The call's argv, and whether it must exit 1: it took a hostile
+        value or a bad config line, and no argument was dropped."""
         options = {opt.key: opt for opt in cli._OPTIONS[command][1] + (cli._THREADS,)}
         valued = [k for k, o in options.items()
                   if k not in self.INPUTS and k not in ("out", "csv") and o.coerce is not cli._flag]
@@ -959,8 +980,10 @@ class TestExitCodeFuzz:
             elif key in ("out", "csv"):
                 value = str(case / self.OUTPUTS[command])
                 if "output" in faults:
+                    taken = case / "taken"  # an existing file, overwritten
+                    taken.write_bytes(b"x")
                     value = self._pick(rng, [str(case / "no_dir" / "f"), str(case),
-                                             str(root / "m.rsck"), ""])
+                                             str(taken), ""])
             elif opt.coerce is cli._flag:
                 roll = rng.random()
                 if roll < 0.3:
@@ -971,7 +994,7 @@ class TestExitCodeFuzz:
                     config.append((key, self._pick(rng, self.BAD_FLAGS)))
                 continue
             elif key == hostile_key:
-                value = self._pick(rng, self.HOSTILE)
+                value = self._pick(rng, self.HOSTILE + self.HOSTILE_FOR.get(key, ()))
             elif key in ("epochs", "count") or rng.random() < 0.4:
                 value = self._pick(rng, self.VALID[key])
             else:
@@ -988,13 +1011,19 @@ class TestExitCodeFuzz:
             path = case / "c.cfg"
             path.write_bytes(b"\n".join(lines) + b"\n")
             argv += ["--config", str(path)]
+        dropped = False
         if "argv" in faults:
             broken = self._pick(rng, ["--bogus", "stray", "--threads", "--config", "drop"])
+            # one argument left out, often a required option; never the epochs
+            # or count, whose defaults would make the call slow
+            slow = ("--epochs=", "--count=")
+            droppable = [i for i, arg in enumerate(argv) if i and not arg.startswith(slow)]
             if broken != "drop":
                 argv.append(broken)
-            elif len(argv) > 1:  # one argument left out: often a required option
-                argv.pop(int(rng.integers(1, len(argv))))
-        return argv
+            elif droppable:
+                argv.pop(self._pick(rng, droppable))
+                dropped = True
+        return argv, ("value" in faults or "config" in faults) and not dropped
 
     @pytest.mark.parametrize("command", list(CASES))
     def test_exit_codes(self, pool, command, capsys, monkeypatch):
@@ -1005,14 +1034,15 @@ class TestExitCodeFuzz:
         for i in range(self.CASES[command]):
             case = pool / f"{command}_{i}"
             case.mkdir()
-            argv = self._argv(rng, pool, case, command)
+            argv, must_fail = self._argv(rng, pool, case, command)
             try:
                 code = run_cli(argv)
             except (Exception, SystemExit) as exc:  # run_cli must return, whatever the input
                 code = f"raised {type(exc).__name__}: {exc}"
             err = capsys.readouterr().err
             codes.append(code)
-            if not (code == 0 or (code == 1 and "error:" in err)) or "Traceback" in err:
+            if (not (code == 0 or (code == 1 and "error:" in err)) or "Traceback" in err
+                    or (must_fail and code == 0)):
                 failed.append((argv, code, err[-300:]))
         assert not failed, failed
         # both outcomes occur: the faults reach past the parser, and clean draws run

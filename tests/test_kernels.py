@@ -350,13 +350,14 @@ def test_conv2d_matches_pad_reference(dtype, k, stride, pad):
 # least ad.SHIFT_MIN_PIXELS = 256 output pixels per item, else im2col. The
 # input gradient is wmat^T @ g (col2im, or the GEMM alone for a stride-1 1x1)
 # when cout*cin > (cout + cin)*N*ho*wo, k = 1, or the call is strided with
-# N*ho*wo >= ad.BATCH_MIN_PIXELS = 1024; else the dilated correlation, by
-# shifted GEMMs (shift) for stride 1 and cin <= cout from N*ho*wo >=
-# ad.SHIFT_GRAD_MIN_PIXELS = 2048, else by im2col columns, one item's at a
-# time from N*ho*wo >= 1024. The weight gradient runs shifted GEMMs after a
-# shift forward or for stride 1, k > 1 from N*ho*wo >= 2048; else one GEMM
-# against the columns, or from N*ho*wo >= 1024 with N > 1 one per item
-# ("+items"). These shapes sit on both sides of every cut.
+# N > 1 and N*ho*wo >= ad.BATCH_MIN_PIXELS = 1024; else the dilated
+# correlation, by shifted GEMMs (shift) for stride 1, cin <= cout, N > 1 and
+# N*ho*wo >= ad.SHIFT_GRAD_MIN_PIXELS = 2048, else by one item's im2col
+# columns at a time. The weight gradient runs shifted GEMMs after a shift
+# forward or for stride 1, k > 1, N > 1 and N*ho*wo >= 2048; else one GEMM
+# against the columns, or with N > 1 and N*ho*wo >= 1024 one per item
+# ("+items"). These shapes sit on both sides of every cut, and N = 1 shapes
+# above both batch cuts keep the per-slice forms.
 CONV_CASES = [
     # n, cin, cout, (h, w), k, stride, pad, form
     (1, 16, 16, (16, 16), 3, 1, 1, "shift"),  # ho*wo exactly at the cut
@@ -374,12 +375,15 @@ CONV_CASES = [
     (1, 32, 24, (6, 7), 3, 2, 1, "col2im"),  # stride 2, 3x4 outputs
     (1, 24, 16, (3, 3), 1, 1, 0, "gemm"),  # 1x1, weight-bound
     (1, 24, 20, (5, 5), 1, 2, 0, "col2im"),  # strided 1x1
+    # N = 1 above both batch cuts
+    (1, 4, 8, (48, 48), 3, 1, 1, "dilated"),  # cin < cout, ho*wo = 2304
+    (1, 8, 8, (64, 64), 3, 2, 1, "dilated"),  # stride 2, 1024
     # N = 8, N*ho*wo on both sides of 1024 and of 2048
     (8, 8, 4, (11, 11), 3, 1, 1, "dilated"),  # N*ho*wo = 968
     (8, 8, 4, (12, 12), 3, 1, 1, "dilated+items"),  # 1152
     (8, 4, 8, (15, 17), 3, 1, 1, "dilated+items"),  # cin < cout, 2040
     (8, 4, 8, (16, 16), 3, 1, 1, "shift-grads"),  # cin < cout, 2048
-    (8, 8, 4, (16, 16), 3, 1, 1, "shift+items"),  # cin > cout, 2048
+    (8, 8, 4, (16, 16), 3, 1, 1, "shift"),  # cin > cout, 2048
     (8, 6, 6, (16, 16), 3, 1, 1, "shift-all"),  # cin = cout, 2048
     (8, 8, 8, (22, 22), 3, 2, 1, "dilated"),  # stride 2, 968
     (8, 8, 8, (24, 24), 3, 2, 1, "col2im+items"),  # stride 2, 1152
@@ -388,18 +392,20 @@ CONV_CASES = [
 ]
 
 # the helpers each form calls, in order: forward, weight gradient (after
-# im2col, the columns built again), input gradient
+# im2col, the columns built again), input gradient. EACH_ITEM stands for one
+# _im2col per item: the dilated correlation takes one item's columns at a time.
+EACH_ITEM = "_im2col for each item"
 FORM_CALLS = {
-    "shift": ["_shifted_gemm", "_shifted_weight_grad", "_im2col"],
-    "dilated": ["_im2col", "_im2col", "_accumulate_weight_grad", "_im2col"],
+    "shift": ["_shifted_gemm", "_shifted_weight_grad", EACH_ITEM],
+    "dilated": ["_im2col", "_im2col", "_accumulate_weight_grad", EACH_ITEM],
     "col2im": ["_im2col", "_im2col", "_accumulate_weight_grad", "_col2im"],
     "gemm": ["_im2col", "_im2col", "_accumulate_weight_grad"],
-    # the N = 8 forms: the dilated correlation takes one item's columns at a time
-    "dilated+items": ["_im2col", "_im2col", "_accumulate_weight_grad"] + ["_im2col"] * 8,
+    # the N = 8 forms; "+items" takes the weight gradient's first product as
+    # one GEMM per item, where the others take one np.tensordot
+    "dilated+items": ["_im2col", "_im2col", "_accumulate_weight_grad", EACH_ITEM],
     "col2im+items": ["_im2col", "_im2col", "_accumulate_weight_grad", "_col2im"],
     "gemm+items": ["_im2col", "_im2col", "_accumulate_weight_grad"],
     "shift-grads": ["_im2col", "_shifted_weight_grad", "_shifted_gemm"],
-    "shift+items": ["_shifted_gemm", "_shifted_weight_grad"] + ["_im2col"] * 8,
     "shift-all": ["_shifted_gemm", "_shifted_weight_grad", "_shifted_gemm"],
 }
 
@@ -407,8 +413,7 @@ FORM_CALLS = {
 # rounding bound: the output ("out"), the weight ("w") or input ("x") gradient
 ROUNDED = {"shift": {"out", "w"}, "dilated": set(), "col2im": {"x"}, "gemm": set(),
            "dilated+items": {"w"}, "col2im+items": {"w", "x"}, "gemm+items": {"w"},
-           "shift-grads": {"w", "x"}, "shift+items": {"out", "w"},
-           "shift-all": {"out", "w", "x"}}
+           "shift-grads": {"w", "x"}, "shift-all": {"out", "w", "x"}}
 
 
 def _conv_case(dtype, case, seed):
@@ -434,18 +439,22 @@ def _assert_within_rounding(mine, theirs, terms, magnitude):
 def test_conv2d_lowerings_against_im2col_reference(dtype, case, monkeypatch):
     n, cin, cout, _, k = case[:5]
     stride, pad, form = ad._pair(case[5]), ad._pair(case[6]), case[7]
-    ran = []
+    ran, tensordots = [], []
     for name in ("_shifted_gemm", "_shifted_weight_grad", "_accumulate_weight_grad",
                  "_im2col", "_col2im"):
         monkeypatch.setattr(ad, name,
                             lambda *a, _n=name, _f=getattr(ad, name): ran.append(_n) or _f(*a))
+    monkeypatch.setattr(ad.np, "tensordot",
+                        lambda *a, _f=np.tensordot, **kw: tensordots.append(1) or _f(*a, **kw))
     rng, arrays = _conv_case(dtype, case, 101)
     mine, theirs = _leaves(arrays), _leaves(arrays)
     out_m = ad.conv2d(*mine, stride, pad)
     upstream = rng.normal(size=out_m.shape).astype(dtype)
     _backprop(out_m, upstream)
     monkeypatch.undo()
-    assert ran == FORM_CALLS[form]
+    calls = FORM_CALLS[form]
+    assert ran == [c for name in calls for c in ([name] if name != EACH_ITEM else ["_im2col"] * n)]
+    assert len(tensordots) == (0 if "+items" in form else calls.count("_accumulate_weight_grad"))
     out_r = conv2d_reference(*theirs, stride, pad)
     _backprop(out_r, upstream)
     # the same graph over |x|, |w|, |b| and |upstream| in f64 sums the
@@ -524,11 +533,11 @@ def _dilated_call(dtype, n, cin, cout, hw, seed):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("shape", DILATED_ITEMS, ids=lambda s: f"n{s[0]}-{s[1]}to{s[2]}-{s[3]}")
+@pytest.mark.parametrize("shape", DILATED_ITEMS + [(2, 3, 4, 9)],
+                         ids=lambda s: f"n{s[0]}-{s[1]}to{s[2]}-{s[3]}")
 def test_conv2d_dilated_items_match_the_batched_correlation(dtype, shape):
     n, cin, cout, hw = shape
     x, w, out, g = _dilated_call(dtype, *shape, 109)
-    assert n * hw * hw >= ad.BATCH_MIN_PIXELS
     out._backward(g)
     gd = np.zeros((n, cout, hw + 2, hw + 2), dtype=dtype)
     gd[:, :, 1:-1, 1:-1] = g
@@ -558,6 +567,32 @@ def test_conv2d_dilated_backward_holds_one_item_of_columns(shape):
         tracemalloc.stop()
     assert x.grad is not None
     assert peak <= held + item_columns + DILATED_SLACK_BYTES < held + n * item_columns
+
+
+# (N, P, whether the first product is one np.tensordot): N*P one below and at
+# ad.BATCH_MIN_PIXELS = 1024, and an N = 1 call above it
+WEIGHT_GRAD_CUT = [(3, 341, True), (4, 256, False), (2, 512, False), (1, 2048, True)]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n,p,tensordot", WEIGHT_GRAD_CUT, ids=lambda v: str(v))
+def test_weight_grad_takes_one_gemm_per_item_from_the_cut(dtype, n, p, tensordot, monkeypatch):
+    rng = np.random.default_rng(127)
+    a, b = (rng.normal(size=(n, m, p)).astype(dtype) for m in (6, 10))
+    w = ad.Tensor(np.zeros((6, 10), dtype=dtype), requires_grad=True)
+    calls = []
+    monkeypatch.setattr(ad.np, "tensordot",
+                        lambda *a_, _f=np.tensordot, **kw: calls.append(1) or _f(*a_, **kw))
+    ad._accumulate_weight_grad(w, a, b)
+    monkeypatch.undo()
+    assert len(calls) == int(tensordot)
+    whole = np.tensordot(a, b, axes=([0, 2], [0, 2]))
+    if tensordot:
+        assert_same_bytes(w.grad, whole)
+    else:
+        magnitude = np.tensordot(np.abs(a).astype(np.float64), np.abs(b).astype(np.float64),
+                                 axes=([0, 2], [0, 2]))
+        _assert_within_rounding(w.grad, whole, n * p, magnitude)
 
 
 # ---------------------------------------------------------------------------
