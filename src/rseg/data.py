@@ -40,6 +40,8 @@ MASK_COUNT_BOUNDS = (1300, 5500)
 # volume and its f64 noise draw, about 36 bytes a voxel (600 MB at the bound)
 MAX_PHANTOM_VOXELS = 2 ** 24
 
+_ARC_STEPS = np.linspace(0.0, 1.0, 72)  # where the decoy search samples each arc
+
 
 @dataclass(frozen=True)
 class Volume:
@@ -103,14 +105,9 @@ def _arc_distance(yy, xx, cy, cx, radius, theta0, dtheta):
     return np.where(rel <= dtheta, d_ring, d_end)
 
 
-def _arc_points(cy, cx, radius, theta0, dtheta, n=72):
-    t = theta0 + dtheta * np.linspace(0.0, 1.0, n)
-    return np.stack([cy + radius * np.sin(t), cx + radius * np.cos(t)], axis=1)
-
-
-def _min_curve_distance(a, b) -> float:
-    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    return float(np.sqrt(d2.min()))
+def _arc_points(cy, cx, radius, theta0, dtheta):
+    t = theta0 + dtheta * _ARC_STEPS
+    return cy + radius * np.sin(t), cx + radius * np.cos(t)
 
 
 def generate_phantom(spec: PhantomSpec):
@@ -170,17 +167,20 @@ def generate_phantom(spec: PhantomSpec):
 def _paint_decoy(rng, vol_z, mask_z, yy, xx, h, w,
                  cy, cx, radius, tube, gamma, dtheta):
     """Same-shape arc at a fresh random pose, kept clear of the object."""
-    obj_pts = _arc_points(cy, cx, radius, gamma, dtheta)
+    oy, ox = _arc_points(cy, cx, radius, gamma, dtheta)
     m = radius + tube + 1.0
     want = 2.0 * tube + 1.5
     best = None
     best_d = -1.0
+    # exactly three draws per candidate, in this order: the noise drawn after
+    # the decoys depends on how many draws the search took
     for _ in range(80):
         dcy = rng.uniform(m, h - 1 - m)
         dcx = rng.uniform(m, w - 1 - m)
         dth = rng.uniform(0.0, 2.0 * np.pi)
-        cand = _arc_points(dcy, dcx, radius, dth, dtheta)
-        dist = _min_curve_distance(cand, obj_pts)
+        py, px = _arc_points(dcy, dcx, radius, dth, dtheta)
+        dy, dx = py[:, None] - oy, px[:, None] - ox
+        dist = float(np.sqrt((dy * dy + dx * dx).min()))
         if dist > best_d:
             best, best_d = (dcy, dcx, dth), dist
         if dist >= want:

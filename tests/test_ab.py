@@ -1,4 +1,5 @@
-"""tools/ab.py's sign test, its traced peak and its import of a second copy of the package."""
+"""tools/ab.py's sign test, its traced peak, its import of a second copy of the package
+and its set-up rounds."""
 
 import importlib.util
 import pathlib
@@ -19,6 +20,15 @@ AB = ROOT / "tools" / "ab.py"
 @pytest.fixture(scope="module")
 def ab():
     spec = importlib.util.spec_from_file_location("tools_ab", AB)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -63,14 +73,48 @@ def test_copied_tree_imports_under_another_name(ab, tmp_path):
             del sys.modules[name]
 
 
-def test_workloads_are_perfbench_workloads(ab):
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
+def test_workloads_are_perfbench_workloads(ab, bench):
     assert ab.WORKLOADS == tuple(bench.WORKLOADS)
     for name, (args, dims) in ab.TRAIN.items():
         workload = bench.WORKLOADS[name]()
         assert args == [str(a) for a in workload.model_args], name
         assert dims == workload.dims, name
     assert ab.SEGMENT_SHAPES == bench.InferEvalWorkload.SHAPES
+
+
+@pytest.mark.parametrize("workload", ["train-small", "train-wide", "infer-eval"])
+def test_setup_phantoms_are_a_perfbench_setup(ab, bench, workload, tmp_path, monkeypatch):
+    made = []
+
+    def pair(directory, index, dims, seed, streaks, scored=True):
+        made.append((index, tuple(dims), seed, streaks))
+
+    monkeypatch.setattr(bench, "Pair", pair)
+    bench.WORKLOADS[workload]().setup(str(tmp_path), 7)
+    assert made == [(i, dims, 7, streaks) for i, dims, streaks in ab.setup_phantoms(workload)]
+
+
+def test_setup_rounds_compare_the_phantom_bytes(ab, tmp_path, monkeypatch):
+    monkeypatch.setattr(ab, "BUILD", tmp_path)
+    monkeypatch.setattr(ab, "setup_phantoms",
+                        lambda workload: [(0, (8, 32, 32), False), (1, (8, 33, 37), True)])
+    package = pathlib.Path(rseg.__file__).parent
+    # the same generator with a brighter decoy
+    brighter = tmp_path / "brighter" / "rseg"
+    shutil.copytree(package, brighter, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (brighter / "data.py").read_text()
+    (brighter / "data.py").write_text(
+        source.replace("DECOY_INTENSITY = 1400.0", "DECOY_INTENSITY = 1500.0"))
+
+    def forget_sides():
+        for name in [m for m in sys.modules if m.split(".")[0] in ("rseg_base", "rseg_work")]:
+            del sys.modules[name]
+
+    try:
+        for base, same in ((package, True), (brighter, False)):
+            forget_sides()  # each compare imports both trees afresh
+            report = ab.compare(base, package, "train-wide", 1, 3, setup=True)
+            assert report["setup"] and report["same_outputs"] is same
+            assert len(report["ratios"]) == 1 and report["base_ms"][0] > 0
+    finally:
+        forget_sides()

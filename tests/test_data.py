@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from rseg import data
 from rseg.data import (
     BACKGROUND_INTENSITY,
     DECOY_INTENSITY,
@@ -123,6 +124,51 @@ class TestDecoys:
         spec = PhantomSpec(seed=8, decoys=True, noise_sigma=0.0)
         vol, mask = generate_phantom(spec)
         assert np.all(vol.intensities[mask.voxels == 1] == OBJECT_INTENSITY)
+
+
+def _reference_paint_decoy(rng, vol_z, mask_z, yy, xx, h, w,
+                           cy, cx, radius, tube, gamma, dtheta):
+    """The decoy search that scored candidates over a (72, 72, 2) array of point pairs."""
+
+    def arc_points(py, px, theta0):
+        t = theta0 + dtheta * np.linspace(0.0, 1.0, 72)
+        return np.stack([py + radius * np.sin(t), px + radius * np.cos(t)], axis=1)
+
+    obj_pts = arc_points(cy, cx, gamma)
+    m = radius + tube + 1.0
+    want = 2.0 * tube + 1.5
+    best = None
+    best_d = -1.0
+    for _ in range(80):
+        dcy = rng.uniform(m, h - 1 - m)
+        dcx = rng.uniform(m, w - 1 - m)
+        dth = rng.uniform(0.0, 2.0 * np.pi)
+        cand = arc_points(dcy, dcx, dth)
+        dist = float(np.sqrt(((cand[:, None, :] - obj_pts[None, :, :]) ** 2).sum(axis=2).min()))
+        if dist > best_d:
+            best, best_d = (dcy, dcx, dth), dist
+        if dist >= want:
+            break
+    if best_d >= 2.0 * tube + 0.5:
+        dcy, dcx, dth = best
+        fg = data._arc_distance(yy, xx, dcy, dcx, radius, dth, dtheta) <= tube
+        vol_z[fg & (mask_z == 0)] = DECOY_INTENSITY
+
+
+class TestDecoySearchOracle:
+    # 8x32x32 runs all 80 tries in most slices; the rest are the train-small
+    # and infer-eval benchmark shapes
+    @pytest.mark.parametrize("dims", [(8, 32, 32), (8, 48, 48), (8, 53, 55), (9, 50, 46),
+                                      (10, 45, 47), (11, 41, 43), (12, 37, 39), (8, 33, 61)])
+    def test_same_bytes_as_the_pair_array_search(self, dims, monkeypatch):
+        specs = [PhantomSpec(dims=dims, decoys=True, artifact_streaks=streaks, seed=seed)
+                 for streaks in (False, True) for seed in (0, 1, 2)]
+        got = [generate_phantom(spec) for spec in specs]
+        monkeypatch.setattr(data, "_paint_decoy", _reference_paint_decoy)
+        for spec, (vol, mask) in zip(specs, got):
+            ref_vol, ref_mask = generate_phantom(spec)
+            assert vol.intensities.tobytes() == ref_vol.intensities.tobytes(), spec
+            assert mask.voxels.tobytes() == ref_mask.voxels.tobytes(), spec
 
 
 class TestStreaks:

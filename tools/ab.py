@@ -1,6 +1,7 @@
 """In-process A/B of two rseg source trees: a base revision against the working tree.
 
     python3 tools/ab.py --base HEAD~1 --workload train-small --rounds 30 --seed 1
+    python3 tools/ab.py --base HEAD~1 --workload train-wide --setup --rounds 10
 
 Run from the root of a git checkout. The base revision's ``src/rseg`` is
 extracted with ``git archive`` into the gitignored ``.bench_build/<sha>/``
@@ -17,7 +18,12 @@ sums each side's two:
 - ``train-small``, ``train-wide``: one ``rseg train`` of the benchmark
   workload's model (one volume, one epoch), each side into its own files;
 - ``infer-eval``: ``rseg segment`` of one volume of each of the six shapes,
-  summed, each side with a segunet L3C16 checkpoint it wrote itself.
+  summed, each side with a segunet L3C16 checkpoint it wrote itself;
+- with ``--setup``, in place of the above: each side generates, in memory,
+  the 18 phantoms of one perfbench set-up of the workload (its shapes,
+  decoys, streaks and ``derive_seed`` indices), and the bytes compared are
+  their volumes and masks. perfbench's ``setup_s`` is wall seconds and
+  drifts with the host; this ratio does not.
 
 One untimed warm-up request per side comes first. The report gives each
 round's ratio (work / base), the median ratio, the number of rounds in
@@ -129,15 +135,20 @@ class Side:
     def module(self, sub: str):
         return importlib.import_module(f"{self.name}.{sub}")
 
+    def timed(self, call):
+        """(wall seconds, result) of ``call()``; its minor page faults go to ``faults``."""
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        t0 = time.perf_counter()
+        result = call()
+        dt = time.perf_counter() - t0
+        self.faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+        return dt, result
+
     def run(self, argv) -> float:
         """Wall seconds of one in-process CLI call; a non-zero exit stops the run."""
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            t0 = time.perf_counter()
-            code = self.cli.run_cli([str(a) for a in argv])
-            dt = time.perf_counter() - t0
-            self.faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults)
+            dt, code = self.timed(lambda: self.cli.run_cli([str(a) for a in argv]))
         if code != 0:
             raise SystemExit(f"ab: {self.name} exited {code}: {err.getvalue().strip()}")
         return dt
@@ -186,22 +197,59 @@ class SegmentRequests:
         return [(side.dir / f"pred_{i}.mvf").read_bytes() for i in range(len(self.volumes))]
 
 
+class SetupRequests:
+    def __init__(self, workload, seed, data, workdir):
+        self.phantoms = setup_phantoms(workload)
+        self.seed = seed
+        self.made = {}  # each side's last phantoms
+
+    def prepare(self, side) -> None:
+        pass
+
+    def run(self, side) -> float:
+        data = side.module("data")
+        dt, self.made[side.name] = side.timed(
+            lambda: [phantom(data, index, dims, self.seed, streaks)
+                     for index, dims, streaks in self.phantoms])
+        return dt
+
+    def outputs(self, side):
+        return [a.tobytes() for vol, mask in self.made[side.name]
+                for a in (vol.intensities, mask.voxels)]
+
+
+def setup_phantoms(workload):
+    """(index, dims, streaks) of the 18 phantoms one perfbench set-up of ``workload`` writes.
+
+    A train set-up writes one training volume, one validation volume and 16
+    held-out pairs; an infer-eval set-up writes three volumes of each shape.
+    """
+    if workload in TRAIN:
+        return [(i, TRAIN[workload][1], False) for i in range(18)]
+    return [(i, SEGMENT_SHAPES[i % len(SEGMENT_SHAPES)], True) for i in range(18)]
+
+
+def phantom(data, index, dims, seed, streaks):
+    """Phantom ``index`` of a workload drawn from ``seed``, as perfbench generates it."""
+    return data.generate_phantom(data.PhantomSpec(
+        dims=dims, decoys=True, artifact_streaks=streaks, seed=data.derive_seed(seed, index)))
+
+
 def write_phantom(data, directory, index, dims, seed, streaks) -> Path:
-    spec = data.PhantomSpec(dims=dims, decoys=True, artifact_streaks=streaks,
-                            seed=data.derive_seed(seed, index))
-    vol, mask = data.generate_phantom(spec)
+    vol, mask = phantom(data, index, dims, seed, streaks)
     path = Path(directory) / f"vol_{index:03d}.mvf"
     data.save_volume(vol, str(path))
     data.save_volume(mask, str(Path(directory) / f"mask_{index:03d}.mvf"))
     return path
 
 
-def compare(base_dir, work_dir, workload, rounds, seed) -> dict:
-    """Time ``rounds`` rounds of one workload's requests; the report as a dict."""
+def compare(base_dir, work_dir, workload, rounds, seed, setup=False) -> dict:
+    """Time ``rounds`` rounds of one workload's requests, or of its set-up; the report."""
     with tempfile.TemporaryDirectory(prefix="ab_", dir=BUILD) as workdir:
         base = Side(base_dir, "rseg_base", workdir)
         work = Side(work_dir, "rseg_work", workdir)
-        kind = TrainRequests if workload in TRAIN else SegmentRequests
+        kind = (SetupRequests if setup else TrainRequests if workload in TRAIN
+                else SegmentRequests)
         requests = kind(workload, seed, work.module("data"), workdir)
         for side in (base, work):
             requests.prepare(side)
@@ -224,7 +272,7 @@ def compare(base_dir, work_dir, workload, rounds, seed) -> dict:
     wins = sum(r < 1.0 for r in ratios)
     decided = sum(r != 1.0 for r in ratios)
     return {
-        "workload": workload, "rounds": rounds, "seed": seed,
+        "workload": workload, "setup": setup, "rounds": rounds, "seed": seed,
         "base_ms": [round(1e3 * t, 3) for t in times["rseg_base"]],
         "work_ms": [round(1e3 * t, 3) for t in times["rseg_work"]],
         "ratios": [round(r, 4) for r in ratios],
@@ -243,6 +291,8 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of the base side")
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
+    parser.add_argument("--setup", action="store_true",
+                        help="time the workload's set-up phantoms instead of its requests")
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json", help="also write the report here")
@@ -254,12 +304,13 @@ def main(argv=None) -> None:
         os.environ[var] = "1"
     BUILD.mkdir(exist_ok=True)
     report = compare(extract(args.base), ROOT / "src" / "rseg", args.workload, args.rounds,
-                     args.seed)
+                     args.seed, args.setup)
     report["base"] = args.base
     print("round  base_ms   work_ms   ratio")
     for i, (b, w, r) in enumerate(zip(report["base_ms"], report["work_ms"], report["ratios"])):
         print(f"{i:5d} {b:9.3f} {w:9.3f} {r:7.4f}")
-    print(f"{args.workload}: median ratio {report['median_ratio']:.4f}, work faster in "
+    label = f"{args.workload} set-up" if args.setup else args.workload
+    print(f"{label}: median ratio {report['median_ratio']:.4f}, work faster in "
           f"{report['work_faster']}/{args.rounds}, sign-test p {report['sign_test_p']:.3g}, "
           f"minor faults per request base {report['base_faults_per_request']} "
           f"work {report['work_faults_per_request']}, "
