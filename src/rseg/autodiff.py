@@ -12,6 +12,7 @@ training; gradient checks run in f64.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from contextlib import contextmanager
@@ -230,10 +231,10 @@ def _pair(v):
 SHIFT_MIN_PIXELS = 256
 # conv2d's backward cuts for a batch, N > 1, on its output pixels N*ho*wo,
 # from the per-shape table at N = 1 and 8 in BENCH_conv_batch.json. From
-# BATCH_MIN_PIXELS the weight gradient takes one GEMM per item and a strided
-# input gradient runs col2im; from SHIFT_GRAD_MIN_PIXELS a stride-1 call
-# takes its weight gradient, and with cin <= cout its input gradient, by
-# shifted GEMMs. An N = 1 call takes neither, whatever its size.
+# BATCH_MIN_PIXELS the weight gradient takes one GEMM per item; from
+# SHIFT_GRAD_MIN_PIXELS a stride-1 call takes its weight gradient (cin > 1),
+# and with cin <= cout its input gradient, by shifted GEMMs. An N = 1 call
+# takes neither, whatever its size.
 BATCH_MIN_PIXELS = 1024
 SHIFT_GRAD_MIN_PIXELS = 2048
 
@@ -301,6 +302,75 @@ def _col2im(gcols, hp, wp, sy, sx):
     return gxp
 
 
+@functools.lru_cache(maxsize=256)  # a training step asks for the same few shapes
+def _phases(size, k, s, pad, out):
+    """One axis of conv2d's input gradient, split into its stride phases.
+
+    Input i (padded i + pad) takes only the taps a, a + s, ... below k, with
+    a = (i + pad) mod s, the j-th of them from output (i + pad) // s - j. So
+    the inputs of phase a are the stride-1 correlation of g, zero padded,
+    with the phase's taps flipped. Returns (phases, ahead, extent): for each
+    phase with inputs, (a, its first input, its input count, its taps, the
+    first index it reads of g padded by ``ahead`` zeros to ``extent``). A
+    stride-1 axis has one phase, (0, 0, size, k, 0), over g padded by
+    k - 1 - pad zeros ahead to size + k - 1.
+    """
+    phases = []
+    for a in range(min(s, k)):
+        first = (a - pad) % s
+        taps = (k - a + s - 1) // s
+        if first < size:
+            count = (size - first + s - 1) // s
+            phases.append((a, first, count, taps, (first + pad) // s - taps + 1))
+    ahead = max(0, -min(p[4] for p in phases))
+    phases = tuple((a, first, count, taps, lo + ahead) for a, first, count, taps, lo in phases)
+    return phases, ahead, max([out + ahead] + [p[4] + p[2] + p[3] - 1 for p in phases])
+
+
+def _phase_input_grad(g, w, h, wdt, stride, pad, shift):
+    """conv2d's input gradient as one stride-1 correlation per stride phase.
+
+    Phase (ay, ax) correlates g, zero padded, with the flipped and
+    channel-swapped taps w[:, :, ay::sy, ax::sx] and writes inputs
+    gx[:, :, iy::sy, ix::sx]: by one GEMM per tap over shifted views of the
+    padded g (_shifted_gemm) if ``shift``, else by one item's im2col columns
+    at a time. All phases read one padded copy of g; with stride 1 that is
+    the one phase, the flipped kernel over g padded by k - 1 - pad.
+    """
+    n, cout, ho, wo = g.shape
+    cin, kh, kw = w.shape[1:]
+    (sy, sx), (py, px) = stride, pad
+    ys, top, rows = _phases(h, kh, sy, py, ho)
+    xs, left, cols = _phases(wdt, kw, sx, px, wo)
+    # a phase's shifted views run up to its last read column past the last row
+    tail = max(p[4] + p[3] for p in xs) - 1 if shift else 0
+    gbuf = np.zeros((n, cout, rows * cols + tail), dtype=g.dtype)
+    gd = gbuf[:, :, : rows * cols].reshape(n, cout, rows, cols)
+    gd[:, :, top : top + ho, left : left + wo] = g
+    if sy == sx == 1:
+        gx = None
+    else:  # an input no phase reaches (a kernel smaller than its stride) keeps zero
+        gx = (np.empty if kh >= sy and kw >= sx else np.zeros)((n, cin, h, wdt), dtype=g.dtype)
+    for (ay, iy, my, ty, r0), (ax, ix, mx, tx, c0) in itertools.product(ys, xs):
+        wflip = w[:, :, ay::sy, ax::sx][:, :, ::-1, ::-1].swapaxes(0, 1)
+        if shift:
+            part = _shifted_gemm(gbuf[:, :, r0 * cols + c0 :], wflip, cols, my)
+            part = part.reshape(n, cin, my, cols)[:, :, :, :mx]
+        else:
+            wflip = wflip.reshape(cin, -1)
+            part = np.empty((n, cin, my * mx), dtype=g.dtype)
+            for i in range(n):  # no name keeps an item's columns past its GEMM
+                np.matmul(wflip, _im2col(gd[i : i + 1, :, r0:, c0:], ty, tx, 1, 1, my, mx)[0],
+                          out=part[i])
+            part = part.reshape(n, cin, my, mx)
+        if gx is None:  # stride 1: the one phase is the whole gradient
+            gx = np.ascontiguousarray(part)
+        else:
+            gx[:, :, iy::sy, ix::sx] = part
+        del part  # freed before the next phase's GEMMs
+    return gx
+
+
 def _flat(a):
     """(N, R, P) -> (R, N*P)."""
     return a.swapaxes(0, 1).reshape(a.shape[1], -1)
@@ -346,20 +416,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
       of the padded input (shift). Every other call runs im2col plus one
       GEMM. The tape keeps x, w and b only, not the padded input or the
       columns.
-    - Input gradient: when the call is weight-bound, cout*cin >
-      (cout + cin)*N*ho*wo, its kernel is 1x1, or it is strided with N > 1
-      and N*ho*wo >= BATCH_MIN_PIXELS, wmat^T @ g, added tap by tap into a
-      zero padded input (col2im; a stride-1 1x1 call is the GEMM alone).
-      Otherwise the zero-dilated output gradient correlated with the
-      flipped, channel-swapped kernel: by one GEMM per tap over its shifted
-      views when stride is 1, cin <= cout, N > 1 and N*ho*wo >=
-      SHIFT_GRAD_MIN_PIXELS (shift), else by one item's im2col columns at a
-      time (dilated).
+    - Input gradient: a stride-1 1x1 call is wmat^T @ g, and with cout = 1
+      the broadcast product w * g with +0.0 added, the GEMM's bytes without
+      its inner size of 1. A weight-bound call, cout*cin >
+      (cout + cin)*N*ho*wo, adds wmat^T @ g tap by tap into a zero padded
+      input (col2im), which copies no flipped kernel. Every other call is
+      the flipped, channel-swapped kernel correlated with the zero padded g,
+      one stride-1 correlation per stride phase (_phase_input_grad): by one
+      GEMM per tap over shifted views (shift) when strided, or for stride 1
+      with cin <= cout, N > 1 and N*ho*wo >= SHIFT_GRAD_MIN_PIXELS; else by
+      one item's im2col columns at a time. A stride-1 call has one phase,
+      the whole input.
     - Weight gradient: x is padded again and, after a shift forward or for
-      a stride-1 k x k call with N > 1 and N*ho*wo >= SHIFT_GRAD_MIN_PIXELS,
-      one GEMM per tap runs against the shifted views; otherwise one GEMM,
-      or one per item (_accumulate_weight_grad), against the columns built
-      again, added in place into a buffer the weight owns.
+      a stride-1 k x k call with cin > 1, N > 1 and N*ho*wo >=
+      SHIFT_GRAD_MIN_PIXELS, one GEMM per tap runs against the shifted
+      views; otherwise one GEMM, or one per item (_accumulate_weight_grad),
+      against the columns built again, added in place into a buffer the
+      weight owns.
     """
     sy, sx = _pair(stride)
     py, px = _pair(pad)
@@ -379,10 +452,13 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
     pixels = n * ho * wo
     shift = sy == sx == 1 and kh * kw > 1 and cout <= cin and ho * wo >= SHIFT_MIN_PIXELS
     shift_grads = n > 1 and sy == sx == 1 and kh * kw > 1 and pixels >= SHIFT_GRAD_MIN_PIXELS
-    # the cut comes from the per-shape table in BENCH_conv_backward.json, and
-    # holds at N = 8 in BENCH_conv_batch.json
-    weight_bound = not shift and cout * cin > (cout + cin) * pixels
-    col2im = weight_bound or kh * kw == 1 or (n > 1 and sy * sx > 1 and pixels >= BATCH_MIN_PIXELS)
+    # with one input channel, one GEMM per item beats a tap's one-row GEMMs
+    shift_w = shift or (shift_grads and cin > 1)
+    # a strided input gradient takes shifted GEMMs at any size (BENCH_stride_phase.json)
+    shift_x = sy * sx > 1 or (shift_grads and cin <= cout)
+    # the cut comes from the per-shape tables in BENCH_conv_backward.json and
+    # BENCH_stride_phase.json, which counts the flipped-kernel copy it saves
+    col2im = not shift and cout * cin > (cout + cin) * pixels
 
     def padded(tail):
         """(buf, xp): x zero padded, flattened per channel into buf with ``tail``
@@ -412,32 +488,23 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
             _accumulate(b, g2.sum(axis=(0, 2)))
         if w.requires_grad:
             # x padded again, and after im2col its columns, built for this product only
-            if shift or shift_grads:
+            if shift_w:
                 _accumulate(w, _shifted_weight_grad(g, padded(kw - 1)[0], wp, kh, kw))
             else:
                 _accumulate_weight_grad(w, g2, _im2col(padded(0)[1], kh, kw, sy, sx, ho, wo))
         if not x.requires_grad:
             return
-        if col2im:
-            gx = np.matmul(w.data.reshape(cout, -1).T, g2)
-            if kh * kw * sy * sx > 1:  # a 1x1 kernel has no padding
-                gx = _col2im(gx.reshape(n, cin, kh, kw, ho, wo), hp, wp, sy, sx)
-                gx = gx[:, :, py : py + h, px : px + wdt]
-        else:
-            hd, wd = h + kh - 1, wdt + kw - 1
-            shift_x = shift_grads and cin <= cout
-            gbuf = np.zeros((n, cout, hd * wd + (kw - 1 if shift_x else 0)), dtype=g.dtype)
-            gd = gbuf[:, :, : hd * wd].reshape(n, cout, hd, wd)
-            gd[:, :, kh - 1 - py :: sy, kw - 1 - px :: sx][:, :, :ho, :wo] = g
-            wflip = w.data[:, :, ::-1, ::-1].swapaxes(0, 1)
-            if shift_x:
-                full = _shifted_gemm(gbuf, wflip, wd, h).reshape(n, cin, h, wd)
-                gx = np.ascontiguousarray(full[:, :, :, :wdt])
+        if kh * kw * sy * sx == 1:  # a 1x1 kernel has no padding
+            if cout == 1:
+                gx = w.data.reshape(1, cin, 1) * g2
+                gx += 0.0  # the GEMM sums onto +0.0: a -0.0 product becomes +0.0
             else:
-                wflip = wflip.reshape(cin, -1)
-                gx = np.empty((n, cin, h * wdt), dtype=g.dtype)
-                for i in range(n):  # no name keeps an item's columns past its GEMM
-                    np.matmul(wflip, _im2col(gd[i : i + 1], kh, kw, 1, 1, h, wdt)[0], out=gx[i])
+                gx = np.matmul(w.data.reshape(cout, -1).T, g2)
+        elif col2im:
+            gx = np.matmul(w.data.reshape(cout, -1).T, g2).reshape(n, cin, kh, kw, ho, wo)
+            gx = _col2im(gx, hp, wp, sy, sx)[:, :, py : py + h, px : px + wdt]
+        else:
+            gx = _phase_input_grad(g, w.data, h, wdt, (sy, sx), (py, px), shift_x)
         _accumulate(x, gx.reshape(n, cin, h, wdt))
 
     return _make_result(out, "conv2d", (x, w) if b is None else (x, w, b), backward_fn)
@@ -446,7 +513,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
 def conv2d_transpose(x: Tensor, w: Tensor) -> Tensor:
     """Stride-k transposed conv, k x k kernel laid out (Cin, Cout, k, k), no padding.
 
-    One GEMM, then a pixel shuffle that places each input pixel's k x k block.
+    One GEMM, then k x k phase writes: tap (ky, kx) of every input pixel
+    lands in output pixels (ky::k, kx::k). The backward reads the taps back
+    by one transposed copy, which is faster there than k x k phase reads.
     """
     n, cin, h, wdt = x.shape
     cw, cout, kh, kw = w.shape
@@ -455,7 +524,10 @@ def conv2d_transpose(x: Tensor, w: Tensor) -> Tensor:
     x2 = x.data.reshape(n, cin, h * wdt)
     wmat = w.data.reshape(cin, cout * kh * kw)
     cols = np.matmul(wmat.T, x2).reshape(n, cout, kh, kw, h, wdt)
-    out = cols.transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, h * kh, wdt * kw)
+    out = np.empty((n, cout, h, kh, wdt, kw), dtype=cols.dtype)
+    for ky, kx in itertools.product(range(kh), range(kw)):
+        out[:, :, :, ky, :, kx] = cols[:, :, ky, kx]
+    out = out.reshape(n, cout, h * kh, wdt * kw)
 
     def backward_fn(g):
         gcols = g.reshape(n, cout, h, kh, wdt, kw).transpose(0, 1, 3, 5, 2, 4)

@@ -10,7 +10,8 @@ relu, has two: the composed pair it replaced (the unfused kernel, then the
 kernels must match them byte for byte: outputs, pool indices, and every
 gradient. The exceptions are sums taken in another order, each held to a
 rounding bound instead: the conv2d shift lowering's output and weight
-gradient, the col2im and shift input gradients, the weight gradient taken
+gradient, the col2im and shift input gradients, the input gradient of a
+strided call (one correlation per stride phase), the weight gradient taken
 as one GEMM per item of a batch, and batch norm's outputs and gradients
 against the out-of-place expressions.
 """
@@ -338,26 +339,35 @@ def test_conv2d_matches_pad_reference(dtype, k, stride, pad):
     x = rng.normal(size=(2, 3, 9, 8)).astype(dtype)
     w = rng.normal(size=(4, 3, k, k)).astype(dtype)
     b = rng.normal(size=(4,)).astype(dtype)
-    _compare(
-        lambda *t: ad.conv2d(*t, stride, pad),
-        lambda *t: conv2d_reference(*t, stride, pad),
-        [x, w, b],
-        rng,
-    )
+    if stride == (1, 1):
+        _compare(
+            lambda *t: ad.conv2d(*t, stride, pad),
+            lambda *t: conv2d_reference(*t, stride, pad),
+            [x, w, b],
+            rng,
+        )
+        return
+    # a strided input gradient sums by stride phase, in another order
+    mine = _leaves([x, w, b])
+    out = ad.conv2d(*mine, stride, pad)
+    upstream = rng.normal(size=out.shape).astype(dtype)
+    _backprop(out, upstream)
+    _assert_matches_reference(mine, [x, w, b], out, upstream, stride, pad, {"x"})
 
 
 # The forward is a shift lowering for stride 1, k > 1, cout <= cin and at
 # least ad.SHIFT_MIN_PIXELS = 256 output pixels per item, else im2col. The
-# input gradient is wmat^T @ g (col2im, or the GEMM alone for a stride-1 1x1)
-# when cout*cin > (cout + cin)*N*ho*wo, k = 1, or the call is strided with
-# N > 1 and N*ho*wo >= ad.BATCH_MIN_PIXELS = 1024; else the dilated
-# correlation, by shifted GEMMs (shift) for stride 1, cin <= cout, N > 1 and
-# N*ho*wo >= ad.SHIFT_GRAD_MIN_PIXELS = 2048, else by one item's im2col
-# columns at a time. The weight gradient runs shifted GEMMs after a shift
-# forward or for stride 1, k > 1, N > 1 and N*ho*wo >= 2048; else one GEMM
-# against the columns, or with N > 1 and N*ho*wo >= 1024 one per item
-# ("+items"). These shapes sit on both sides of every cut, and N = 1 shapes
-# above both batch cuts keep the per-slice forms.
+# input gradient of a stride-1 1x1 call is wmat^T @ g ("gemm"; with cout = 1
+# the broadcast product, the GEMM's bytes); of a weight-bound call,
+# cout*cin > (cout + cin)*N*ho*wo, wmat^T @ g added tap by tap (col2im);
+# else one correlation per stride phase ("phases": min(s, k) per axis): by
+# shifted GEMMs for every strided call, and for stride 1 with cin <= cout,
+# N > 1 and N*ho*wo >= ad.SHIFT_GRAD_MIN_PIXELS = 2048 (shift), else by one
+# item's im2col columns at a time ("dilated"). The weight gradient runs
+# shifted GEMMs after a shift forward or for stride 1, k > 1, cin > 1, N > 1
+# and N*ho*wo >= 2048; else one GEMM against the columns, or with N > 1 and
+# N*ho*wo >= 1024 one per item ("+items"). These shapes sit on both sides of
+# every cut, and N = 1 shapes above both batch cuts keep the per-slice forms.
 CONV_CASES = [
     # n, cin, cout, (h, w), k, stride, pad, form
     (1, 16, 16, (16, 16), 3, 1, 1, "shift"),  # ho*wo exactly at the cut
@@ -366,54 +376,81 @@ CONV_CASES = [
     (2, 6, 6, (17, 23), 5, 1, 2, "shift"),  # 5x5 kernel, pad 2
     (1, 7, 5, (20, 15), 3, 1, (1, 0), "shift"),  # pad on one axis only
     (1, 4, 8, (20, 20), 3, 1, 1, "dilated"),  # cout > cin
-    (1, 8, 8, (40, 40), 3, 2, 1, "dilated"),  # stride 2
+    (1, 8, 8, (40, 40), 3, 2, 1, "phases"),  # stride 2
     (1, 8, 8, (20, 20), 1, 1, 0, "gemm"),  # 1x1 kernel, pixel-bound
     (1, 8, 8, (2, 2), 3, 1, 1, "dilated"),  # cout*cin = (cout + cin)*ho*wo exactly
     (1, 9, 8, (2, 2), 3, 1, 1, "col2im"),  # one input channel more
     (1, 48, 40, (4, 4), 3, 1, 1, "col2im"),  # 4x4 outputs
     (2, 40, 40, (3, 3), 3, 1, 1, "col2im"),  # N = 2
-    (1, 32, 24, (6, 7), 3, 2, 1, "col2im"),  # stride 2, 3x4 outputs
+    (1, 32, 24, (6, 7), 3, 2, 1, "col2im"),  # stride 2, weight-bound, 3x4 outputs
     (1, 24, 16, (3, 3), 1, 1, 0, "gemm"),  # 1x1, weight-bound
-    (1, 24, 20, (5, 5), 1, 2, 0, "col2im"),  # strided 1x1
+    (1, 24, 20, (5, 5), 1, 2, 0, "col2im"),  # strided 1x1, weight-bound
+    (1, 6, 4, (10, 9), 1, 2, 0, "phases"),  # strided 1x1: one phase, zeros elsewhere
+    # cout = 1 1x1 (K = 1): the broadcast product
+    (1, 8, 1, (20, 20), 1, 1, 0, "gemm"),
+    (2, 5, 1, (7, 9), 1, 1, 0, "gemm"),
+    # strided: odd extents, stride (1, 2), stride 3, k < s (an input phase
+    # with no taps), a 5x5 kernel
+    (1, 5, 7, (13, 11), 3, 2, 1, "phases"),
+    (1, 6, 6, (12, 15), 3, (1, 2), 1, "phases"),
+    (1, 4, 6, (17, 16), 3, 3, 1, "phases"),
+    (1, 4, 4, (11, 13), 2, 3, 1, "phases"),
+    (1, 3, 5, (14, 13), 5, 2, 2, "phases"),
     # N = 1 above both batch cuts
     (1, 4, 8, (48, 48), 3, 1, 1, "dilated"),  # cin < cout, ho*wo = 2304
-    (1, 8, 8, (64, 64), 3, 2, 1, "dilated"),  # stride 2, 1024
+    (1, 8, 8, (64, 64), 3, 2, 1, "phases"),  # stride 2, 1024
     # N = 8, N*ho*wo on both sides of 1024 and of 2048
     (8, 8, 4, (11, 11), 3, 1, 1, "dilated"),  # N*ho*wo = 968
     (8, 8, 4, (12, 12), 3, 1, 1, "dilated+items"),  # 1152
     (8, 4, 8, (15, 17), 3, 1, 1, "dilated+items"),  # cin < cout, 2040
     (8, 4, 8, (16, 16), 3, 1, 1, "shift-grads"),  # cin < cout, 2048
+    (8, 2, 8, (16, 16), 3, 1, 1, "shift-grads"),  # two input channels
+    (8, 1, 8, (16, 16), 3, 1, 1, "shift-x+items"),  # one input channel
     (8, 8, 4, (16, 16), 3, 1, 1, "shift"),  # cin > cout, 2048
     (8, 6, 6, (16, 16), 3, 1, 1, "shift-all"),  # cin = cout, 2048
-    (8, 8, 8, (22, 22), 3, 2, 1, "dilated"),  # stride 2, 968
-    (8, 8, 8, (24, 24), 3, 2, 1, "col2im+items"),  # stride 2, 1152
+    (8, 8, 8, (22, 22), 3, 2, 1, "phases"),  # stride 2, 968
+    (8, 8, 8, (24, 24), 3, 2, 1, "phases+items"),  # stride 2, 1152
+    (8, 8, 8, (48, 48), 3, 2, 1, "phases+items"),  # train-small's enc0.conv_b
     (8, 8, 8, (11, 11), 1, 1, 0, "gemm"),  # 1x1, 968
     (8, 8, 8, (12, 12), 1, 1, 0, "gemm+items"),  # 1x1, 1152
+    (8, 8, 1, (12, 12), 1, 1, 0, "gemm+items"),  # a head: K = 1, 1152
+    # N = 8, strided: odd extents, stride (1, 2), stride 3, k < s, 5x5, 1x1
+    (8, 3, 4, (13, 11), 3, 2, 1, "phases"),
+    (8, 6, 6, (16, 15), 3, (1, 2), 1, "phases+items"),  # 1024
+    (8, 4, 6, (17, 16), 3, 3, 1, "phases"),
+    (8, 4, 4, (11, 13), 2, 3, 1, "phases"),
+    (8, 3, 5, (14, 13), 5, 2, 2, "phases"),
+    (8, 6, 4, (10, 9), 1, 2, 0, "phases"),
 ]
 
 # the helpers each form calls, in order: forward, weight gradient (after
 # im2col, the columns built again), input gradient. EACH_ITEM stands for one
-# _im2col per item: the dilated correlation takes one item's columns at a time.
+# _im2col per item: the dilated correlation takes one item's columns at a
+# time. EACH_PHASE stands for one _shifted_gemm per stride phase.
 EACH_ITEM = "_im2col for each item"
+EACH_PHASE = "_shifted_gemm for each phase"
 FORM_CALLS = {
     "shift": ["_shifted_gemm", "_shifted_weight_grad", EACH_ITEM],
     "dilated": ["_im2col", "_im2col", "_accumulate_weight_grad", EACH_ITEM],
     "col2im": ["_im2col", "_im2col", "_accumulate_weight_grad", "_col2im"],
     "gemm": ["_im2col", "_im2col", "_accumulate_weight_grad"],
+    "phases": ["_im2col", "_im2col", "_accumulate_weight_grad", EACH_PHASE],
     # the N = 8 forms; "+items" takes the weight gradient's first product as
     # one GEMM per item, where the others take one np.tensordot
     "dilated+items": ["_im2col", "_im2col", "_accumulate_weight_grad", EACH_ITEM],
-    "col2im+items": ["_im2col", "_im2col", "_accumulate_weight_grad", "_col2im"],
     "gemm+items": ["_im2col", "_im2col", "_accumulate_weight_grad"],
+    "phases+items": ["_im2col", "_im2col", "_accumulate_weight_grad", EACH_PHASE],
     "shift-grads": ["_im2col", "_shifted_weight_grad", "_shifted_gemm"],
+    "shift-x+items": ["_im2col", "_im2col", "_accumulate_weight_grad", "_shifted_gemm"],
     "shift-all": ["_shifted_gemm", "_shifted_weight_grad", "_shifted_gemm"],
 }
 
 # what each form sums in another order than the im2col reference, held to a
 # rounding bound: the output ("out"), the weight ("w") or input ("x") gradient
 ROUNDED = {"shift": {"out", "w"}, "dilated": set(), "col2im": {"x"}, "gemm": set(),
-           "dilated+items": {"w"}, "col2im+items": {"w", "x"}, "gemm+items": {"w"},
-           "shift-grads": {"w", "x"}, "shift-all": {"out", "w", "x"}}
+           "phases": {"x"}, "dilated+items": {"w"}, "gemm+items": {"w"},
+           "phases+items": {"w", "x"}, "shift-grads": {"w", "x"}, "shift-x+items": {"w", "x"},
+           "shift-all": {"out", "w", "x"}}
 
 
 def _conv_case(dtype, case, seed):
@@ -433,6 +470,46 @@ def _assert_within_rounding(mine, theirs, terms, magnitude):
     assert np.all(np.abs(mine.astype(np.float64) - theirs) <= bound)
 
 
+def _assert_matches_reference(mine, arrays, out_m, upstream, stride, pad, rounded):
+    """conv2d's output and gradients on leaves ``mine`` against the im2col
+    reference on ``arrays``: byte for byte, or for each of ``rounded`` within
+    the rounding bound."""
+    theirs = _leaves(arrays)
+    out_r = conv2d_reference(*theirs, stride, pad)
+    _backprop(out_r, upstream)
+    # the same graph over |x|, |w|, |b| and |upstream| in f64 sums the
+    # magnitudes of every output's and every gradient's products
+    magnitudes = _leaves([np.abs(a).astype(np.float64) for a in arrays])
+    out_abs = conv2d_reference(*magnitudes, stride, pad)
+    _backprop(out_abs, np.abs(upstream).astype(np.float64))
+    (xm, wm, bm), (xr, wr, br) = mine, theirs
+    n, cout, ho, wo = out_m.shape
+    cin, k = arrays[1].shape[1:3]
+    if "out" in rounded:
+        _assert_within_rounding(out_m.data, out_r.data, cin * k * k + 1, out_abs.data)
+    else:
+        assert_same_bytes(out_m.data, out_r.data)
+    assert_same_bytes(bm.grad, br.grad)
+    if "w" in rounded:
+        _assert_within_rounding(wm.grad, wr.grad, n * ho * wo, magnitudes[1].grad)
+    else:
+        assert_same_bytes(wm.grad, wr.grad)
+    if "x" in rounded:
+        _assert_within_rounding(xm.grad, xr.grad, cout * k * k, magnitudes[0].grad)
+    else:
+        assert_same_bytes(xm.grad, xr.grad)
+
+
+def _upstream(rng, shape, dtype):
+    """A normal upstream gradient with a tenth of it +0.0 and a tenth -0.0:
+    with a negative weight, +0.0 * w is -0.0, which a GEMM sums onto +0.0."""
+    upstream = rng.normal(size=shape).astype(dtype)
+    zeros = rng.random(size=shape)
+    upstream[zeros < 0.1] = 0.0
+    upstream[zeros > 0.9] = -0.0
+    return upstream
+
+
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("case", CONV_CASES,
                          ids=lambda c: f"n{c[0]}-{c[1]}to{c[2]}-{c[3][0]}x{c[3][1]}-k{c[4]}s{c[5]}")
@@ -447,36 +524,18 @@ def test_conv2d_lowerings_against_im2col_reference(dtype, case, monkeypatch):
     monkeypatch.setattr(ad.np, "tensordot",
                         lambda *a, _f=np.tensordot, **kw: tensordots.append(1) or _f(*a, **kw))
     rng, arrays = _conv_case(dtype, case, 101)
-    mine, theirs = _leaves(arrays), _leaves(arrays)
+    mine = _leaves(arrays)
     out_m = ad.conv2d(*mine, stride, pad)
-    upstream = rng.normal(size=out_m.shape).astype(dtype)
+    upstream = _upstream(rng, out_m.shape, dtype)
     _backprop(out_m, upstream)
     monkeypatch.undo()
+    # one phase per tap offset below both the stride and the kernel, per axis
+    phases = min(stride[0], k) * min(stride[1], k)
+    expand = {EACH_ITEM: ["_im2col"] * n * phases, EACH_PHASE: ["_shifted_gemm"] * phases}
     calls = FORM_CALLS[form]
-    assert ran == [c for name in calls for c in ([name] if name != EACH_ITEM else ["_im2col"] * n)]
+    assert ran == [c for name in calls for c in expand.get(name, [name])]
     assert len(tensordots) == (0 if "+items" in form else calls.count("_accumulate_weight_grad"))
-    out_r = conv2d_reference(*theirs, stride, pad)
-    _backprop(out_r, upstream)
-    # the same graph over |x|, |w|, |b| and |upstream| in f64 sums the
-    # magnitudes of every output's and every gradient's products
-    magnitudes = _leaves([np.abs(a).astype(np.float64) for a in arrays])
-    out_abs = conv2d_reference(*magnitudes, stride, pad)
-    _backprop(out_abs, np.abs(upstream).astype(np.float64))
-    (xm, wm, bm), (xr, wr, br) = mine, theirs
-    _, ho, wo = out_m.shape[1:]
-    if "out" in ROUNDED[form]:
-        _assert_within_rounding(out_m.data, out_r.data, cin * k * k + 1, out_abs.data)
-    else:
-        assert_same_bytes(out_m.data, out_r.data)
-    assert_same_bytes(bm.grad, br.grad)
-    if "w" in ROUNDED[form]:
-        _assert_within_rounding(wm.grad, wr.grad, n * ho * wo, magnitudes[1].grad)
-    else:
-        assert_same_bytes(wm.grad, wr.grad)
-    if "x" in ROUNDED[form]:
-        _assert_within_rounding(xm.grad, xr.grad, cout * k * k, magnitudes[0].grad)
-    else:
-        assert_same_bytes(xm.grad, xr.grad)
+    _assert_matches_reference(mine, arrays, out_m, upstream, stride, pad, ROUNDED[form])
 
 
 def test_conv2d_shift_forward_builds_columns_only_for_a_backward(monkeypatch):
@@ -517,6 +576,48 @@ def test_taped_conv2d_keeps_no_more_than_its_output(dtype, case):
         tracemalloc.stop()
     # no padded copy of x and no columns
     assert kept <= out.data.nbytes + TAPE_SLACK_BYTES
+
+
+# (N, cin, h, w) of cout = 1 1x1 convs: every backbone's head and attunet's psi gates
+K1_SHAPES = [(1, 8, 48, 48), (8, 8, 48, 48), (1, 16, 32, 32), (1, 8, 4, 4), (3, 5, 7, 9),
+             (1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", K1_SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_conv2d_k1_input_gradient_is_the_gemms_bytes(dtype, shape):
+    # a negative weight times +0.0 is -0.0, and times inf is -inf; the GEMM
+    # with inner size 1 sums each product onto +0.0
+    n, cin, h, w = shape
+    rng = np.random.default_rng(131)
+    x = ad.Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+    wts = -np.abs(rng.normal(size=(1, cin, 1, 1))).astype(dtype)
+    wts[0, 0] = 0.0 if cin > 1 else wts[0, 0]
+    g = rng.normal(size=(n, 1, h, w)).astype(dtype)
+    g.flat[::3] = 0.0
+    g.flat[1::7] = -0.0
+    g.flat[2::11] = np.inf
+    out = ad.conv2d(x, ad.Tensor(wts), None, (1, 1), (0, 0))
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        out._backward(g)
+        product = wts.reshape(1, cin, 1) * g.reshape(n, 1, h * w)
+        gemm = np.matmul(wts.reshape(1, cin).T, g.reshape(n, 1, h * w))
+    assert np.signbit(gemm).sum() < np.signbit(product).sum()
+    assert_same_bytes(x.grad, gemm.reshape(shape))
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", [(8, 16, 8, 24, 24, 2), (1, 32, 16, 12, 12, 2), (2, 3, 5, 7, 5, 2),
+                                   (1, 4, 3, 5, 6, 3), (3, 2, 1, 1, 1, 2)],
+                         ids=lambda s: "-".join(map(str, s)))
+def test_conv2d_transpose_phase_writes_match_the_transpose_copy(dtype, shape):
+    n, cin, cout, h, w, k = shape
+    rng = np.random.default_rng(137)
+    x = rng.normal(size=(n, cin, h, w)).astype(dtype)
+    wts = rng.normal(size=(cin, cout, k, k)).astype(dtype)
+    cols = np.matmul(wts.reshape(cin, -1).T, x.reshape(n, cin, h * w)).reshape(n, cout, k, k, h, w)
+    shuffled = cols.transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, h * k, w * k)
+    assert_same_bytes(ad.conv2d_transpose(ad.Tensor(x), ad.Tensor(wts)).data, shuffled)
 
 
 # the train-small step's two dilated input gradients at N = 8: dec1.conv and dec0.conv
@@ -567,6 +668,34 @@ def test_conv2d_dilated_backward_holds_one_item_of_columns(shape):
         tracemalloc.stop()
     assert x.grad is not None
     assert peak <= held + item_columns + DILATED_SLACK_BYTES < held + n * item_columns
+
+
+# train-small's two strided input gradients at N = 8: enc0.conv_b and enc1.conv_b
+STRIDED = [(8, 8, 8, 48), (8, 16, 16, 24)]
+
+
+@pytest.mark.parametrize("shape", STRIDED, ids=lambda s: f"n{s[0]}-{s[1]}to{s[2]}-{s[3]}")
+def test_conv2d_strided_backward_holds_no_dilated_buffer(shape):
+    n, cin, cout, hw = shape
+    rng = np.random.default_rng(139)
+    x = ad.Tensor(rng.normal(size=(n, cin, hw, hw)).astype(np.float32), requires_grad=True)
+    w = ad.Tensor(rng.normal(size=(cout, cin, 3, 3)).astype(np.float32))
+    out = ad.conv2d(x, w, None, (2, 2), (1, 1))
+    g = rng.normal(size=out.shape).astype(np.float32)
+    # g zero dilated to stride 1 and padded by k - 1 - pad, as a correlation with
+    # the whole flipped kernel reads it
+    dilated = n * cout * (hw + 2) ** 2 * 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the input gradient, g padded once, and a phase's GEMM output and its
+    # temporary, each about a quarter of the input gradient
+    assert x.grad is not None
+    assert peak < x.data.nbytes + dilated
 
 
 # (N, P, whether the first product is one np.tensordot): N*P one below and at
