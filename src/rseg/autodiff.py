@@ -225,56 +225,116 @@ def _pair(v):
     return int(v), int(v)
 
 
-# conv2d runs its shift lowering only on maps with at least this many output
-# pixels; below it im2col is faster (per-shape table in BENCH_conv_shift.json;
-# at N = 8 in BENCH_conv_batch.json, where no forward choice moves)
+# conv2d's cuts, read by _conv_forms and _per_item alone: see _conv_forms
 SHIFT_MIN_PIXELS = 256
-# conv2d's backward cuts for a batch, N > 1, on its output pixels N*ho*wo,
-# from the per-shape table at N = 1 and 8 in BENCH_conv_batch.json. From
-# BATCH_MIN_PIXELS the weight gradient takes one GEMM per item; from
-# SHIFT_GRAD_MIN_PIXELS a stride-1 call takes its weight gradient (cin > 1),
-# and with cin <= cout its input gradient, by shifted GEMMs. An N = 1 call
-# takes neither, whatever its size.
 BATCH_MIN_PIXELS = 1024
 SHIFT_GRAD_MIN_PIXELS = 2048
 
 
-def _im2col(xp, kh, kw, sy, sx, ho, wo):
-    """Gather sliding-window patches into (N, C*kh*kw, ho*wo) columns."""
-    n, c, _, _ = xp.shape
-    sn, sc, sh, sw = xp.strides
+def _per_item(n, p):
+    """Whether a weight gradient over N items of P pixels takes one GEMM per item."""
+    return n > 1 and n * p >= BATCH_MIN_PIXELS
+
+
+def _conv_forms(n, cin, cout, ho, wo, kh, kw, sy, sx):
+    """(forward, weight, input): the form each pass of one conv2d call takes.
+
+    - forward: ``shift`` (_correlate by one GEMM per tap over shifted
+      views) for a stride-1 k x k kernel (k > 1) with cout <= cin on at
+      least SHIFT_MIN_PIXELS outputs per item (BENCH_conv_shift.json; at
+      N = 8 no forward choice moves, BENCH_conv_batch.json); else
+      ``columns``, the whole batch's im2col and one GEMM.
+    - weight: ``shift`` (_shifted_weight_grad, one GEMM per tap against
+      the shifted views) after a shift forward, or for a stride-1 k x k
+      call with cin > 1, N > 1 and N*ho*wo >= SHIFT_GRAD_MIN_PIXELS
+      (BENCH_conv_batch.json; with one input channel a tap's GEMM has one
+      row, BENCH_stride_phase.json). Else a GEMM against the columns built
+      again: ``items``, one per item, where _per_item holds, N > 1 and
+      N*ho*wo >= BATCH_MIN_PIXELS (BENCH_conv_batch.json: OpenBLAS runs the
+      long-K product several times slower, and tensordot copies both
+      operands), or ``columns``, one over N*ho*wo. conv2d_transpose
+      shares _per_item.
+    - input: ``gemm``, wmat^T @ g, for a stride-1 1x1 kernel. ``col2im``
+      for a weight-bound call, cout*cin > (cout + cin)*N*ho*wo, without a
+      shift forward (BENCH_conv_backward.json; BENCH_stride_phase.json
+      counts the flipped-kernel copy it saves). Else one stride-1
+      correlation per stride phase (_phase_input_grad) in the _correlate
+      form ``shift`` for every strided call (BENCH_stride_phase.json) and
+      for stride 1 with cin <= cout, N > 1 and N*ho*wo >=
+      SHIFT_GRAD_MIN_PIXELS, or ``items``, one item's columns at a time.
+
+    An N = 1 call keeps its per-slice backward whatever its size.
+    """
+    shift = sy == sx == 1 and kh * kw > 1 and cout <= cin and ho * wo >= SHIFT_MIN_PIXELS
+    shift_grads = n > 1 and sy == sx == 1 and kh * kw > 1 and n * ho * wo >= SHIFT_GRAD_MIN_PIXELS
+    if shift or (shift_grads and cin > 1):
+        weight = "shift"
+    else:
+        weight = "items" if _per_item(n, ho * wo) else "columns"
+    if kh * kw * sy * sx == 1:
+        grad = "gemm"
+    elif not shift and cout * cin > (cout + cin) * n * ho * wo:
+        grad = "col2im"
+    else:
+        grad = "shift" if sy * sx > 1 or (shift_grads and cin <= cout) else "items"
+    return "shift" if shift else "columns", weight, grad
+
+
+def _im2col(buf, wp, kh, kw, sy, sx, ho, wo):
+    """Gather sliding-window patches into (N, C*kh*kw, ho*wo) columns.
+
+    ``buf`` is the padded input flattened per channel to (N, C, L) at row
+    pitch ``wp``, the buffer the shift correlation reads too; the first
+    window starts at its first element.
+    """
+    n, c, _ = buf.shape
+    sn, sc, s = buf.strides
     view = np.lib.stride_tricks.as_strided(
-        xp,
+        buf,
         shape=(n, c, kh, kw, ho, wo),
-        strides=(sn, sc, sh, sw, sh * sy, sw * sx),
+        strides=(sn, sc, s * wp, s, s * wp * sy, s * sx),
         writeable=False,
     )
     return view.reshape(n, c * kh * kw, ho * wo)
 
 
-def _shifted_gemm(buf, w, wp, ho):
-    """Stride-1 correlation as one GEMM per kernel tap, with no column matrix.
+def _correlate(buf, w, wp, ho, wo, stride, form):
+    """w (cout, cin, kh, kw) correlated with the padded input in ``buf``: (N, cout, ho, wo).
 
-    ``buf`` is the padded input flattened to (N, C, hp*wp + kw - 1). Tap
-    (ky, kx) multiplies w[:, :, ky, kx] by the view starting at ky*wp + kx,
-    which puts padded pixel (oy + ky, ox + kx) in output column oy*wp + ox
-    for every ox < wo; the wp - wo columns past that wrap into the next row
-    and are garbage. Returns (N, Cout, ho*wp), taps summed in row-major order.
+    ``buf`` is laid out as _im2col reads it. ``columns`` multiplies the
+    whole batch's columns by one GEMM, ``items`` one item's columns per
+    GEMM (a batch holds one item's columns, not N): the same bytes.
+    ``shift`` (stride 1) builds no columns: tap (ky, kx) multiplies
+    w[:, :, ky, kx] by the view of ``buf`` starting at ky*wp + kx, which
+    puts padded pixel (oy + ky, ox + kx) in column oy*wp + ox for every
+    ox < wo, summed in row-major tap order. Its views read kw - 1 past the
+    last row of ``buf``; the wp - wo columns past wo wrap into the next
+    row, and the returned view leaves them out.
     """
+    n = buf.shape[0]
     cout, cin, kh, kw = w.shape
-    # one contiguous (cout, cin) matrix per tap, which BLAS takes without a copy
-    taps = w.reshape(cout, cin, kh * kw).transpose(2, 0, 1).copy()
-    span = ho * wp
-    out = np.matmul(taps[0], buf[:, :, :span])
-    tmp = np.empty_like(out)
-    for t in range(1, kh * kw):
-        start = (t // kw) * wp + t % kw
-        out += np.matmul(taps[t], buf[:, :, start : start + span], out=tmp)
-    return out
+    if form == "shift":
+        # one contiguous (cout, cin) matrix per tap, which BLAS takes without a copy
+        taps = w.reshape(cout, cin, kh * kw).transpose(2, 0, 1).copy()
+        span = ho * wp
+        out = np.matmul(taps[0], buf[:, :, :span])
+        tmp = np.empty_like(out)
+        for t in range(1, kh * kw):
+            start = (t // kw) * wp + t % kw
+            out += np.matmul(taps[t], buf[:, :, start : start + span], out=tmp)
+        return out.reshape(n, cout, ho, wp)[:, :, :, :wo]
+    wmat = w.reshape(cout, -1)
+    if form == "columns":
+        out = np.matmul(wmat, _im2col(buf, wp, kh, kw, *stride, ho, wo))
+    else:
+        out = np.empty((n, cout, ho * wo), dtype=np.result_type(buf, w))
+        for i in range(n):  # no name keeps an item's columns past its GEMM
+            np.matmul(wmat, _im2col(buf[i : i + 1], wp, kh, kw, *stride, ho, wo)[0], out=out[i])
+    return out.reshape(n, cout, ho, wo)
 
 
 def _shifted_weight_grad(g, buf, wp, kh, kw):
-    """Weight gradient of _shifted_gemm: per tap, that tap's view of ``buf`` times g^T.
+    """Weight gradient of the shift correlation: per tap, that tap's view of ``buf`` times g^T.
 
     g is laid out at the padded width with its wrap-around columns zero, so
     the garbage columns of each view add nothing.
@@ -327,15 +387,14 @@ def _phases(size, k, s, pad, out):
     return phases, ahead, max([out + ahead] + [p[4] + p[2] + p[3] - 1 for p in phases])
 
 
-def _phase_input_grad(g, w, h, wdt, stride, pad, shift):
+def _phase_input_grad(g, w, h, wdt, stride, pad, form):
     """conv2d's input gradient as one stride-1 correlation per stride phase.
 
     Phase (ay, ax) correlates g, zero padded, with the flipped and
-    channel-swapped taps w[:, :, ay::sy, ax::sx] and writes inputs
-    gx[:, :, iy::sy, ix::sx]: by one GEMM per tap over shifted views of the
-    padded g (_shifted_gemm) if ``shift``, else by one item's im2col columns
-    at a time. All phases read one padded copy of g; with stride 1 that is
-    the one phase, the flipped kernel over g padded by k - 1 - pad.
+    channel-swapped taps w[:, :, ay::sy, ax::sx] (_correlate in ``form``)
+    and writes inputs gx[:, :, iy::sy, ix::sx]. All phases read one padded
+    copy of g; with stride 1 that is the one phase, the flipped kernel over
+    g padded by k - 1 - pad.
     """
     n, cout, ho, wo = g.shape
     cin, kh, kw = w.shape[1:]
@@ -343,7 +402,7 @@ def _phase_input_grad(g, w, h, wdt, stride, pad, shift):
     ys, top, rows = _phases(h, kh, sy, py, ho)
     xs, left, cols = _phases(wdt, kw, sx, px, wo)
     # a phase's shifted views run up to its last read column past the last row
-    tail = max(p[4] + p[3] for p in xs) - 1 if shift else 0
+    tail = max(p[4] + p[3] for p in xs) - 1
     gbuf = np.zeros((n, cout, rows * cols + tail), dtype=g.dtype)
     gd = gbuf[:, :, : rows * cols].reshape(n, cout, rows, cols)
     gd[:, :, top : top + ho, left : left + wo] = g
@@ -353,16 +412,7 @@ def _phase_input_grad(g, w, h, wdt, stride, pad, shift):
         gx = (np.empty if kh >= sy and kw >= sx else np.zeros)((n, cin, h, wdt), dtype=g.dtype)
     for (ay, iy, my, ty, r0), (ax, ix, mx, tx, c0) in itertools.product(ys, xs):
         wflip = w[:, :, ay::sy, ax::sx][:, :, ::-1, ::-1].swapaxes(0, 1)
-        if shift:
-            part = _shifted_gemm(gbuf[:, :, r0 * cols + c0 :], wflip, cols, my)
-            part = part.reshape(n, cin, my, cols)[:, :, :, :mx]
-        else:
-            wflip = wflip.reshape(cin, -1)
-            part = np.empty((n, cin, my * mx), dtype=g.dtype)
-            for i in range(n):  # no name keeps an item's columns past its GEMM
-                np.matmul(wflip, _im2col(gd[i : i + 1, :, r0:, c0:], ty, tx, 1, 1, my, mx)[0],
-                          out=part[i])
-            part = part.reshape(n, cin, my, mx)
+        part = _correlate(gbuf[:, :, r0 * cols + c0 :], wflip, cols, my, mx, (1, 1), form)
         if gx is None:  # stride 1: the one phase is the whole gradient
             gx = np.ascontiguousarray(part)
         else:
@@ -371,68 +421,31 @@ def _phase_input_grad(g, w, h, wdt, stride, pad, shift):
     return gx
 
 
-def _flat(a):
-    """(N, R, P) -> (R, N*P)."""
-    return a.swapaxes(0, 1).reshape(a.shape[1], -1)
-
-
-def _accumulate_weight_grad(w, a, b):
+def _accumulate_weight_grad(w, a, b, items):
     """Add the contraction of a (N, M, P) with b (N, K, P) over N and P to w.grad.
 
-    A weight shared by T GEMM-lowered conv calls makes one weight-sized
-    array: the first call's product, which w then owns, and each later call
-    adds into it by one BLAS gemm with beta = 1. The first product is one
-    GEMM over N*P, or from BATCH_MIN_PIXELS with N > 1 one GEMM per item
-    summed in item order: OpenBLAS runs the long-K product several times
-    slower, and tensordot copies both operands to build it.
+    One GEMM over N*P, or if ``items`` (_per_item) one GEMM per item summed
+    in item order. The product is fresh, so w owns the first one and adds
+    each later one into it in place (_accumulate).
     """
     if not w.requires_grad:
         return
-    if w.grad is None or w.grad is not w._own:
-        n, _, p = a.shape
-        if n > 1 and n * p >= BATCH_MIN_PIXELS:
-            prod = np.matmul(a, b.swapaxes(1, 2)).sum(axis=0)
-        else:
-            prod = np.tensordot(a, b, axes=([0, 2], [0, 2]))
-        _accumulate(w, prod.reshape(w.shape))
-        w._own = w.grad  # the fresh product, or _accumulate's sum
-        return
-    # imported here: scipy.linalg takes about 0.2 s to load and inference never needs it
-    from scipy.linalg.blas import get_blas_funcs
-
-    # the row-major (M, K) buffer is a column-major (K, M) matrix: add b2 a2^T
-    c = w.grad.reshape(a.shape[1], b.shape[1]).T
-    get_blas_funcs("gemm", (c,))(1.0, _flat(b).T, _flat(a).T, 1.0, c, trans_a=1, overwrite_c=1)
+    if items:
+        prod = np.matmul(a, b.swapaxes(1, 2)).sum(axis=0)
+    else:
+        prod = np.tensordot(a, b, axes=([0, 2], [0, 2]))
+    _accumulate(w, prod.reshape(w.shape))
+    w._own = w.grad  # the fresh product, or the buffer it was added into
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) -> Tensor:
     """Cross-correlation with zero padding (pad < kernel), plus a bias ``b`` if given.
 
-    Each pass makes its own choice by shape, and each backward is the
-    adjoint of its own forward.
-
-    - Forward: stride-1 k x k kernels (k > 1) with cout <= cin on maps of at
-      least SHIFT_MIN_PIXELS outputs run one GEMM per tap over shifted views
-      of the padded input (shift). Every other call runs im2col plus one
-      GEMM. The tape keeps x, w and b only, not the padded input or the
-      columns.
-    - Input gradient: a stride-1 1x1 call is wmat^T @ g, and with cout = 1
-      the broadcast product w * g with +0.0 added, the GEMM's bytes without
-      its inner size of 1. A weight-bound call, cout*cin >
-      (cout + cin)*N*ho*wo, adds wmat^T @ g tap by tap into a zero padded
-      input (col2im), which copies no flipped kernel. Every other call is
-      the flipped, channel-swapped kernel correlated with the zero padded g,
-      one stride-1 correlation per stride phase (_phase_input_grad): by one
-      GEMM per tap over shifted views (shift) when strided, or for stride 1
-      with cin <= cout, N > 1 and N*ho*wo >= SHIFT_GRAD_MIN_PIXELS; else by
-      one item's im2col columns at a time. A stride-1 call has one phase,
-      the whole input.
-    - Weight gradient: x is padded again and, after a shift forward or for
-      a stride-1 k x k call with cin > 1, N > 1 and N*ho*wo >=
-      SHIFT_GRAD_MIN_PIXELS, one GEMM per tap runs against the shifted
-      views; otherwise one GEMM, or one per item (_accumulate_weight_grad),
-      against the columns built again, added in place into a buffer the
-      weight owns.
+    Each pass takes the form _conv_forms picks from the call's shape, and
+    each backward is the adjoint of its own forward. The forward and each
+    stride phase of the input gradient run _correlate. The tape keeps x, w
+    and b only: the weight gradient pads x again and builds its columns or
+    shifted views for its own product.
     """
     sy, sx = _pair(stride)
     py, px = _pair(pad)
@@ -449,36 +462,20 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
     if ho <= 0 or wo <= 0 or h + 2 * py < kh or wdt + 2 * px < kw:
         raise ValueError(f"conv2d: non-positive output extent for input {x.shape}")
     hp, wp = h + 2 * py, wdt + 2 * px
-    pixels = n * ho * wo
-    shift = sy == sx == 1 and kh * kw > 1 and cout <= cin and ho * wo >= SHIFT_MIN_PIXELS
-    shift_grads = n > 1 and sy == sx == 1 and kh * kw > 1 and pixels >= SHIFT_GRAD_MIN_PIXELS
-    # with one input channel, one GEMM per item beats a tap's one-row GEMMs
-    shift_w = shift or (shift_grads and cin > 1)
-    # a strided input gradient takes shifted GEMMs at any size (BENCH_stride_phase.json)
-    shift_x = sy * sx > 1 or (shift_grads and cin <= cout)
-    # the cut comes from the per-shape tables in BENCH_conv_backward.json and
-    # BENCH_stride_phase.json, which counts the flipped-kernel copy it saves
-    col2im = not shift and cout * cin > (cout + cin) * pixels
+    forward, weight, grad = _conv_forms(n, cin, cout, ho, wo, kh, kw, sy, sx)
 
-    def padded(tail):
-        """(buf, xp): x zero padded, flattened per channel into buf with ``tail``
-        more zeros (the shift form reads kw - 1 past the last padded row); xp
-        its (N, C, hp, wp) view."""
+    def padded(form):
+        """x zero padded and flattened per channel to (N, C, hp*wp), with
+        kw - 1 more zeros for the shift form, which reads past the last row."""
+        tail = kw - 1 if form == "shift" else 0
         if not (py or px or tail):
-            return None, x.data
+            return x.data.reshape(n, cin, h * wdt)
         buf = np.zeros((n, cin, hp * wp + tail), dtype=x.dtype)
-        xp = buf[:, :, : hp * wp].reshape(n, cin, hp, wp)
-        xp[:, :, py : py + h, px : px + wdt] = x.data
-        return buf, xp
+        buf[:, :, : hp * wp].reshape(n, cin, hp, wp)[:, :, py : py + h, px : px + wdt] = x.data
+        return buf
 
-    buf, xp = padded(kw - 1 if shift else 0)
-    if shift:
-        full = _shifted_gemm(buf, w.data, wp, ho).reshape(n, cout, ho, wp)
-        # contiguous, as a consumer's einsum sums a strided view in another order
-        out = np.ascontiguousarray(full[:, :, :, :wo])
-    else:
-        out = np.matmul(w.data.reshape(cout, -1), _im2col(xp, kh, kw, sy, sx, ho, wo))
-        out = out.reshape(n, cout, ho, wo)
+    # contiguous, as a consumer's einsum sums a strided view in another order
+    out = np.ascontiguousarray(_correlate(padded(forward), w.data, wp, ho, wo, (sy, sx), forward))
     if b is not None:
         out += b.data.reshape(1, cout, 1, 1)
 
@@ -487,24 +484,25 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
         if b is not None:
             _accumulate(b, g2.sum(axis=(0, 2)))
         if w.requires_grad:
-            # x padded again, and after im2col its columns, built for this product only
-            if shift_w:
-                _accumulate(w, _shifted_weight_grad(g, padded(kw - 1)[0], wp, kh, kw))
+            # x padded again, and its columns or views, built for this product only
+            if weight == "shift":
+                _accumulate(w, _shifted_weight_grad(g, padded(weight), wp, kh, kw))
             else:
-                _accumulate_weight_grad(w, g2, _im2col(padded(0)[1], kh, kw, sy, sx, ho, wo))
+                _accumulate_weight_grad(w, g2, _im2col(padded(weight), wp, kh, kw, sy, sx, ho, wo),
+                                        weight == "items")
         if not x.requires_grad:
             return
-        if kh * kw * sy * sx == 1:  # a 1x1 kernel has no padding
+        if grad == "gemm":  # a 1x1 kernel has no padding
             if cout == 1:
                 gx = w.data.reshape(1, cin, 1) * g2
                 gx += 0.0  # the GEMM sums onto +0.0: a -0.0 product becomes +0.0
             else:
                 gx = np.matmul(w.data.reshape(cout, -1).T, g2)
-        elif col2im:
+        elif grad == "col2im":
             gx = np.matmul(w.data.reshape(cout, -1).T, g2).reshape(n, cin, kh, kw, ho, wo)
             gx = _col2im(gx, hp, wp, sy, sx)[:, :, py : py + h, px : px + wdt]
         else:
-            gx = _phase_input_grad(g, w.data, h, wdt, (sy, sx), (py, px), shift_x)
+            gx = _phase_input_grad(g, w.data, h, wdt, (sy, sx), (py, px), grad)
         _accumulate(x, gx.reshape(n, cin, h, wdt))
 
     return _make_result(out, "conv2d", (x, w) if b is None else (x, w, b), backward_fn)
@@ -532,7 +530,7 @@ def conv2d_transpose(x: Tensor, w: Tensor) -> Tensor:
     def backward_fn(g):
         gcols = g.reshape(n, cout, h, kh, wdt, kw).transpose(0, 1, 3, 5, 2, 4)
         gcols = gcols.reshape(n, cout * kh * kw, h * wdt)
-        _accumulate_weight_grad(w, x2, gcols)
+        _accumulate_weight_grad(w, x2, gcols, _per_item(n, h * wdt))
         if x.requires_grad:
             _accumulate(x, np.matmul(wmat, gcols).reshape(n, cin, h, wdt))
 

@@ -236,7 +236,7 @@ class TestWeightGradientAccumulation:
         np.testing.assert_array_equal(v.grad, c)
         assert not np.array_equal(w.grad, c)
 
-    # f16 data is cast to f32, which the in-place gemm computes in
+    # f16 data is cast to f32, which the GEMMs and the in-place adds compute in
     @pytest.mark.parametrize("dtype, working", [(np.float16, np.float32), (np.float32, np.float32),
                                                 (np.float64, np.float64)])
     def test_gradients_keep_the_working_dtype(self, dtype, working):

@@ -821,6 +821,21 @@ class TestEntryPoint:
         assert proc.stdout.splitlines()[-1] == "[]"
         assert (tmp_path / "p.mvf").exists()
 
+    def test_train_loads_no_scipy(self, tmp_path):
+        # free running: a per-slice taped unroll adds each weight's gradient per slice
+        synth(tmp_path / "d", count=1)
+        argv = ["train", "--data", str(tmp_path / "d"), "--val", str(tmp_path / "d"),
+                "--out", str(tmp_path / "m.rsck"), "--levels", "2", "--base-channels", "4",
+                "--recurrent", "--epochs", "1"]
+        code = ("import sys; from rseg.cli import run_cli; "
+                f"assert run_cli({argv!r}) == 0; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+        assert (tmp_path / "m.rsck").exists()
+
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "rseg.cli", "synth", "--out", str(tmp_path / "d"),

@@ -21,5 +21,6 @@ def test_one_shape_one_sample(tmp_path):
     assert set(row["weight_grad"]) == {"tensordot", "items"}
     assert all(form["median_us"] > 0 for ps in ("forward", "input_grad", "weight_grad")
                for form in row[ps].values())
-    # conv2d's strided input gradient: one shifted GEMM set per stride phase
-    assert row["picked"][-2:] == ["_phase_input_grad", "_shifted_gemm x4"]
+    # N*ho*wo = 1152: the weight gradient one GEMM per item, the strided
+    # input gradient by shifted GEMMs
+    assert row["picked"] == ["columns", "items", "shift"]

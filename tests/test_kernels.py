@@ -95,7 +95,7 @@ def conv2d_reference(x, w, b, stride, pad):
     ho = (h + 2 * py - kh) // sy + 1
     wo = (wdt + 2 * px - kw) // sx + 1
     xp = np.pad(x.data, ((0, 0), (0, 0), (py, py), (px, px)))
-    cols = ad._im2col(xp, kh, kw, sy, sx, ho, wo)
+    cols = ad._im2col(xp.reshape(n, cin, -1), xp.shape[3], kh, kw, sy, sx, ho, wo)
     out = np.matmul(w.data.reshape(cout, -1), cols) + b.data.reshape(1, cout, 1)
 
     def backward_fn(g):
@@ -105,7 +105,8 @@ def conv2d_reference(x, w, b, stride, pad):
         gd = np.zeros((n, cout, h + kh - 1, wdt + kw - 1), dtype=g.dtype)
         gd[:, :, kh - 1 - py :: sy, kw - 1 - px :: sx][:, :, :ho, :wo] = g
         wflip = w.data[:, :, ::-1, ::-1].swapaxes(0, 1).reshape(cin, -1)
-        gx = np.matmul(wflip, ad._im2col(gd, kh, kw, 1, 1, h, wdt))
+        gcols = ad._im2col(gd.reshape(n, cout, -1), wdt + kw - 1, kh, kw, 1, 1, h, wdt)
+        gx = np.matmul(wflip, gcols)
         ad._accumulate(x, gx.reshape(n, cin, h, wdt))
 
     return ad._make_result(out.reshape(n, cout, ho, wo), "conv2d", (x, w, b), backward_fn)
@@ -355,102 +356,77 @@ def test_conv2d_matches_pad_reference(dtype, k, stride, pad):
     _assert_matches_reference(mine, [x, w, b], out, upstream, stride, pad, {"x"})
 
 
-# The forward is a shift lowering for stride 1, k > 1, cout <= cin and at
-# least ad.SHIFT_MIN_PIXELS = 256 output pixels per item, else im2col. The
-# input gradient of a stride-1 1x1 call is wmat^T @ g ("gemm"; with cout = 1
-# the broadcast product, the GEMM's bytes); of a weight-bound call,
-# cout*cin > (cout + cin)*N*ho*wo, wmat^T @ g added tap by tap (col2im);
-# else one correlation per stride phase ("phases": min(s, k) per axis): by
-# shifted GEMMs for every strided call, and for stride 1 with cin <= cout,
-# N > 1 and N*ho*wo >= ad.SHIFT_GRAD_MIN_PIXELS = 2048 (shift), else by one
-# item's im2col columns at a time ("dilated"). The weight gradient runs
-# shifted GEMMs after a shift forward or for stride 1, k > 1, cin > 1, N > 1
-# and N*ho*wo >= 2048; else one GEMM against the columns, or with N > 1 and
-# N*ho*wo >= 1024 one per item ("+items"). These shapes sit on both sides of
-# every cut, and N = 1 shapes above both batch cuts keep the per-slice forms.
+# Each row gives the forms ad._conv_forms picks for it, (forward, weight,
+# input); its docstring states the rule. The rows sit on both sides of every
+# cut, and N = 1 rows above both batch cuts keep the per-slice forms.
 CONV_CASES = [
-    # n, cin, cout, (h, w), k, stride, pad, form
-    (1, 16, 16, (16, 16), 3, 1, 1, "shift"),  # ho*wo exactly at the cut
-    (1, 16, 16, (15, 17), 3, 1, 1, "dilated"),  # ho*wo = 255, one below it
-    (2, 8, 4, (24, 19), 3, 1, 0, "shift"),  # N = 2, pad 0, non-square
-    (2, 6, 6, (17, 23), 5, 1, 2, "shift"),  # 5x5 kernel, pad 2
-    (1, 7, 5, (20, 15), 3, 1, (1, 0), "shift"),  # pad on one axis only
-    (1, 4, 8, (20, 20), 3, 1, 1, "dilated"),  # cout > cin
-    (1, 8, 8, (40, 40), 3, 2, 1, "phases"),  # stride 2
-    (1, 8, 8, (20, 20), 1, 1, 0, "gemm"),  # 1x1 kernel, pixel-bound
-    (1, 8, 8, (2, 2), 3, 1, 1, "dilated"),  # cout*cin = (cout + cin)*ho*wo exactly
-    (1, 9, 8, (2, 2), 3, 1, 1, "col2im"),  # one input channel more
-    (1, 48, 40, (4, 4), 3, 1, 1, "col2im"),  # 4x4 outputs
-    (2, 40, 40, (3, 3), 3, 1, 1, "col2im"),  # N = 2
-    (1, 32, 24, (6, 7), 3, 2, 1, "col2im"),  # stride 2, weight-bound, 3x4 outputs
-    (1, 24, 16, (3, 3), 1, 1, 0, "gemm"),  # 1x1, weight-bound
-    (1, 24, 20, (5, 5), 1, 2, 0, "col2im"),  # strided 1x1, weight-bound
-    (1, 6, 4, (10, 9), 1, 2, 0, "phases"),  # strided 1x1: one phase, zeros elsewhere
+    # n, cin, cout, (h, w), k, stride, pad, ad._conv_forms
+    (1, 16, 16, (16, 16), 3, 1, 1, ("shift", "shift", "items")),  # ho*wo exactly at the cut
+    (1, 16, 16, (15, 17), 3, 1, 1, ("columns", "columns", "items")),  # ho*wo = 255, one below it
+    (2, 8, 4, (24, 19), 3, 1, 0, ("shift", "shift", "items")),  # N = 2, pad 0, non-square
+    (2, 6, 6, (17, 23), 5, 1, 2, ("shift", "shift", "items")),  # 5x5 kernel, pad 2
+    (1, 7, 5, (20, 15), 3, 1, (1, 0), ("shift", "shift", "items")),  # pad on one axis only
+    (1, 4, 8, (20, 20), 3, 1, 1, ("columns", "columns", "items")),  # cout > cin
+    (1, 8, 8, (40, 40), 3, 2, 1, ("columns", "columns", "shift")),  # stride 2
+    (1, 8, 8, (20, 20), 1, 1, 0, ("columns", "columns", "gemm")),  # 1x1 kernel, pixel-bound
+    # cout*cin = (cout + cin)*ho*wo exactly
+    (1, 8, 8, (2, 2), 3, 1, 1, ("columns", "columns", "items")),
+    (1, 9, 8, (2, 2), 3, 1, 1, ("columns", "columns", "col2im")),  # one input channel more
+    (1, 48, 40, (4, 4), 3, 1, 1, ("columns", "columns", "col2im")),  # 4x4 outputs
+    (2, 40, 40, (3, 3), 3, 1, 1, ("columns", "columns", "col2im")),  # N = 2
+    # stride 2, weight-bound, 3x4 outputs
+    (1, 32, 24, (6, 7), 3, 2, 1, ("columns", "columns", "col2im")),
+    (1, 24, 16, (3, 3), 1, 1, 0, ("columns", "columns", "gemm")),  # 1x1, weight-bound
+    (1, 24, 20, (5, 5), 1, 2, 0, ("columns", "columns", "col2im")),  # strided 1x1, weight-bound
+    # strided 1x1: one phase, zeros elsewhere
+    (1, 6, 4, (10, 9), 1, 2, 0, ("columns", "columns", "shift")),
     # cout = 1 1x1 (K = 1): the broadcast product
-    (1, 8, 1, (20, 20), 1, 1, 0, "gemm"),
-    (2, 5, 1, (7, 9), 1, 1, 0, "gemm"),
+    (1, 8, 1, (20, 20), 1, 1, 0, ("columns", "columns", "gemm")),
+    (2, 5, 1, (7, 9), 1, 1, 0, ("columns", "columns", "gemm")),
     # strided: odd extents, stride (1, 2), stride 3, k < s (an input phase
     # with no taps), a 5x5 kernel
-    (1, 5, 7, (13, 11), 3, 2, 1, "phases"),
-    (1, 6, 6, (12, 15), 3, (1, 2), 1, "phases"),
-    (1, 4, 6, (17, 16), 3, 3, 1, "phases"),
-    (1, 4, 4, (11, 13), 2, 3, 1, "phases"),
-    (1, 3, 5, (14, 13), 5, 2, 2, "phases"),
+    (1, 5, 7, (13, 11), 3, 2, 1, ("columns", "columns", "shift")),
+    (1, 6, 6, (12, 15), 3, (1, 2), 1, ("columns", "columns", "shift")),
+    (1, 4, 6, (17, 16), 3, 3, 1, ("columns", "columns", "shift")),
+    (1, 4, 4, (11, 13), 2, 3, 1, ("columns", "columns", "shift")),
+    (1, 3, 5, (14, 13), 5, 2, 2, ("columns", "columns", "shift")),
     # N = 1 above both batch cuts
-    (1, 4, 8, (48, 48), 3, 1, 1, "dilated"),  # cin < cout, ho*wo = 2304
-    (1, 8, 8, (64, 64), 3, 2, 1, "phases"),  # stride 2, 1024
+    (1, 4, 8, (48, 48), 3, 1, 1, ("columns", "columns", "items")),  # cin < cout, ho*wo = 2304
+    (1, 8, 8, (64, 64), 3, 2, 1, ("columns", "columns", "shift")),  # stride 2, 1024
     # N = 8, N*ho*wo on both sides of 1024 and of 2048
-    (8, 8, 4, (11, 11), 3, 1, 1, "dilated"),  # N*ho*wo = 968
-    (8, 8, 4, (12, 12), 3, 1, 1, "dilated+items"),  # 1152
-    (8, 4, 8, (15, 17), 3, 1, 1, "dilated+items"),  # cin < cout, 2040
-    (8, 4, 8, (16, 16), 3, 1, 1, "shift-grads"),  # cin < cout, 2048
-    (8, 2, 8, (16, 16), 3, 1, 1, "shift-grads"),  # two input channels
-    (8, 1, 8, (16, 16), 3, 1, 1, "shift-x+items"),  # one input channel
-    (8, 8, 4, (16, 16), 3, 1, 1, "shift"),  # cin > cout, 2048
-    (8, 6, 6, (16, 16), 3, 1, 1, "shift-all"),  # cin = cout, 2048
-    (8, 8, 8, (22, 22), 3, 2, 1, "phases"),  # stride 2, 968
-    (8, 8, 8, (24, 24), 3, 2, 1, "phases+items"),  # stride 2, 1152
-    (8, 8, 8, (48, 48), 3, 2, 1, "phases+items"),  # train-small's enc0.conv_b
-    (8, 8, 8, (11, 11), 1, 1, 0, "gemm"),  # 1x1, 968
-    (8, 8, 8, (12, 12), 1, 1, 0, "gemm+items"),  # 1x1, 1152
-    (8, 8, 1, (12, 12), 1, 1, 0, "gemm+items"),  # a head: K = 1, 1152
+    (8, 8, 4, (11, 11), 3, 1, 1, ("columns", "columns", "items")),  # N*ho*wo = 968
+    (8, 8, 4, (12, 12), 3, 1, 1, ("columns", "items", "items")),  # 1152
+    (8, 4, 8, (15, 17), 3, 1, 1, ("columns", "items", "items")),  # cin < cout, 2040
+    (8, 4, 8, (16, 16), 3, 1, 1, ("columns", "shift", "shift")),  # cin < cout, 2048
+    (8, 2, 8, (16, 16), 3, 1, 1, ("columns", "shift", "shift")),  # two input channels
+    (8, 1, 8, (16, 16), 3, 1, 1, ("columns", "items", "shift")),  # one input channel
+    (8, 8, 4, (16, 16), 3, 1, 1, ("shift", "shift", "items")),  # cin > cout, 2048
+    (8, 6, 6, (16, 16), 3, 1, 1, ("shift", "shift", "shift")),  # cin = cout, 2048
+    (8, 8, 8, (22, 22), 3, 2, 1, ("columns", "columns", "shift")),  # stride 2, 968
+    (8, 8, 8, (24, 24), 3, 2, 1, ("columns", "items", "shift")),  # stride 2, 1152
+    (8, 8, 8, (48, 48), 3, 2, 1, ("columns", "items", "shift")),  # train-small's enc0.conv_b
+    (8, 8, 8, (11, 11), 1, 1, 0, ("columns", "columns", "gemm")),  # 1x1, 968
+    (8, 8, 8, (12, 12), 1, 1, 0, ("columns", "items", "gemm")),  # 1x1, 1152
+    (8, 8, 1, (12, 12), 1, 1, 0, ("columns", "items", "gemm")),  # a head: K = 1, 1152
     # N = 8, strided: odd extents, stride (1, 2), stride 3, k < s, 5x5, 1x1
-    (8, 3, 4, (13, 11), 3, 2, 1, "phases"),
-    (8, 6, 6, (16, 15), 3, (1, 2), 1, "phases+items"),  # 1024
-    (8, 4, 6, (17, 16), 3, 3, 1, "phases"),
-    (8, 4, 4, (11, 13), 2, 3, 1, "phases"),
-    (8, 3, 5, (14, 13), 5, 2, 2, "phases"),
-    (8, 6, 4, (10, 9), 1, 2, 0, "phases"),
+    (8, 3, 4, (13, 11), 3, 2, 1, ("columns", "columns", "shift")),
+    (8, 6, 6, (16, 15), 3, (1, 2), 1, ("columns", "items", "shift")),  # 1024
+    (8, 4, 6, (17, 16), 3, 3, 1, ("columns", "columns", "shift")),
+    (8, 4, 4, (11, 13), 2, 3, 1, ("columns", "columns", "shift")),
+    (8, 3, 5, (14, 13), 5, 2, 2, ("columns", "columns", "shift")),
+    (8, 6, 4, (10, 9), 1, 2, 0, ("columns", "columns", "shift")),
 ]
 
-# the helpers each form calls, in order: forward, weight gradient (after
-# im2col, the columns built again), input gradient. EACH_ITEM stands for one
-# _im2col per item: the dilated correlation takes one item's columns at a
-# time. EACH_PHASE stands for one _shifted_gemm per stride phase.
-EACH_ITEM = "_im2col for each item"
-EACH_PHASE = "_shifted_gemm for each phase"
-FORM_CALLS = {
-    "shift": ["_shifted_gemm", "_shifted_weight_grad", EACH_ITEM],
-    "dilated": ["_im2col", "_im2col", "_accumulate_weight_grad", EACH_ITEM],
-    "col2im": ["_im2col", "_im2col", "_accumulate_weight_grad", "_col2im"],
-    "gemm": ["_im2col", "_im2col", "_accumulate_weight_grad"],
-    "phases": ["_im2col", "_im2col", "_accumulate_weight_grad", EACH_PHASE],
-    # the N = 8 forms; "+items" takes the weight gradient's first product as
-    # one GEMM per item, where the others take one np.tensordot
-    "dilated+items": ["_im2col", "_im2col", "_accumulate_weight_grad", EACH_ITEM],
-    "gemm+items": ["_im2col", "_im2col", "_accumulate_weight_grad"],
-    "phases+items": ["_im2col", "_im2col", "_accumulate_weight_grad", EACH_PHASE],
-    "shift-grads": ["_im2col", "_shifted_weight_grad", "_shifted_gemm"],
-    "shift-x+items": ["_im2col", "_im2col", "_accumulate_weight_grad", "_shifted_gemm"],
-    "shift-all": ["_shifted_gemm", "_shifted_weight_grad", "_shifted_gemm"],
-}
 
-# what each form sums in another order than the im2col reference, held to a
-# rounding bound: the output ("out"), the weight ("w") or input ("x") gradient
-ROUNDED = {"shift": {"out", "w"}, "dilated": set(), "col2im": {"x"}, "gemm": set(),
-           "phases": {"x"}, "dilated+items": {"w"}, "gemm+items": {"w"},
-           "phases+items": {"w", "x"}, "shift-grads": {"w", "x"}, "shift-x+items": {"w", "x"},
-           "shift-all": {"out", "w", "x"}}
+def _rounded(forms, stride):
+    """What a call with these forms sums in another order than the im2col
+    reference, held to a rounding bound: the output ("out") after a shift
+    forward, the weight gradient ("w") by shift or per item, and the input
+    gradient ("x") by col2im, by shift or by stride phases."""
+    forward, weight, grad = forms
+    return ({"out"} if forward == "shift" else set()) | (
+        {"w"} if weight in ("shift", "items") else set()) | (
+        {"x"} if grad in ("col2im", "shift") or stride != (1, 1) else set())
 
 
 def _conv_case(dtype, case, seed):
@@ -510,32 +486,53 @@ def _upstream(rng, shape, dtype):
     return upstream
 
 
-@pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("case", CONV_CASES,
-                         ids=lambda c: f"n{c[0]}-{c[1]}to{c[2]}-{c[3][0]}x{c[3][1]}-k{c[4]}s{c[5]}")
-def test_conv2d_lowerings_against_im2col_reference(dtype, case, monkeypatch):
-    n, cin, cout, _, k = case[:5]
-    stride, pad, form = ad._pair(case[5]), ad._pair(case[6]), case[7]
-    ran, tensordots = [], []
-    for name in ("_shifted_gemm", "_shifted_weight_grad", "_accumulate_weight_grad",
-                 "_im2col", "_col2im"):
-        monkeypatch.setattr(ad, name,
-                            lambda *a, _n=name, _f=getattr(ad, name): ran.append(_n) or _f(*a))
-    monkeypatch.setattr(ad.np, "tensordot",
-                        lambda *a, _f=np.tensordot, **kw: tensordots.append(1) or _f(*a, **kw))
+def _against_reference(dtype, case, forms):
+    """conv2d on a CONV_CASES row against the im2col reference, rounded where ``forms`` are."""
+    stride, pad = ad._pair(case[5]), ad._pair(case[6])
     rng, arrays = _conv_case(dtype, case, 101)
     mine = _leaves(arrays)
-    out_m = ad.conv2d(*mine, stride, pad)
-    upstream = _upstream(rng, out_m.shape, dtype)
-    _backprop(out_m, upstream)
-    monkeypatch.undo()
-    # one phase per tap offset below both the stride and the kernel, per axis
-    phases = min(stride[0], k) * min(stride[1], k)
-    expand = {EACH_ITEM: ["_im2col"] * n * phases, EACH_PHASE: ["_shifted_gemm"] * phases}
-    calls = FORM_CALLS[form]
-    assert ran == [c for name in calls for c in expand.get(name, [name])]
-    assert len(tensordots) == (0 if "+items" in form else calls.count("_accumulate_weight_grad"))
-    _assert_matches_reference(mine, arrays, out_m, upstream, stride, pad, ROUNDED[form])
+    out = ad.conv2d(*mine, stride, pad)
+    upstream = _upstream(rng, out.shape, dtype)
+    _backprop(out, upstream)
+    _assert_matches_reference(mine, arrays, out, upstream, stride, pad, _rounded(forms, stride))
+
+
+def _case_id(c):
+    return f"n{c[0]}-{c[1]}to{c[2]}-{c[3][0]}x{c[3][1]}-k{c[4]}s{c[5]}"
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("case", CONV_CASES, ids=_case_id)
+def test_conv2d_lowerings_against_im2col_reference(dtype, case):
+    n, cin, cout, (h, w), k, stride, pad, forms = case
+    (sy, sx), (py, px) = ad._pair(stride), ad._pair(pad)
+    ho, wo = (h + 2 * py - k) // sy + 1, (w + 2 * px - k) // sx + 1
+    assert ad._conv_forms(n, cin, cout, ho, wo, k, k, sy, sx) == forms
+    _against_reference(dtype, case, forms)
+
+
+def _valid_forms(case):
+    """Every (forward, weight, input) conv2d can run on a CONV_CASES row with k > 1:
+    shift forward and weight gradient need stride 1, the phases of the input
+    gradient do not."""
+    unit = ad._pair(case[5]) == (1, 1)
+    correlations = ("shift", "columns", "items") if unit else ("columns", "items")
+    grads = ("col2im", "shift", "columns", "items")
+    return list(itertools.product(correlations, correlations, grads))
+
+
+# stride 1 with k > 1, strided, and weight-bound: each runs every form,
+# most of which the cuts do not pick for it
+EVERY_FORM_CASES = [CONV_CASES[3], CONV_CASES[40], CONV_CASES[11]]
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("case,forms",
+                         [(c, f) for c in EVERY_FORM_CASES for f in _valid_forms(c)],
+                         ids=lambda v: "-".join(v) if isinstance(v[0], str) else _case_id(v))
+def test_conv2d_every_form_against_im2col_reference(dtype, case, forms, monkeypatch):
+    monkeypatch.setattr(ad, "_conv_forms", lambda *shape: forms)
+    _against_reference(dtype, case, forms)
 
 
 def test_conv2d_shift_forward_builds_columns_only_for_a_backward(monkeypatch):
@@ -551,7 +548,7 @@ def test_conv2d_shift_forward_builds_columns_only_for_a_backward(monkeypatch):
     _backprop(out, rng.normal(size=out.shape).astype(np.float32))
     # the input gradient's correlation; the weight gradient reads the input,
     # padded again, through the forward's shifted views
-    assert built == [(3, 3, 1, 1, 16, 16)]
+    assert built == [(18, 3, 3, 1, 1, 16, 16)]
 
 
 # what a taped conv2d call may keep beyond its output: the tensor, its
@@ -560,8 +557,7 @@ TAPE_SLACK_BYTES = 4096
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("case", CONV_CASES,
-                         ids=lambda c: f"n{c[0]}-{c[1]}to{c[2]}-{c[3][0]}x{c[3][1]}-k{c[4]}s{c[5]}")
+@pytest.mark.parametrize("case", CONV_CASES, ids=_case_id)
 def test_taped_conv2d_keeps_no_more_than_its_output(dtype, case):
     stride, pad = ad._pair(case[5]), ad._pair(case[6])
     _, arrays = _conv_case(dtype, case, 107)
@@ -643,7 +639,7 @@ def test_conv2d_dilated_items_match_the_batched_correlation(dtype, shape):
     gd = np.zeros((n, cout, hw + 2, hw + 2), dtype=dtype)
     gd[:, :, 1:-1, 1:-1] = g
     wflip = w.data[:, :, ::-1, ::-1].swapaxes(0, 1).reshape(cin, -1)
-    batched = np.matmul(wflip, ad._im2col(gd, 3, 3, 1, 1, hw, hw))
+    batched = np.matmul(wflip, ad._im2col(gd.reshape(n, cout, -1), hw + 2, 3, 3, 1, 1, hw, hw))
     assert_same_bytes(x.grad, batched.reshape(x.shape))
 
 
@@ -698,23 +694,19 @@ def test_conv2d_strided_backward_holds_no_dilated_buffer(shape):
     assert peak < x.data.nbytes + dilated
 
 
-# (N, P, whether the first product is one np.tensordot): N*P one below and at
+# (N, P, whether the product is one np.tensordot): N*P one below and at
 # ad.BATCH_MIN_PIXELS = 1024, and an N = 1 call above it
 WEIGHT_GRAD_CUT = [(3, 341, True), (4, 256, False), (2, 512, False), (1, 2048, True)]
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
 @pytest.mark.parametrize("n,p,tensordot", WEIGHT_GRAD_CUT, ids=lambda v: str(v))
-def test_weight_grad_takes_one_gemm_per_item_from_the_cut(dtype, n, p, tensordot, monkeypatch):
+def test_weight_grad_takes_one_gemm_per_item_from_the_cut(dtype, n, p, tensordot):
     rng = np.random.default_rng(127)
     a, b = (rng.normal(size=(n, m, p)).astype(dtype) for m in (6, 10))
     w = ad.Tensor(np.zeros((6, 10), dtype=dtype), requires_grad=True)
-    calls = []
-    monkeypatch.setattr(ad.np, "tensordot",
-                        lambda *a_, _f=np.tensordot, **kw: calls.append(1) or _f(*a_, **kw))
-    ad._accumulate_weight_grad(w, a, b)
-    monkeypatch.undo()
-    assert len(calls) == int(tensordot)
+    assert ad._per_item(n, p) is not tensordot
+    ad._accumulate_weight_grad(w, a, b, ad._per_item(n, p))
     whole = np.tensordot(a, b, axes=([0, 2], [0, 2]))
     if tensordot:
         assert_same_bytes(w.grad, whole)

@@ -247,7 +247,8 @@ class TestGradientModes:
         store = build_model(cfg, seed=2)
         seq = make_seq(np.random.default_rng(2), 8, hw=32)
         labels = Tensor(seq.labels)
-        # warm-up: the first backward imports scipy.linalg
+        # warm-up: the first backward makes the weights' gradient buffers and
+        # first-call caches, which the measured backward keeps
         ad.backward(sequence_loss(unroll_forward(store, seq, mode="full"), labels))
         tracemalloc.start()
         try:

@@ -13,19 +13,17 @@ extents perfbench segments; forward only, as inference runs no backward).
 Each shape runs at every ``--batch`` N.
 
 Every form is built from ``rseg.autodiff``'s helpers outside conv2d's cuts,
-so the cuts can be re-derived from the table:
+so the cuts in ``autodiff._conv_forms`` can be derived again from the table:
 
-- forward: ``im2col`` (pad, columns, one GEMM) and, for stride 1 and k > 1,
-  ``shift`` (one GEMM per tap over shifted views);
+- forward: ``im2col`` (the ``columns`` correlation) and, for stride 1 and
+  k > 1, ``shift``;
 - input gradient: ``gemm`` for a stride-1 1x1 kernel and ``k1`` when cout is
-  1 as well (the broadcast product); else ``col2im`` (wmat^T @ g and k*k
-  strided adds, the form conv2d keeps for weight-bound calls), ``dilated``
-  (g zero dilated to stride 1, correlated with the whole flipped kernel by
-  one item's columns at a time, the strided form before stride phases),
-  ``phases_items`` and ``phases_shift`` (one stride-1 correlation
-  per stride phase by one item's columns at a time, or by shifted GEMMs;
-  a stride-1 call has one phase). Every correlation includes the copy of
-  its flipped kernel;
+  1 as well (the broadcast product); else ``col2im``, ``dilated`` (g zero
+  dilated to stride 1, correlated with the whole flipped kernel by one
+  item's columns at a time, the strided form before stride phases),
+  ``phases_items`` and ``phases_shift`` (``_phase_input_grad`` in that
+  correlation form). Every correlation includes the copy of its flipped
+  kernel;
 - weight gradient: ``tensordot`` (one GEMM over N*P), ``items`` (one GEMM
   per item) and, for stride 1 and k > 1, ``shift``; each pads x again and
   builds its columns or views;
@@ -36,8 +34,8 @@ so the cuts can be re-derived from the table:
 Samples are interleaved: each round times every form of a shape once, in
 an order drawn from ``--seed``, with BLAS at one thread and glibc's malloc
 pinned as rseg's commands pin it. A row gives each form's median and
-interquartile range in microseconds, and ``picked``: the helpers conv2d
-itself runs for that call, found by running it with them wrapped.
+interquartile range in microseconds, and ``picked``: the (forward, weight,
+input) forms ``autodiff._conv_forms`` gives that call.
 """
 
 from __future__ import annotations
@@ -63,9 +61,6 @@ WORKLOADS = {
     "infer-eval": ("segunet", 3, 16, True,
                    [(56, 56), (56, 48), (48, 48), (40, 40), (40, 64)], False),
 }
-# the conv2d helpers a call may run, recorded in order for ``picked``
-HELPERS = ("_shifted_gemm", "_shifted_weight_grad", "_accumulate_weight_grad", "_im2col",
-           "_col2im", "_phase_input_grad")
 
 
 def layers(workload):
@@ -94,28 +89,13 @@ def layers(workload):
     return list(dict.fromkeys(found))
 
 
-def picked(n, layer, rng):
-    """The helpers conv2d runs for this call, forward then backward, in order."""
-    import numpy as np
+def picked(n, layer):
+    """The (forward, weight, input) forms conv2d takes for this call."""
     from rseg import autodiff as ad
 
     _, cin, cout, k, s, p, _, h, w = layer
-    x = ad.Tensor(rng.normal(size=(n, cin, h, w)).astype(np.float32), requires_grad=True)
-    ran, saved = [], {helper: getattr(ad, helper) for helper in HELPERS}
-    for helper, real in saved.items():
-        setattr(ad, helper, lambda *a, _n=helper, _f=real: ran.append(_n) or _f(*a))
-    tensordot = np.tensordot
-    ad.np.tensordot = lambda *a, **kw: ran.append("np.tensordot") or tensordot(*a, **kw)
-    try:
-        wt = ad.Tensor(rng.normal(size=(cout, cin, k, k)).astype(np.float32), requires_grad=True)
-        out = ad.conv2d(x, wt, None, (s, s), (p, p))
-        out._backward(np.ones(out.shape, dtype=np.float32))
-    finally:
-        for helper, real in saved.items():
-            setattr(ad, helper, real)
-        ad.np.tensordot = tensordot
-    runs = [(call, len(list(group))) for call, group in itertools.groupby(ran)]
-    return [call if count == 1 else f"{call} x{count}" for call, count in runs]
+    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+    return list(ad._conv_forms(n, cin, cout, ho, wo, k, k, s, s))
 
 
 def conv_forms(n, layer, rng, backward):
@@ -131,18 +111,17 @@ def conv_forms(n, layer, rng, backward):
     g = rng.normal(size=(n, cout, ho, wo)).astype(np.float32)
     g2 = g.reshape(n, cout, ho * wo)
 
-    def padded(tail=0):
-        buf = np.zeros((n, cin, hp * wp + tail), dtype=np.float32)
-        xp = buf[:, :, : hp * wp].reshape(n, cin, hp, wp)
-        xp[:, :, p : p + h, p : p + w] = x
-        return buf, xp
+    def padded(form="columns"):
+        buf = np.zeros((n, cin, hp * wp + (k - 1 if form == "shift" else 0)), dtype=np.float32)
+        buf[:, :, : hp * wp].reshape(n, cin, hp, wp)[:, :, p : p + h, p : p + w] = x
+        return buf
 
     def columns():
-        return ad._im2col(padded()[1], k, k, s, s, ho, wo)
+        return ad._im2col(padded(), wp, k, k, s, s, ho, wo)
 
-    def shift_forward():
-        full = ad._shifted_gemm(padded(k - 1)[0], wt, wp, ho).reshape(n, cout, ho, wp)
-        return np.ascontiguousarray(full[:, :, :, :wo])
+    def forward(form):
+        return lambda: np.ascontiguousarray(
+            ad._correlate(padded(form), wt, wp, ho, wo, (s, s), form))
 
     def col2im():
         cols = np.matmul(wt.reshape(cout, -1).T, g2).reshape(n, cin, k, k, ho, wo)
@@ -150,20 +129,17 @@ def conv_forms(n, layer, rng, backward):
 
     def dilated():
         hd, wd = h + k - 1, w + k - 1
-        gd = np.zeros((n, cout, hd, wd), dtype=np.float32)
-        gd[:, :, k - 1 - p :: s, k - 1 - p :: s][:, :, :ho, :wo] = g
-        wflip = wt[:, :, ::-1, ::-1].swapaxes(0, 1).reshape(cin, -1)
-        gx = np.empty((n, cin, h * w), dtype=np.float32)
-        for i in range(n):
-            np.matmul(wflip, ad._im2col(gd[i : i + 1], k, k, 1, 1, h, w)[0], out=gx[i])
-        return gx
+        gd = np.zeros((n, cout, hd * wd), dtype=np.float32)
+        gd.reshape(n, cout, hd, wd)[:, :, k - 1 - p :: s, k - 1 - p :: s][:, :, :ho, :wo] = g
+        wflip = wt[:, :, ::-1, ::-1].swapaxes(0, 1)
+        return ad._correlate(gd, wflip, wd, h, w, (1, 1), "items")
 
-    def phases(shift):
-        return lambda: ad._phase_input_grad(g, wt, h, w, (s, s), (p, p), shift)
+    def phases(form):
+        return lambda: ad._phase_input_grad(g, wt, h, w, (s, s), (p, p), form)
 
-    forms = {"forward": {"im2col": lambda: np.matmul(wt.reshape(cout, -1), columns())}}
+    forms = {"forward": {"im2col": forward("columns")}}
     if s == 1 and k > 1:
-        forms["forward"]["shift"] = shift_forward
+        forms["forward"]["shift"] = forward("shift")
     if not backward:
         return forms
     if s == k == 1:
@@ -171,8 +147,8 @@ def conv_forms(n, layer, rng, backward):
         if cout == 1:
             forms["input_grad"]["k1"] = lambda: np.add(wt.reshape(1, cin, 1) * g2, 0.0)
     else:
-        forms["input_grad"] = {"col2im": col2im, "phases_items": phases(False),
-                               "phases_shift": phases(True)}
+        forms["input_grad"] = {"col2im": col2im, "phases_items": phases("items"),
+                               "phases_shift": phases("shift")}
         if s > 1:
             forms["input_grad"]["dilated"] = dilated
     forms["weight_grad"] = {
@@ -181,7 +157,7 @@ def conv_forms(n, layer, rng, backward):
     }
     if s == 1 and k > 1:
         forms["weight_grad"]["shift"] = lambda: ad._shifted_weight_grad(
-            g, padded(k - 1)[0], wp, k, k)
+            g, padded("shift"), wp, k, k)
     return forms
 
 
@@ -268,7 +244,7 @@ def build_table(workloads, batches, samples, seed, layer_filter=None):
                    "transpose": transpose}
             row.update(time_forms(make(n, layer, rng, backward), samples, order_rng))
             if not transpose and backward:
-                row["picked"] = picked(n, layer, rng)
+                row["picked"] = picked(n, layer)
             rows.append(row)
             print(json.dumps(row), flush=True)
     return rows
