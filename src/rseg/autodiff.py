@@ -95,7 +95,8 @@ def _make_result(data, op: str, inputs, backward_fn) -> Tensor:
 def _accumulate(t: Tensor, g) -> None:
     # Never mutate an incoming gradient array: it may be shared between
     # branches (e.g. both parents of an add receive the same object). The
-    # first sum makes a buffer t owns (C order: a weight's is a GEMM output).
+    # first sum makes a buffer t owns, in C order; a conv weight owns its
+    # first product instead (_accumulate_weight_grad).
     if not t.requires_grad:
         return
     if t.grad is None:
@@ -225,15 +226,9 @@ def _pair(v):
     return int(v), int(v)
 
 
-# conv2d's cuts, read by _conv_forms and _per_item alone: see _conv_forms
+# conv2d's cuts, read by _conv_forms alone: see _conv_forms
 SHIFT_MIN_PIXELS = 256
-BATCH_MIN_PIXELS = 1024
 SHIFT_GRAD_MIN_PIXELS = 2048
-
-
-def _per_item(n, p):
-    """Whether a weight gradient over N items of P pixels takes one GEMM per item."""
-    return n > 1 and n * p >= BATCH_MIN_PIXELS
 
 
 def _conv_forms(n, cin, cout, ho, wo, kh, kw, sy, sx):
@@ -248,12 +243,13 @@ def _conv_forms(n, cin, cout, ho, wo, kh, kw, sy, sx):
       the shifted views) after a shift forward, or for a stride-1 k x k
       call with cin > 1, N > 1 and N*ho*wo >= SHIFT_GRAD_MIN_PIXELS
       (BENCH_conv_batch.json; with one input channel a tap's GEMM has one
-      row, BENCH_stride_phase.json). Else a GEMM against the columns built
-      again: ``items``, one per item, where _per_item holds, N > 1 and
-      N*ho*wo >= BATCH_MIN_PIXELS (BENCH_conv_batch.json: OpenBLAS runs the
-      long-K product several times slower, and tensordot copies both
-      operands), or ``columns``, one over N*ho*wo. conv2d_transpose
-      shares _per_item.
+      row, BENCH_stride_phase.json). Else ``items``: _weight_product, one
+      GEMM per item against the columns built again, summed in item order
+      (BENCH_conv_batch.json: OpenBLAS runs one long-K product over N*ho*wo
+      several times slower). An N = 1 product is its one GEMM, with no sum
+      to copy it. conv2d_transpose's weight gradient takes that product
+      too. Either product is fresh, so the weight owns the first and adds
+      each later one into it in place (_accumulate_weight_grad).
     - input: ``gemm``, wmat^T @ g, for a stride-1 1x1 kernel. ``col2im``
       for a weight-bound call, cout*cin > (cout + cin)*N*ho*wo, without a
       shift forward (BENCH_conv_backward.json; BENCH_stride_phase.json
@@ -267,10 +263,7 @@ def _conv_forms(n, cin, cout, ho, wo, kh, kw, sy, sx):
     """
     shift = sy == sx == 1 and kh * kw > 1 and cout <= cin and ho * wo >= SHIFT_MIN_PIXELS
     shift_grads = n > 1 and sy == sx == 1 and kh * kw > 1 and n * ho * wo >= SHIFT_GRAD_MIN_PIXELS
-    if shift or (shift_grads and cin > 1):
-        weight = "shift"
-    else:
-        weight = "items" if _per_item(n, ho * wo) else "columns"
+    weight = "shift" if shift or (shift_grads and cin > 1) else "items"
     if kh * kw * sy * sx == 1:
         grad = "gemm"
     elif not shift and cout * cin > (cout + cin) * n * ho * wo:
@@ -421,19 +414,15 @@ def _phase_input_grad(g, w, h, wdt, stride, pad, form):
     return gx
 
 
-def _accumulate_weight_grad(w, a, b, items):
-    """Add the contraction of a (N, M, P) with b (N, K, P) over N and P to w.grad.
+def _weight_product(a, b):
+    """The contraction of a (N, M, P) with b (N, K, P) over N and P: one GEMM
+    per item, summed in item order (the ``items`` weight form of _conv_forms)."""
+    prod = np.matmul(a, b.swapaxes(1, 2))
+    return prod[0] if len(prod) == 1 else prod.sum(axis=0)
 
-    One GEMM over N*P, or if ``items`` (_per_item) one GEMM per item summed
-    in item order. The product is fresh, so w owns the first one and adds
-    each later one into it in place (_accumulate).
-    """
-    if not w.requires_grad:
-        return
-    if items:
-        prod = np.matmul(a, b.swapaxes(1, 2)).sum(axis=0)
-    else:
-        prod = np.tensordot(a, b, axes=([0, 2], [0, 2]))
+
+def _accumulate_weight_grad(w, prod):
+    """Add a fresh weight-gradient product to w.grad by _conv_forms's weight rule."""
     _accumulate(w, prod.reshape(w.shape))
     w._own = w.grad  # the fresh product, or the buffer it was added into
 
@@ -486,10 +475,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
         if w.requires_grad:
             # x padded again, and its columns or views, built for this product only
             if weight == "shift":
-                _accumulate(w, _shifted_weight_grad(g, padded(weight), wp, kh, kw))
+                _accumulate_weight_grad(w, _shifted_weight_grad(g, padded(weight), wp, kh, kw))
             else:
-                _accumulate_weight_grad(w, g2, _im2col(padded(weight), wp, kh, kw, sy, sx, ho, wo),
-                                        weight == "items")
+                _accumulate_weight_grad(w, _weight_product(
+                    g2, _im2col(padded(weight), wp, kh, kw, sy, sx, ho, wo)))
         if not x.requires_grad:
             return
         if grad == "gemm":  # a 1x1 kernel has no padding
@@ -513,7 +502,8 @@ def conv2d_transpose(x: Tensor, w: Tensor) -> Tensor:
 
     One GEMM, then k x k phase writes: tap (ky, kx) of every input pixel
     lands in output pixels (ky::k, kx::k). The backward reads the taps back
-    by one transposed copy, which is faster there than k x k phase reads.
+    by one transposed copy, which is faster there than k x k phase reads,
+    and takes the weight gradient by conv2d's ``items`` rule (_conv_forms).
     """
     n, cin, h, wdt = x.shape
     cw, cout, kh, kw = w.shape
@@ -530,7 +520,8 @@ def conv2d_transpose(x: Tensor, w: Tensor) -> Tensor:
     def backward_fn(g):
         gcols = g.reshape(n, cout, h, kh, wdt, kw).transpose(0, 1, 3, 5, 2, 4)
         gcols = gcols.reshape(n, cout * kh * kw, h * wdt)
-        _accumulate_weight_grad(w, x2, gcols, _per_item(n, h * wdt))
+        if w.requires_grad:
+            _accumulate_weight_grad(w, _weight_product(x2, gcols))
         if x.requires_grad:
             _accumulate(x, np.matmul(wmat, gcols).reshape(n, cin, h, wdt))
 

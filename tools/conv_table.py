@@ -18,18 +18,15 @@ so the cuts in ``autodiff._conv_forms`` can be derived again from the table:
 - forward: ``im2col`` (the ``columns`` correlation) and, for stride 1 and
   k > 1, ``shift``;
 - input gradient: ``gemm`` for a stride-1 1x1 kernel and ``k1`` when cout is
-  1 as well (the broadcast product); else ``col2im``, ``dilated`` (g zero
-  dilated to stride 1, correlated with the whole flipped kernel by one
-  item's columns at a time, the strided form before stride phases),
-  ``phases_items`` and ``phases_shift`` (``_phase_input_grad`` in that
-  correlation form). Every correlation includes the copy of its flipped
-  kernel;
-- weight gradient: ``tensordot`` (one GEMM over N*P), ``items`` (one GEMM
-  per item) and, for stride 1 and k > 1, ``shift``; each pads x again and
-  builds its columns or views;
+  1 as well (the broadcast product); else ``col2im``, ``phases_items`` and
+  ``phases_shift`` (``_phase_input_grad`` in that correlation form). Every
+  correlation includes the copy of its flipped kernel;
+- weight gradient: ``items`` (``autodiff._weight_product``, the product
+  conv2d takes) and, for stride 1 and k > 1, ``shift``; each pads x again
+  and builds its columns or views;
 - transposed convs: forward ``phase_writes`` and ``shuffle`` (the pixel
   shuffle by one transposed copy), input gradient ``transpose_copy`` and
-  ``phase_reads``, weight gradient ``tensordot`` and ``items``.
+  ``phase_reads``, weight gradient ``items``.
 
 Samples are interleaved: each round times every form of a shape once, in
 an order drawn from ``--seed``, with BLAS at one thread and glibc's malloc
@@ -127,13 +124,6 @@ def conv_forms(n, layer, rng, backward):
         cols = np.matmul(wt.reshape(cout, -1).T, g2).reshape(n, cin, k, k, ho, wo)
         return ad._col2im(cols, hp, wp, s, s)[:, :, p : p + h, p : p + w]
 
-    def dilated():
-        hd, wd = h + k - 1, w + k - 1
-        gd = np.zeros((n, cout, hd * wd), dtype=np.float32)
-        gd.reshape(n, cout, hd, wd)[:, :, k - 1 - p :: s, k - 1 - p :: s][:, :, :ho, :wo] = g
-        wflip = wt[:, :, ::-1, ::-1].swapaxes(0, 1)
-        return ad._correlate(gd, wflip, wd, h, w, (1, 1), "items")
-
     def phases(form):
         return lambda: ad._phase_input_grad(g, wt, h, w, (s, s), (p, p), form)
 
@@ -149,12 +139,7 @@ def conv_forms(n, layer, rng, backward):
     else:
         forms["input_grad"] = {"col2im": col2im, "phases_items": phases("items"),
                                "phases_shift": phases("shift")}
-        if s > 1:
-            forms["input_grad"]["dilated"] = dilated
-    forms["weight_grad"] = {
-        "tensordot": lambda: np.tensordot(g2, columns(), axes=([0, 2], [0, 2])),
-        "items": lambda: np.matmul(g2, columns().swapaxes(1, 2)).sum(axis=0),
-    }
+    forms["weight_grad"] = {"items": lambda: ad._weight_product(g2, columns())}
     if s == 1 and k > 1:
         forms["weight_grad"]["shift"] = lambda: ad._shifted_weight_grad(
             g, padded("shift"), wp, k, k)
@@ -164,6 +149,8 @@ def conv_forms(n, layer, rng, backward):
 def transpose_forms(n, layer, rng, backward):
     """{pass: {form: callable}} for one conv2d_transpose call (stride k, no padding)."""
     import numpy as np
+    from rseg import autodiff as ad
+
     _, cin, cout, k, _, _, _, h, w = layer
     x2 = rng.normal(size=(n, cin, h * w)).astype(np.float32)
     wmat = rng.normal(size=(cin, cout * k * k)).astype(np.float32)
@@ -198,10 +185,7 @@ def transpose_forms(n, layer, rng, backward):
     if backward:
         forms["input_grad"] = {"transpose_copy": lambda: np.matmul(wmat, gcols()),
                                "phase_reads": phase_reads}
-        forms["weight_grad"] = {
-            "tensordot": lambda: np.tensordot(x2, gcols(), axes=([0, 2], [0, 2])),
-            "items": lambda: np.matmul(x2, gcols().swapaxes(1, 2)).sum(axis=0),
-        }
+        forms["weight_grad"] = {"items": lambda: ad._weight_product(x2, gcols())}
     return forms
 
 
