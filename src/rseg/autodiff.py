@@ -273,12 +273,23 @@ def _conv_forms(n, cin, cout, ho, wo, kh, kw, sy, sx):
     return "shift" if shift else "columns", weight, grad
 
 
+def _padded(a, rows, cols, top, left, tail):
+    """a (N, C, h, w) at (top, left) of a zero (rows, cols) map, flattened per channel and
+    followed by ``tail`` zeros: (N, C, rows*cols + tail). With nothing to pad, a view of a."""
+    n, c, h, w = a.shape
+    if (rows, cols, tail) == (h, w, 0):
+        return a.reshape(n, c, h * w)
+    buf = np.zeros((n, c, rows * cols + tail), dtype=a.dtype)
+    buf[:, :, : rows * cols].reshape(n, c, rows, cols)[:, :, top : top + h, left : left + w] = a
+    return buf
+
+
 def _im2col(buf, wp, kh, kw, sy, sx, ho, wo):
     """Gather sliding-window patches into (N, C*kh*kw, ho*wo) columns.
 
-    ``buf`` is the padded input flattened per channel to (N, C, L) at row
-    pitch ``wp``, the buffer the shift correlation reads too; the first
-    window starts at its first element.
+    ``buf`` is the padded input as _padded lays it out at row pitch ``wp``,
+    the buffer the shift correlation reads too; the first window starts at
+    its first element.
     """
     n, c, _ = buf.shape
     sn, sc, s = buf.strides
@@ -385,20 +396,17 @@ def _phase_input_grad(g, w, h, wdt, stride, pad, form):
 
     Phase (ay, ax) correlates g, zero padded, with the flipped and
     channel-swapped taps w[:, :, ay::sy, ax::sx] (_correlate in ``form``)
-    and writes inputs gx[:, :, iy::sy, ix::sx]. All phases read one padded
-    copy of g; with stride 1 that is the one phase, the flipped kernel over
+    and writes inputs gx[:, :, iy::sy, ix::sx]. All phases read one _padded
+    buffer of g; with stride 1 that is the one phase, the flipped kernel over
     g padded by k - 1 - pad.
     """
-    n, cout, ho, wo = g.shape
+    n, _, ho, wo = g.shape
     cin, kh, kw = w.shape[1:]
     (sy, sx), (py, px) = stride, pad
     ys, top, rows = _phases(h, kh, sy, py, ho)
     xs, left, cols = _phases(wdt, kw, sx, px, wo)
     # a phase's shifted views run up to its last read column past the last row
-    tail = max(p[4] + p[3] for p in xs) - 1
-    gbuf = np.zeros((n, cout, rows * cols + tail), dtype=g.dtype)
-    gd = gbuf[:, :, : rows * cols].reshape(n, cout, rows, cols)
-    gd[:, :, top : top + ho, left : left + wo] = g
+    gbuf = _padded(g, rows, cols, top, left, max(p[4] + p[3] for p in xs) - 1)
     if sy == sx == 1:
         gx = None
     else:  # an input no phase reaches (a kernel smaller than its stride) keeps zero
@@ -453,18 +461,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
     hp, wp = h + 2 * py, wdt + 2 * px
     forward, weight, grad = _conv_forms(n, cin, cout, ho, wo, kh, kw, sy, sx)
 
-    def padded(form):
-        """x zero padded and flattened per channel to (N, C, hp*wp), with
-        kw - 1 more zeros for the shift form, which reads past the last row."""
-        tail = kw - 1 if form == "shift" else 0
-        if not (py or px or tail):
-            return x.data.reshape(n, cin, h * wdt)
-        buf = np.zeros((n, cin, hp * wp + tail), dtype=x.dtype)
-        buf[:, :, : hp * wp].reshape(n, cin, hp, wp)[:, :, py : py + h, px : px + wdt] = x.data
-        return buf
-
     # contiguous, as a consumer's einsum sums a strided view in another order
-    out = np.ascontiguousarray(_correlate(padded(forward), w.data, wp, ho, wo, (sy, sx), forward))
+    out = np.ascontiguousarray(_correlate(
+        _padded(x.data, hp, wp, py, px, kw - 1 if forward == "shift" else 0),
+        w.data, wp, ho, wo, (sy, sx), forward))
     if b is not None:
         out += b.data.reshape(1, cout, 1, 1)
 
@@ -475,10 +475,11 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor = None, stride=(1, 1), pad=(0, 0)) ->
         if w.requires_grad:
             # x padded again, and its columns or views, built for this product only
             if weight == "shift":
-                _accumulate_weight_grad(w, _shifted_weight_grad(g, padded(weight), wp, kh, kw))
+                _accumulate_weight_grad(w, _shifted_weight_grad(
+                    g, _padded(x.data, hp, wp, py, px, kw - 1), wp, kh, kw))
             else:
                 _accumulate_weight_grad(w, _weight_product(
-                    g2, _im2col(padded(weight), wp, kh, kw, sy, sx, ho, wo)))
+                    g2, _im2col(_padded(x.data, hp, wp, py, px, 0), wp, kh, kw, sy, sx, ho, wo)))
         if not x.requires_grad:
             return
         if grad == "gemm":  # a 1x1 kernel has no padding

@@ -53,8 +53,8 @@ class Volume:
     def __post_init__(self):
         arr = np.asarray(self.intensities, dtype=np.float32)
         object.__setattr__(self, "intensities", arr)
-        if arr.ndim != 3:
-            raise ValueError(f"volume must be 3-d, got shape {arr.shape}")
+        if arr.ndim != 3 or 0 in arr.shape:
+            raise ValueError(f"volume must be 3-d with no zero extent, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("volume intensities must be finite")
         check_spacing(self.spacing_mm)
@@ -235,20 +235,17 @@ def load_volume(path):
     if len(raw) < offset:
         raise ValueError(f"{path}: truncated header, {len(raw)} bytes, expected at least {offset}")
     code, d, h, w, sz, sy, sx = _HEADER.unpack_from(raw, 4)
-    count = d * h * w
-    if code == _DTYPE_F32:
-        expected = offset + 4 * count
-        if len(raw) != expected:
-            raise ValueError(f"{path}: payload length {len(raw) - offset}, expected {4 * count}")
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(d, h, w)
-        return Volume(arr.copy(), (sz, sy, sx))
-    if code == _DTYPE_U8:
-        expected = offset + count
-        if len(raw) != expected:
-            raise ValueError(f"{path}: payload length {len(raw) - offset}, expected {count}")
-        arr = np.frombuffer(raw, dtype=np.uint8, count=count, offset=offset).reshape(d, h, w)
-        return VolumeMask(arr.copy(), (sz, sy, sx))
-    raise ValueError(f"{path}: unknown dtype code {code}")
+    if code not in (_DTYPE_F32, _DTYPE_U8):
+        raise ValueError(f"{path}: unknown dtype code {code}")
+    kind, dtype = (Volume, np.dtype("<f4")) if code == _DTYPE_F32 else (VolumeMask, np.dtype("u1"))
+    size = dtype.itemsize * d * h * w
+    if len(raw) - offset != size:
+        raise ValueError(f"{path}: payload length {len(raw) - offset}, expected {size}")
+    arr = np.frombuffer(raw, dtype=dtype, count=d * h * w, offset=offset).reshape(d, h, w)
+    try:
+        return kind(arr.copy(), (sz, sy, sx))
+    except ValueError as exc:  # a zero extent, bad voxels or bad spacing
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def normalize_intensity(v: Volume) -> Volume:

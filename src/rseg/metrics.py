@@ -33,8 +33,8 @@ class VolumeMask:
 
     def __post_init__(self):
         v = self.voxels
-        if v.ndim != 3:
-            raise ValueError(f"mask must be 3-d, got shape {v.shape}")
+        if v.ndim != 3 or 0 in v.shape:
+            raise ValueError(f"mask must be 3-d with no zero extent, got shape {v.shape}")
         if not np.all((v == 0) | (v == 1)):
             raise ValueError("mask voxels must be binary")
         check_spacing(self.spacing_mm)

@@ -163,6 +163,8 @@ def train(params: ParamStore, tconfig: TrainConfig, train_set, val_set):
     for seq in train_set:
         if seq.labels is None:
             raise ValueError("training requires labeled sequences")
+    if not all(len(seq) for seq in (*train_set, *val_set)):
+        raise ValueError("training and validation sequences must hold at least one slice")
     state = AdamState(params)
     rng = np.random.Generator(np.random.Philox(tconfig.seed))
     history = []

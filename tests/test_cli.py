@@ -499,6 +499,36 @@ class TestExitCodes:
                         "--csv", str(tmp_path / "r.csv")]) == 1
         assert "positive finite" in capsys.readouterr().err
 
+    @staticmethod
+    def _mvf(path, code, dims):
+        """A hand-written MVF1 file: magic, dtype code, (D, H, W), unit spacing, zero payload."""
+        size = (4 if code == 0 else 1) * int(np.prod(dims))
+        path.write_bytes(b"MVF1" + struct.pack("<B3I3f", code, *dims, 1.0, 1.0, 1.0)
+                         + bytes(size))
+        return path
+
+    def test_train_on_a_zero_slice_pair_is_a_validation_error(self, tmp_path, capsys):
+        synth(tmp_path / "val", count=1)
+        vol = self._mvf(tmp_path / "vol_000.mvf", 0, (0, 32, 32))
+        self._mvf(tmp_path / "mask_000.mvf", 1, (0, 32, 32))
+        capsys.readouterr()
+        assert run_cli(["train", "--data", str(tmp_path), "--val", str(tmp_path / "val"),
+                        "--out", str(tmp_path / "m.rsck"), "--epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(vol) in err and "zero extent" in err
+
+    @pytest.mark.parametrize("dims", [(0, 32, 32), (1, 0, 32)], ids=["slices", "height"])
+    def test_segment_on_a_zero_extent_volume_is_a_validation_error(self, tmp_path, capsys,
+                                                                   dims):
+        model = tmp_path / "m.rsck"
+        save_checkpoint(build_model(ModelConfig(levels=2, base_channels=4), seed=0), model)
+        vol = self._mvf(tmp_path / "v.mvf", 0, dims)
+        assert run_cli(["segment", "--model", str(model), "--in", str(vol),
+                        "--out", str(tmp_path / "p.mvf")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(vol) in err and "zero extent" in err
+        assert not (tmp_path / "p.mvf").exists()
+
 
 class TestTruncatedFiles:
     """Every cut of a checkpoint, a volume or a mask is a validation error, and so is

@@ -272,6 +272,13 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(store, TrainConfig(), [seq], [])
 
+    def test_empty_sequence_rejected(self):
+        store = tiny_store(seed=0)
+        seq, empty = make_seq(np.random.default_rng(9), 2), make_seq(np.random.default_rng(9), 0)
+        for train_set, val_set in (([seq, empty], [seq]), ([seq], [empty])):
+            with pytest.raises(ValueError, match="at least one slice"):
+                train(store, TrainConfig(epochs=1), train_set, val_set)
+
     def test_nan_aborts_with_diagnostic(self):
         store = tiny_store(seed=0)
         store["head.w"].data[...] = np.nan

@@ -4,35 +4,29 @@
     python3 tools/conv_table.py --workload train-small --batch 8 --layer conv_b
 
 Run from the root of a source checkout; it imports ``rseg`` from ``src/``.
-The layers are those of the benchmark workloads' models, found by one
-untaped forward pass with ``backbones._conv`` wrapped: train-small
+The layers are the convs of one untaped forward pass of each benchmark model
+(``backbones._conv`` wrapped), each at every ``--batch`` N: train-small
 (recurrent unet L2C8 on 48x48), criterion-7 (that net without the feedback
 channel, acceptance criterion 7's plain arm), train-wide (recurrent attunet
 L4C16 on 32x32) and infer-eval (recurrent segunet L3C16 on the six padded
-extents perfbench segments; forward only, as inference runs no backward).
-Each shape runs at every ``--batch`` N.
+extents perfbench segments; forward only at N = 1, as inference runs no backward).
 
-Every form is built from ``rseg.autodiff``'s helpers outside conv2d's cuts,
-so the cuts in ``autodiff._conv_forms`` can be derived again from the table:
-
-- forward: ``im2col`` (the ``columns`` correlation) and, for stride 1 and
-  k > 1, ``shift``;
-- input gradient: ``gemm`` for a stride-1 1x1 kernel and ``k1`` when cout is
-  1 as well (the broadcast product); else ``col2im``, ``phases_items`` and
-  ``phases_shift`` (``_phase_input_grad`` in that correlation form). Every
-  correlation includes the copy of its flipped kernel;
-- weight gradient: ``items`` (``autodiff._weight_product``, the product
-  conv2d takes) and, for stride 1 and k > 1, ``shift``; each pads x again
-  and builds its columns or views;
-- transposed convs: forward ``phase_writes`` and ``shuffle`` (the pixel
-  shuffle by one transposed copy), input gradient ``transpose_copy`` and
-  ``phase_reads``, weight gradient ``items``.
+Every form is the package's own op, so the table can re-derive the cuts of
+``autodiff._conv_forms``: ``ad.conv2d`` runs with ``_conv_forms`` patched to
+give the call's own triple with one pass's form swapped in, by that
+function's names. Forward: ``columns`` and, at stride 1 with k > 1,
+``shift``; weight gradient: ``items`` and that ``shift``; input gradient:
+``gemm`` for a stride-1 1x1 kernel, else ``col2im``, ``shift`` and
+``items``. ``ad.conv2d_transpose`` has one form per pass: ``phase_writes``,
+``items`` and ``transpose_copy``. A forward sample is one untaped call; a
+backward sample runs one taped call's rule on a fixed output gradient, with
+only that pass's leaf taking a gradient.
 
 Samples are interleaved: each round times every form of a shape once, in
 an order drawn from ``--seed``, with BLAS at one thread and glibc's malloc
 pinned as rseg's commands pin it. A row gives each form's median and
 interquartile range in microseconds, and ``picked``: the (forward, weight,
-input) forms ``autodiff._conv_forms`` gives that call.
+input) forms the call takes, each a key of its pass's timings.
 """
 
 from __future__ import annotations
@@ -58,6 +52,9 @@ WORKLOADS = {
     "infer-eval": ("segunet", 3, 16, True,
                    [(56, 56), (56, 48), (48, 48), (40, 40), (40, 64)], False),
 }
+# each pass in a picked triple's order, and the leaf that takes its gradient (x 0, w 1)
+PASSES = {"forward": None, "weight_grad": 1, "input_grad": 0}
+TRANSPOSE_FORMS = ("phase_writes", "items", "transpose_copy")
 
 
 def layers(workload):
@@ -78,120 +75,85 @@ def layers(workload):
     backbones._conv = spy
     try:
         for h, w in extents:
+            probe = np.random.default_rng(0).normal(size=(1, config.in_channels, h, w))
             with ad.no_grad():
-                backbones.forward(store, ad.Tensor(np.zeros((1, config.in_channels, h, w),
-                                                            dtype=np.float32)))
+                backbones.forward(store, ad.Tensor(probe.astype(np.float32)))
     finally:
         backbones._conv = real
     return list(dict.fromkeys(found))
 
 
-def picked(n, layer):
-    """The (forward, weight, input) forms conv2d takes for this call."""
+def out_hw(layer):
+    """The (ho, wo) extent of the call's output."""
+    _, _, _, k, s, p, transpose, h, w = layer
+    if transpose:
+        return h * k, w * k
+    return (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
+
+
+def forms(n, layer):
+    """The (forward, weight, input) forms the call takes, and the forms each pass can take."""
     from rseg import autodiff as ad
 
-    _, cin, cout, k, s, p, _, h, w = layer
-    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
-    return list(ad._conv_forms(n, cin, cout, ho, wo, k, k, s, s))
+    _, cin, cout, k, s, _, transpose, _, _ = layer
+    if transpose:
+        return list(TRANSPOSE_FORMS), [[form] for form in TRANSPOSE_FORMS]
+    shift = ["shift"] if s == 1 and k > 1 else []
+    return (list(ad._conv_forms(n, cin, cout, *out_hw(layer), k, k, s, s)),
+            [["columns"] + shift, ["items"] + shift,
+             ["gemm"] if s == k == 1 else ["col2im", "shift", "items"]])
 
 
-def conv_forms(n, layer, rng, backward):
-    """{pass: {form: callable}} for one conv2d call."""
+def draw(n, layer, seed):
+    """[x, w, g]: the call's input, kernel and output gradient, normal f32 draws."""
     import numpy as np
+
+    _, cin, cout, k, _, _, transpose, h, w = layer
+    rng = np.random.default_rng(seed)
+    shapes = [(n, cin, h, w), (cin, cout, k, k) if transpose else (cout, cin, k, k),
+              (n, cout) + out_hw(layer)]
+    return [rng.normal(size=shape).astype(np.float32) for shape in shapes]
+
+
+def timed_calls(n, layer, backward, x, wt, g):
+    """{pass: {form: callable}}: each runs the package's op in that form and returns
+    what the pass computes, the output or the leaf's gradient."""
     from rseg import autodiff as ad
 
-    _, cin, cout, k, s, p, _, h, w = layer
-    x = rng.normal(size=(n, cin, h, w)).astype(np.float32)
-    wt = rng.normal(size=(cout, cin, k, k)).astype(np.float32)
-    ho, wo = (h + 2 * p - k) // s + 1, (w + 2 * p - k) // s + 1
-    hp, wp = h + 2 * p, w + 2 * p
-    g = rng.normal(size=(n, cout, ho, wo)).astype(np.float32)
-    g2 = g.reshape(n, cout, ho * wo)
+    _, _, _, _, s, p, transpose, _, _ = layer
+    real = ad._conv_forms
 
-    def padded(form="columns"):
-        buf = np.zeros((n, cin, hp * wp + (k - 1 if form == "shift" else 0)), dtype=np.float32)
-        buf[:, :, : hp * wp].reshape(n, cin, hp, wp)[:, :, p : p + h, p : p + w] = x
-        return buf
+    def call(triple, leaves):
+        ad._conv_forms = lambda *shape: triple
+        try:
+            return ad.conv2d_transpose(*leaves) if transpose else ad.conv2d(*leaves, None, s, p)
+        finally:
+            ad._conv_forms = real
 
-    def columns():
-        return ad._im2col(padded(), wp, k, k, s, s, ho, wo)
+    def timed(triple, leaf):
+        leaves = [ad.Tensor(x, leaf == 0), ad.Tensor(wt, leaf == 1)]
+        if leaf is None:
+            return lambda: call(triple, leaves).data
+        rule = call(triple, leaves)._backward
 
-    def forward(form):
-        return lambda: np.ascontiguousarray(
-            ad._correlate(padded(form), wt, wp, ho, wo, (s, s), form))
+        def sample():
+            leaves[leaf].grad = leaves[leaf]._own = None
+            rule(g)
+            return leaves[leaf].grad
 
-    def col2im():
-        cols = np.matmul(wt.reshape(cout, -1).T, g2).reshape(n, cin, k, k, ho, wo)
-        return ad._col2im(cols, hp, wp, s, s)[:, :, p : p + h, p : p + w]
+        return sample
 
-    def phases(form):
-        return lambda: ad._phase_input_grad(g, wt, h, w, (s, s), (p, p), form)
-
-    forms = {"forward": {"im2col": forward("columns")}}
-    if s == 1 and k > 1:
-        forms["forward"]["shift"] = forward("shift")
-    if not backward:
-        return forms
-    if s == k == 1:
-        forms["input_grad"] = {"gemm": lambda: np.matmul(wt.reshape(cout, -1).T, g2)}
-        if cout == 1:
-            forms["input_grad"]["k1"] = lambda: np.add(wt.reshape(1, cin, 1) * g2, 0.0)
-    else:
-        forms["input_grad"] = {"col2im": col2im, "phases_items": phases("items"),
-                               "phases_shift": phases("shift")}
-    forms["weight_grad"] = {"items": lambda: ad._weight_product(g2, columns())}
-    if s == 1 and k > 1:
-        forms["weight_grad"]["shift"] = lambda: ad._shifted_weight_grad(
-            g, padded("shift"), wp, k, k)
-    return forms
+    own, names = forms(n, layer)
+    calls = {}
+    for i, ps in enumerate(list(PASSES)[: 3 if backward else 1]):
+        for name in names[i]:
+            calls.setdefault(ps, {})[name] = timed(own[:i] + [name] + own[i + 1 :], PASSES[ps])
+    return calls
 
 
-def transpose_forms(n, layer, rng, backward):
-    """{pass: {form: callable}} for one conv2d_transpose call (stride k, no padding)."""
-    import numpy as np
-    from rseg import autodiff as ad
-
-    _, cin, cout, k, _, _, _, h, w = layer
-    x2 = rng.normal(size=(n, cin, h * w)).astype(np.float32)
-    wmat = rng.normal(size=(cin, cout * k * k)).astype(np.float32)
-    g = rng.normal(size=(n, cout, h * k, w * k)).astype(np.float32)
-
-    def gemm():
-        return np.matmul(wmat.T, x2).reshape(n, cout, k, k, h, w)
-
-    def phase_writes():
-        cols = gemm()
-        out = np.empty((n, cout, h, k, w, k), dtype=np.float32)
-        for ky, kx in itertools.product(range(k), range(k)):
-            out[:, :, :, ky, :, kx] = cols[:, :, ky, kx]
-        return out
-
-    def gcols():
-        return g.reshape(n, cout, h, k, w, k).transpose(0, 1, 3, 5, 2, 4).reshape(n, -1, h * w)
-
-    def phase_reads():
-        v = g.reshape(n, cout, h, k, w, k)
-        out = np.zeros((n, cin, h, w), dtype=np.float32)
-        taps = wmat.reshape(cin, cout, k, k)
-        for ky, kx in itertools.product(range(k), range(k)):
-            out += np.matmul(taps[:, :, ky, kx], v[:, :, :, ky, :, kx].reshape(n, cout, h * w)
-                             ).reshape(n, cin, h, w)
-        return out
-
-    forms = {"forward": {
-        "phase_writes": phase_writes,
-        "shuffle": lambda: gemm().transpose(0, 1, 4, 2, 5, 3).reshape(n, cout, h * k, w * k),
-    }}
-    if backward:
-        forms["input_grad"] = {"transpose_copy": lambda: np.matmul(wmat, gcols()),
-                               "phase_reads": phase_reads}
-        forms["weight_grad"] = {"items": lambda: ad._weight_product(x2, gcols())}
-    return forms
-
-
-def time_forms(forms, samples, order_rng):
+def time_forms(calls, samples, order_rng):
     """{pass: {form: {median_us, iqr_us}}}, the forms timed interleaved in a random order."""
-    flat = [(ps, name, fn) for ps, named in forms.items() for name, fn in named.items()]
+    flat = [(ps, name, fn) for ps, named in calls.items() for name, fn in named.items()]
     times = {(ps, name): [] for ps, name, _ in flat}
     for _, _, fn in flat:
         fn()  # warm-up: first-call caches and page faults are not the form's
@@ -211,8 +173,6 @@ def time_forms(forms, samples, order_rng):
 
 def build_table(workloads, batches, samples, seed, layer_filter=None):
     """One row per layer shape and batch size, printed as it is timed."""
-    import numpy as np
-
     rows = []
     order_rng = random.Random(seed)
     for workload in workloads:
@@ -221,14 +181,12 @@ def build_table(workloads, batches, samples, seed, layer_filter=None):
             name, cin, cout, k, s, p, transpose, h, w = layer
             if layer_filter and layer_filter not in name:
                 continue
-            rng = np.random.default_rng(seed)
-            make = transpose_forms if transpose else conv_forms
             row = {"workload": workload, "layer": name, "n": n, "cin": cin, "cout": cout,
                    "h": h, "w": w, "k": k, "stride": k if transpose else s, "pad": p,
                    "transpose": transpose}
-            row.update(time_forms(make(n, layer, rng, backward), samples, order_rng))
-            if not transpose and backward:
-                row["picked"] = picked(n, layer)
+            calls = timed_calls(n, layer, backward, *draw(n, layer, seed))
+            row.update(time_forms(calls, samples, order_rng))
+            row["picked"] = forms(n, layer)[0]
             rows.append(row)
             print(json.dumps(row), flush=True)
     return rows
@@ -253,6 +211,8 @@ def main(argv=None) -> None:
     cli.pin_malloc()
     workloads = list(WORKLOADS) if args.workload == "all" else [args.workload]
     rows = build_table(workloads, batches, args.samples, args.seed, args.layer)
+    if not rows:
+        parser.error(f"--layer {args.layer}: no layer of {', '.join(workloads)} has it in its name")
     if args.json:
         Path(args.json).write_text(json.dumps({"rows": rows}, indent=1) + "\n", encoding="utf-8")
 
