@@ -240,8 +240,12 @@ def pin_malloc() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def _check_output(option: str, path: str) -> None:
-    """Fail before any work when ``path`` cannot become a file; the error names the option."""
+def _check_output(option: str, path: str, inputs=()) -> None:
+    """Fail before any work when ``path`` cannot become a file; the error names the option.
+
+    ``inputs`` holds the (option, path) of each file the command reads; an
+    output that names one of them would overwrite it.
+    """
     if not path:
         raise ValueError(f"--{option}: the path is empty")
     parent = os.path.dirname(path) or os.curdir
@@ -249,6 +253,9 @@ def _check_output(option: str, path: str) -> None:
         raise ValueError(f"--{option}: {path} is a directory")
     if not os.path.isdir(parent):
         raise ValueError(f"--{option}: directory {parent} does not exist")
+    for source, source_path in inputs:
+        if os.path.realpath(path) == os.path.realpath(source_path):
+            raise ValueError(f"--{option}: {path} is the --{source} file; name another output")
 
 
 def _banner(command: str, eff: dict) -> None:
@@ -358,7 +365,7 @@ def _cmd_segment(eff: dict) -> int:
     from .recurrent import segment_volume
     from .trainer import load_checkpoint
 
-    _check_output("out", eff["out"])
+    _check_output("out", eff["out"], (("in", eff["in"]), ("model", eff["model"])))
     store = load_checkpoint(eff["model"])
     vol = load_volume(eff["in"])
     if not isinstance(vol, Volume):
@@ -373,7 +380,7 @@ def _cmd_evaluate(eff: dict) -> int:
     from .data import load_volume
     from .metrics import EmptyMaskError, VolumeMask, evaluate, write_report_csv
 
-    _check_output("csv", eff["csv"])
+    _check_output("csv", eff["csv"], (("pred", eff["pred"]), ("gt", eff["gt"])))
     pred = load_volume(eff["pred"])
     gt = load_volume(eff["gt"])
     if not isinstance(pred, VolumeMask) or not isinstance(gt, VolumeMask):

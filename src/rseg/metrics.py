@@ -2,9 +2,10 @@
 
 Surfaces are foreground voxels with at least one background 6-neighbor
 (out-of-bounds counts as background), emitted as voxel centers scaled by
-the (z, y, x) spacing in mm. Nearest neighbors come from a k-d tree; the
-brute-force pairwise computation is the test oracle and must agree to
-1e-9 mm.
+the (z, y, x) spacing in mm. A surface voxel that both surfaces share is
+0 mm from the other surface; every other one takes its nearest neighbor
+from a k-d tree. The brute-force pairwise computation is the test oracle
+and must agree to 1e-9 mm.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ def dice_coefficient(a: VolumeMask, b: VolumeMask) -> float:
     return 2.0 * inter / (na + nb)
 
 
-def extract_surface(m: VolumeMask) -> np.ndarray:
-    """(K, 3) float64 mm coordinates of boundary voxel centers."""
+def _surface_grid(m: VolumeMask) -> np.ndarray:
+    """Boolean grid of the foreground voxels with a background 6-neighbor."""
     v = m.voxels != 0
     if not v.any():
         raise EmptyMaskError("extract_surface: empty mask")
@@ -87,27 +88,49 @@ def extract_surface(m: VolumeMask) -> np.ndarray:
         & p[1:-1, 1:-1, :-2]
         & p[1:-1, 1:-1, 2:]
     )
-    surface = v & ~all_neighbors_fg
-    idx = np.argwhere(surface)
-    return idx.astype(np.float64) * np.asarray(m.spacing_mm, dtype=np.float64)
+    return v & ~all_neighbors_fg
+
+
+def _points(grid: np.ndarray, spacing_mm) -> np.ndarray:
+    """(K, 3) float64 mm coordinates of the set voxels of ``grid``, in argwhere order."""
+    return np.argwhere(grid).astype(np.float64) * np.asarray(spacing_mm, dtype=np.float64)
+
+
+def extract_surface(m: VolumeMask) -> np.ndarray:
+    """(K, 3) float64 mm coordinates of boundary voxel centers."""
+    return _points(_surface_grid(m), m.spacing_mm)
+
+
+def _nearest(src_grid, src_pts, other_grid, other_pts) -> np.ndarray:
+    """Each source surface point's distance to the other surface, in argwhere order.
+
+    A voxel on both surfaces is 0.0, the k-d query's own answer for it; only
+    the rest are queried, against a tree built only when some are left.
+    """
+    dist = np.zeros(len(src_pts))
+    rest = ~other_grid[src_grid]
+    if rest.any():
+        # imported here: scipy.spatial takes about 0.1 s to load and only this needs it
+        from scipy.spatial import cKDTree
+
+        tree = cKDTree(other_pts, balanced_tree=False, compact_nodes=False)
+        dist[rest] = tree.query(src_pts[rest], k=1)[0]
+    return dist
 
 
 def evaluate(pred: VolumeMask, gt: VolumeMask, scan_id: str) -> MetricsReport:
-    """All four metrics from one pair of surface extractions."""
+    """All four metrics from one surface grid per mask."""
     _check_dims(pred, gt, "evaluate")
     if tuple(pred.spacing_mm) != tuple(gt.spacing_mm):
         raise ValueError(
             f"evaluate: spacing mismatch {pred.spacing_mm} vs {gt.spacing_mm}"
         )
-    # imported here: scipy.spatial takes about 0.1 s to load and only this function needs it
-    from scipy.spatial import cKDTree
-
     dice = dice_coefficient(pred, gt)
-    # extract_surface raises on an empty mask, so both point sets are nonempty
-    sp = extract_surface(pred)
-    sg = extract_surface(gt)
-    dab = cKDTree(sg).query(sp, k=1)[0]
-    dba = cKDTree(sp).query(sg, k=1)[0]
+    # _surface_grid raises on an empty mask, so both point sets are nonempty
+    gp, gg = _surface_grid(pred), _surface_grid(gt)
+    sp, sg = _points(gp, pred.spacing_mm), _points(gg, gt.spacing_mm)
+    dab = _nearest(gp, sp, gg, sg)
+    dba = _nearest(gg, sg, gp, sp)
     return MetricsReport(
         scan_id=scan_id,
         dice=dice,

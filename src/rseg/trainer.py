@@ -190,7 +190,9 @@ def train(params: ParamStore, tconfig: TrainConfig, train_set, val_set):
         history.append(EpochStats(epoch, total / slices, val_loss, val_dice))
         if val_loss < best_val:
             best_val = val_loss
-            best_snapshot = {n: t.data.copy() for n, t in params.items()}
+            # after the last epoch the params are the best: nothing to restore
+            best_snapshot = (None if epoch == tconfig.epochs - 1
+                             else {n: t.data.copy() for n, t in params.items()})
             stale = 0
         else:
             stale += 1

@@ -1,5 +1,5 @@
-"""tools/ab.py's sign test, its traced peak, its import of a second copy of the package
-and its set-up rounds."""
+"""tools/ab.py's sign test, its traced peak, its import of a second copy of the package,
+its set-up rounds and its evaluate rounds."""
 
 import importlib.util
 import pathlib
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rseg
-from rseg import autodiff
+from rseg import autodiff, data
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 AB = ROOT / "tools" / "ab.py"
@@ -80,6 +80,7 @@ def test_workloads_are_perfbench_workloads(ab, bench):
         assert args == [str(a) for a in workload.model_args], name
         assert dims == workload.dims, name
     assert ab.SEGMENT_SHAPES == bench.InferEvalWorkload.SHAPES
+    assert ab.THRESHOLD_BAND == bench.THRESHOLD_BAND
 
 
 @pytest.mark.parametrize("workload", ["train-small", "train-wide", "infer-eval"])
@@ -87,11 +88,30 @@ def test_setup_phantoms_are_a_perfbench_setup(ab, bench, workload, tmp_path, mon
     made = []
 
     def pair(directory, index, dims, seed, streaks, scored=True):
-        made.append((index, tuple(dims), seed, streaks))
+        made.append((index, tuple(dims), seed, streaks, scored))
 
     monkeypatch.setattr(bench, "Pair", pair)
     bench.WORKLOADS[workload]().setup(str(tmp_path), 7)
-    assert made == [(i, dims, 7, streaks) for i, dims, streaks in ab.setup_phantoms(workload)]
+    assert [m[:4] for m in made] == [(i, dims, 7, streaks)
+                                     for i, dims, streaks in ab.setup_phantoms(workload)]
+    scored = [(i, dims, streaks) for i, dims, _, streaks, scored in made if scored]
+    assert scored == ab.scored_phantoms(workload)
+    assert len(scored) == (18 if workload == "infer-eval" else 16)
+
+
+def test_scored_pair_files_are_perfbench_files(ab, bench, tmp_path):
+    ours, theirs = tmp_path / "ab", tmp_path / "bench"
+    ours.mkdir()
+    theirs.mkdir()
+    thr, gt = ab.write_scored_pair(data, ours, 3, (8, 33, 61), 5, True)
+    bench.Pair(str(theirs), 3, (8, 33, 61), 5, streaks=True)
+    for path in (thr, gt):
+        assert path.read_bytes() == (theirs / path.name).read_bytes(), path.name
+
+
+def forget_sides():
+    for name in [m for m in sys.modules if m.split(".")[0] in ("rseg_base", "rseg_work")]:
+        del sys.modules[name]
 
 
 def test_setup_rounds_compare_the_phantom_bytes(ab, tmp_path, monkeypatch):
@@ -106,15 +126,34 @@ def test_setup_rounds_compare_the_phantom_bytes(ab, tmp_path, monkeypatch):
     (brighter / "data.py").write_text(
         source.replace("DECOY_INTENSITY = 1400.0", "DECOY_INTENSITY = 1500.0"))
 
-    def forget_sides():
-        for name in [m for m in sys.modules if m.split(".")[0] in ("rseg_base", "rseg_work")]:
-            del sys.modules[name]
-
     try:
         for base, same in ((package, True), (brighter, False)):
             forget_sides()  # each compare imports both trees afresh
             report = ab.compare(base, package, "train-wide", 1, 3, setup=True)
             assert report["setup"] and report["same_outputs"] is same
+            assert len(report["ratios"]) == 1 and report["base_ms"][0] > 0
+    finally:
+        forget_sides()
+
+
+def test_evaluate_rounds_compare_the_report_bytes(ab, tmp_path, monkeypatch):
+    monkeypatch.setattr(ab, "BUILD", tmp_path)
+    monkeypatch.setattr(ab, "scored_phantoms",
+                        lambda workload: [(2, (8, 32, 32), False), (3, (8, 33, 37), True)])
+    package = pathlib.Path(rseg.__file__).parent
+    # the same metrics with one decimal fewer in the report
+    shorter = tmp_path / "shorter" / "rseg"
+    shutil.copytree(package, shorter, ignore=shutil.ignore_patterns("__pycache__"))
+    source = (shorter / "metrics.py").read_text()
+    assert "{r.asd_mm:.6f}" in source
+    (shorter / "metrics.py").write_text(source.replace("{r.asd_mm:.6f}", "{r.asd_mm:.5f}"))
+
+    try:
+        for base, same in ((package, True), (shorter, False)):
+            forget_sides()
+            report = ab.compare(base, package, "train-small", 1, 3, evaluate=True)
+            assert report["evaluate"] and not report["setup"]
+            assert report["same_outputs"] is same
             assert len(report["ratios"]) == 1 and report["base_ms"][0] > 0
     finally:
         forget_sides()

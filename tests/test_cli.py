@@ -826,6 +826,37 @@ class TestOutputPaths:
         assert run_cli([str(a) for a in argv]) == 1
         assert capsys.readouterr().err.startswith(f"error: --{option}: the path is empty")
 
+    # each output names an input that exists: the command must refuse before
+    # loading anything, so that the input keeps its bytes
+    @pytest.mark.parametrize("command, option, clash", [
+        ("segment", "out", "in"), ("segment", "out", "model"),
+        ("evaluate", "csv", "pred"), ("evaluate", "csv", "gt")])
+    def test_an_output_that_names_an_input_fails_before_any_load(
+            self, tmp_path, capsys, monkeypatch, command, option, clash):
+        synth(tmp_path / "d", count=1)
+        model = tmp_path / "m.rsck"
+        save_checkpoint(build_model(ModelConfig(levels=2, base_channels=4), seed=0), str(model))
+        gt = tmp_path / "gt.mvf"
+        gt.write_bytes((tmp_path / "d" / "mask_000.mvf").read_bytes())
+        inputs = {"segment": {"model": model, "in": tmp_path / "d" / "vol_000.mvf"},
+                  "evaluate": {"pred": tmp_path / "d" / "mask_000.mvf", "gt": gt}}[command]
+        before = inputs[clash].read_bytes()
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("an input was loaded before the output check")
+
+        monkeypatch.setattr("rseg.data.load_volume", no_load)
+        monkeypatch.setattr("rseg.trainer.load_checkpoint", no_load)
+        # the same file by another spelling of its path
+        target = os.path.join(os.path.dirname(inputs[clash]), ".", inputs[clash].name)
+        argv = [command, *[a for key, path in inputs.items() for a in (f"--{key}", path)],
+                f"--{option}", target]
+        capsys.readouterr()
+        assert run_cli([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --{option}: {target} is the --{clash} file"), err
+        assert inputs[clash].read_bytes() == before
+
     def test_synth_out_that_is_a_file(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_bytes(b"x")

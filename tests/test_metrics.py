@@ -13,6 +13,8 @@ from rseg.metrics import (
     write_report_csv,
 )
 
+from rseg.data import PhantomSpec, generate_phantom
+
 from _oracle import brute_force_metrics, random_structured_mask
 
 UNIT = (1.0, 1.0, 1.0)
@@ -277,3 +279,96 @@ class TestCsv:
             "p x'y,1.000000,0.000000,0.000000,0.000000",
             '"p,""x""",1.000000,0.000000,0.000000,0.000000',
         ]
+
+
+def _reference_evaluate(pred, gt, scan_id):
+    """The evaluate that queried every surface voxel against a k-d tree of the other surface."""
+    from scipy.spatial import cKDTree
+
+    dice = dice_coefficient(pred, gt)
+    sp = extract_surface(pred)
+    sg = extract_surface(gt)
+    dab = cKDTree(sg).query(sp, k=1)[0]
+    dba = cKDTree(sp).query(sg, k=1)[0]
+    return MetricsReport(
+        scan_id=scan_id,
+        dice=dice,
+        asd_mm=0.5 * (float(np.mean(dab)) + float(np.mean(dba))),
+        hd95_mm=max(
+            float(np.percentile(dab, 95, method="linear")),
+            float(np.percentile(dba, 95, method="linear")),
+        ),
+        hd_mm=max(float(np.max(dab)), float(np.max(dba))),
+    )
+
+
+# the volume shapes of the benchmark's workloads: train-small, train-wide, infer-eval
+PERFBENCH_SHAPES = [(8, 48, 48), (8, 32, 32), (8, 53, 55), (9, 50, 46), (10, 45, 47),
+                    (11, 41, 43), (12, 37, 39), (8, 33, 61)]
+# the benchmark's intensity band of the threshold mask it scores
+THRESHOLD_BAND = (700.0, 2100.0)
+
+
+class TestSharedSurfaceOracle:
+    """evaluate skips the k-d query for voxels on both surfaces and gives the same report."""
+
+    @pytest.mark.parametrize("dims", PERFBENCH_SHAPES)
+    def test_threshold_masks_of_decoy_phantoms(self, dims):
+        lo, hi = THRESHOLD_BAND
+        for seed in range(3):
+            vol, gt = generate_phantom(PhantomSpec(dims=dims, decoys=True,
+                                                   artifact_streaks=True, seed=seed))
+            thr = VolumeMask(((vol.intensities > lo) & (vol.intensities < hi)).astype(np.uint8),
+                             vol.spacing_mm)
+            assert evaluate(thr, gt, "p") == _reference_evaluate(thr, gt, "p"), (dims, seed)
+
+    @staticmethod
+    def _pair(case, rng, shape):
+        b = random_structured_mask(rng, shape)
+        if case == "subset":  # a: b without its voxels in the lower half of z
+            a = b.copy()
+            a[shape[0] // 2:] = 0
+        elif case == "union":
+            a, b = b, b | random_structured_mask(rng, shape)
+        elif case == "equal":
+            a = b.copy()
+        else:  # a: b moved one voxel along y, zero-filled
+            a = np.zeros_like(b)
+            a[:, 1:] = b[:, :-1]
+        assert a.any()
+        return a, b
+
+    @pytest.mark.parametrize("spacing", [UNIT, (2.5, 0.7, 1.3)])
+    @pytest.mark.parametrize("case", ["subset", "union", "equal", "shift"])
+    def test_structured_masks(self, case, spacing):
+        rng = np.random.default_rng(300 + len(case))
+        for _ in range(4):
+            shape = tuple(rng.integers(8, 18, size=3))
+            a, b = self._pair(case, rng, shape)
+            ma, mb = VolumeMask(a, spacing), VolumeMask(b, spacing)
+            r = evaluate(ma, mb, "s")
+            assert r == _reference_evaluate(ma, mb, "s")
+            assert evaluate(mb, ma, "s") == _reference_evaluate(mb, ma, "s")
+            dice, asd_v, hd95_v, hd_v = brute_force_metrics(a, b, spacing)
+            assert r.dice == pytest.approx(dice, abs=1e-12)
+            assert r.asd_mm == pytest.approx(asd_v, abs=1e-9)
+            assert r.hd95_mm == pytest.approx(hd95_v, abs=1e-9)
+            assert r.hd_mm == pytest.approx(hd_v, abs=1e-9)
+
+    def test_equal_masks_build_no_tree(self, monkeypatch):
+        import scipy.spatial
+
+        def no_tree(*args, **kwargs):
+            raise AssertionError("a k-d tree was built")
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", no_tree)
+        rng = np.random.default_rng(18)
+        a = random_structured_mask(rng, (12, 12, 12))
+        m = VolumeMask(a, (2.0, 0.5, 0.5))
+        r = evaluate(m, VolumeMask(a.copy(), (2.0, 0.5, 0.5)), "s")
+        assert (r.dice, r.asd_mm, r.hd95_mm, r.hd_mm) == (1.0, 0.0, 0.0, 0.0)
+        # the spy is live: masks that differ query a tree
+        b = a.copy()
+        b[np.unravel_index(np.argmax(a), a.shape)] = 0
+        with pytest.raises(AssertionError, match="k-d tree"):
+            evaluate(m, VolumeMask(b, (2.0, 0.5, 0.5)), "s")

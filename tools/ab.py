@@ -2,6 +2,7 @@
 
     python3 tools/ab.py --base HEAD~1 --workload train-small --rounds 30 --seed 1
     python3 tools/ab.py --base HEAD~1 --workload train-wide --setup --rounds 10
+    python3 tools/ab.py --base HEAD~1 --workload infer-eval --evaluate --rounds 20
 
 Run from the root of a git checkout. The base revision's ``src/rseg`` is
 extracted with ``git archive`` into the gitignored ``.bench_build/<sha>/``
@@ -23,7 +24,12 @@ sums each side's two:
   the 18 phantoms of one perfbench set-up of the workload (its shapes,
   decoys, streaks and ``derive_seed`` indices), and the bytes compared are
   their volumes and masks. perfbench's ``setup_s`` is wall seconds and
-  drifts with the host; this ratio does not.
+  drifts with the host; this ratio does not;
+- with ``--evaluate``, in place of the above: each side runs ``rseg
+  evaluate`` on every threshold/ground-truth pair that one perfbench
+  set-up of the workload scores (its 16 held-out pairs on a train
+  workload, its 18 pairs on infer-eval), each into its own CSV, and the
+  bytes compared are the CSVs.
 
 One untimed warm-up request per side comes first. The report gives each
 round's ratio (work / base), the median ratio, the number of rounds in
@@ -31,7 +37,7 @@ which the work side was faster, the exact two-sided sign-test p, each
 side's minor page faults per timed request (``getrusage``), each side's
 traced peak over one more untimed request (``tracemalloc``: the most
 memory that request's Python and numpy allocations held at once), and
-whether both sides wrote the same checkpoint, history and mask bytes.
+whether both sides wrote the same checkpoint, history, mask or report bytes.
 ``--json FILE`` also writes the table.
 
 Both sides share one process and so one allocator: whichever side first
@@ -79,6 +85,8 @@ TRAIN = {
 # perfbench's infer-eval volume shapes: no extent divides by 2^3
 SEGMENT_SHAPES = ((8, 53, 55), (9, 50, 46), (10, 45, 47), (11, 41, 43), (12, 37, 39),
                   (8, 33, 61))
+# perfbench's intensity band of the threshold mask that evaluate scores
+THRESHOLD_BAND = (700.0, 2100.0)
 WORKLOADS = tuple(TRAIN) + ("infer-eval",)
 
 
@@ -218,6 +226,23 @@ class SetupRequests:
                 for a in (vol.intensities, mask.voxels)]
 
 
+class EvaluateRequests:
+    def __init__(self, workload, seed, data, workdir):
+        self.pairs = [write_scored_pair(data, workdir, index, dims, seed, streaks)
+                      for index, dims, streaks in scored_phantoms(workload)]
+
+    def prepare(self, side) -> None:
+        pass
+
+    def run(self, side) -> float:
+        return sum(side.run(["evaluate", "--pred", thr, "--gt", gt,
+                             "--csv", side.dir / f"report_{i}.csv", "--threads", 1])
+                   for i, (thr, gt) in enumerate(self.pairs))
+
+    def outputs(self, side):
+        return [(side.dir / f"report_{i}.csv").read_bytes() for i in range(len(self.pairs))]
+
+
 def setup_phantoms(workload):
     """(index, dims, streaks) of the 18 phantoms one perfbench set-up of ``workload`` writes.
 
@@ -227,6 +252,16 @@ def setup_phantoms(workload):
     if workload in TRAIN:
         return [(i, TRAIN[workload][1], False) for i in range(18)]
     return [(i, SEGMENT_SHAPES[i % len(SEGMENT_SHAPES)], True) for i in range(18)]
+
+
+def scored_phantoms(workload):
+    """(index, dims, streaks) of the phantoms whose threshold mask a perfbench set-up scores.
+
+    A train set-up scores its 16 held-out pairs, after the training and the
+    validation volume; an infer-eval set-up scores all 18.
+    """
+    phantoms = setup_phantoms(workload)
+    return phantoms[2:] if workload in TRAIN else phantoms
 
 
 def phantom(data, index, dims, seed, streaks):
@@ -243,13 +278,24 @@ def write_phantom(data, directory, index, dims, seed, streaks) -> Path:
     return path
 
 
-def compare(base_dir, work_dir, workload, rounds, seed, setup=False) -> dict:
-    """Time ``rounds`` rounds of one workload's requests, or of its set-up; the report."""
+def write_scored_pair(data, directory, index, dims, seed, streaks):
+    """(threshold mask path, ground truth path) of one scored pair, as perfbench writes it."""
+    vol, mask = phantom(data, index, dims, seed, streaks)
+    lo, hi = THRESHOLD_BAND
+    thr = ((vol.intensities > lo) & (vol.intensities < hi)).astype("uint8")
+    paths = Path(directory) / f"thr_{index:03d}.mvf", Path(directory) / f"mask_{index:03d}.mvf"
+    data.save_volume(data.VolumeMask(thr, vol.spacing_mm), str(paths[0]))
+    data.save_volume(mask, str(paths[1]))
+    return paths
+
+
+def compare(base_dir, work_dir, workload, rounds, seed, setup=False, evaluate=False) -> dict:
+    """Time ``rounds`` rounds of one workload's requests, set-up or evaluations; the report."""
     with tempfile.TemporaryDirectory(prefix="ab_", dir=BUILD) as workdir:
         base = Side(base_dir, "rseg_base", workdir)
         work = Side(work_dir, "rseg_work", workdir)
-        kind = (SetupRequests if setup else TrainRequests if workload in TRAIN
-                else SegmentRequests)
+        kind = (SetupRequests if setup else EvaluateRequests if evaluate
+                else TrainRequests if workload in TRAIN else SegmentRequests)
         requests = kind(workload, seed, work.module("data"), workdir)
         for side in (base, work):
             requests.prepare(side)
@@ -272,7 +318,8 @@ def compare(base_dir, work_dir, workload, rounds, seed, setup=False) -> dict:
     wins = sum(r < 1.0 for r in ratios)
     decided = sum(r != 1.0 for r in ratios)
     return {
-        "workload": workload, "setup": setup, "rounds": rounds, "seed": seed,
+        "workload": workload, "setup": setup, "evaluate": evaluate, "rounds": rounds,
+        "seed": seed,
         "base_ms": [round(1e3 * t, 3) for t in times["rseg_base"]],
         "work_ms": [round(1e3 * t, 3) for t in times["rseg_work"]],
         "ratios": [round(r, 4) for r in ratios],
@@ -291,8 +338,11 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of the base side")
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
-    parser.add_argument("--setup", action="store_true",
-                        help="time the workload's set-up phantoms instead of its requests")
+    kind = parser.add_mutually_exclusive_group()
+    kind.add_argument("--setup", action="store_true",
+                      help="time the workload's set-up phantoms instead of its requests")
+    kind.add_argument("--evaluate", action="store_true",
+                      help="time rseg evaluate on the workload's scored pairs instead")
     parser.add_argument("--rounds", type=int, default=30)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--json", help="also write the report here")
@@ -304,12 +354,13 @@ def main(argv=None) -> None:
         os.environ[var] = "1"
     BUILD.mkdir(exist_ok=True)
     report = compare(extract(args.base), ROOT / "src" / "rseg", args.workload, args.rounds,
-                     args.seed, args.setup)
+                     args.seed, args.setup, args.evaluate)
     report["base"] = args.base
     print("round  base_ms   work_ms   ratio")
     for i, (b, w, r) in enumerate(zip(report["base_ms"], report["work_ms"], report["ratios"])):
         print(f"{i:5d} {b:9.3f} {w:9.3f} {r:7.4f}")
-    label = f"{args.workload} set-up" if args.setup else args.workload
+    label = (f"{args.workload} set-up" if args.setup
+             else f"{args.workload} evaluate" if args.evaluate else args.workload)
     print(f"{label}: median ratio {report['median_ratio']:.4f}, work faster in "
           f"{report['work_faster']}/{args.rounds}, sign-test p {report['sign_test_p']:.3g}, "
           f"minor faults per request base {report['base_faults_per_request']} "
