@@ -99,7 +99,8 @@ _OPTIONS = {
         _Opt("size", str, "16x48x48", help="volume extents as DxHxW"),
         _Opt("seed", int, 0, help="base seed; volume i uses a derived stream"),
         _Opt("decoys", _flag, False,
-             help="add a same-shape decoy that teleports between slices"),
+             help="add a same-shape decoy that teleports between slices, in each "
+                  "slice where a pose clear of the object is found"),
         _Opt("noise", float, 30.0, help="Gaussian noise sigma"),
     )),
     "train": ("train a model on vol_*/mask_* pairs", (

@@ -257,13 +257,14 @@ def save_checkpoint(params: ParamStore, path) -> None:
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, path):
         self.buf = memoryview(buf)
+        self.path = path
         self.off = 0
 
     def take(self, n: int) -> memoryview:
         if self.off + n > len(self.buf):
-            raise ValueError("truncated checkpoint file")
+            raise ValueError(f"{self.path}: truncated checkpoint file")
         out = self.buf[self.off:self.off + n]
         self.off += n
         return out
@@ -277,9 +278,9 @@ def load_checkpoint(path) -> ParamStore:
     with open(path, "rb") as fh:
         raw = fh.read()
     body = memoryview(raw)[:-4]
-    reader = _Reader(body)
+    reader = _Reader(body, path)
     if reader.take(4) != CHECKPOINT_MAGIC:
-        raise ValueError("not a checkpoint file (bad magic)")
+        raise ValueError(f"{path}: not a checkpoint file (bad magic)")
     (version,) = reader.unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: checkpoint version {version} is not the supported version "
@@ -294,7 +295,7 @@ def load_checkpoint(path) -> ParamStore:
         (name_len,) = reader.unpack("<H")
         name = bytes(reader.take(name_len)).decode("utf-8")
         if name in arrays:
-            raise ValueError(f"duplicate parameter {name!r} in checkpoint")
+            raise ValueError(f"{path}: duplicate parameter {name!r} in checkpoint")
         (rank,) = reader.unpack("<B")
         shape = reader.unpack(f"<{rank}I")
         n_vals = int(np.prod(shape, dtype=np.int64)) if rank else 1
@@ -307,17 +308,18 @@ def load_checkpoint(path) -> ParamStore:
             missing.append(name)
             return np.zeros(shape, dtype=np.float32)
         if arr.shape != shape:
-            raise ValueError(f"parameter {name!r} has shape {arr.shape} in file, expected {shape}")
+            raise ValueError(f"{path}: parameter {name!r} has shape {arr.shape} in file, "
+                             f"expected {shape}")
         if not np.isfinite(arr).all():
-            raise ValueError(f"parameter {name!r} has non-finite values in checkpoint")
+            raise ValueError(f"{path}: parameter {name!r} has non-finite values in checkpoint")
         return arr.astype(np.float32)
 
     params = build_store(config, from_file)
     unknown = [n for n in arrays if n not in params]
     if unknown:
-        raise ValueError(f"unknown parameters for this architecture: {unknown}")
+        raise ValueError(f"{path}: unknown parameters for this architecture: {unknown}")
     if missing:
-        raise ValueError(f"checkpoint is missing parameters: {missing[:3]}...")
+        raise ValueError(f"{path}: checkpoint is missing parameters: {missing[:3]}...")
     if reader.off != len(reader.buf):
-        raise ValueError("trailing bytes after checkpoint payload")
+        raise ValueError(f"{path}: trailing bytes after checkpoint payload")
     return params

@@ -132,6 +132,10 @@ def test_setup_rounds_compare_the_phantom_bytes(ab, tmp_path, monkeypatch):
             report = ab.compare(base, package, "train-wide", 1, 3, setup=True)
             assert report["setup"] and report["same_outputs"] is same
             assert len(report["ratios"]) == 1 and report["base_ms"][0] > 0
+            # one round is two requests of the two phantoms
+            for side in ("base", "work"):
+                assert report[f"{side}_ms_per_phantom"] == pytest.approx(
+                    report[f"{side}_ms"][0] / 4, abs=1e-3)
     finally:
         forget_sides()
 
@@ -153,6 +157,7 @@ def test_evaluate_rounds_compare_the_report_bytes(ab, tmp_path, monkeypatch):
             forget_sides()
             report = ab.compare(base, package, "train-small", 1, 3, evaluate=True)
             assert report["evaluate"] and not report["setup"]
+            assert "base_ms_per_phantom" not in report
             assert report["same_outputs"] is same
             assert len(report["ratios"]) == 1 and report["base_ms"][0] > 0
     finally:

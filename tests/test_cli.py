@@ -364,8 +364,22 @@ class TestExitCodes:
                         "--in", str(tmp_path / "d" / "vol_000.mvf"),
                         "--out", str(tmp_path / "p.mvf")]) == 1
         err = capsys.readouterr().err
-        assert err == ("error: unknown parameters for this architecture: "
+        assert err == (f"error: {model}: unknown parameters for this architecture: "
                        "['att1.wx.b', 'att0.wx.b']\n")
+        assert not (tmp_path / "p.mvf").exists()
+
+    @pytest.mark.parametrize("content, why", [(b"", "truncated checkpoint file"),
+                                              (b"RSC", "truncated checkpoint file"),
+                                              (b"JUNK" + bytes(8),
+                                               "not a checkpoint file (bad magic)")])
+    def test_unreadable_checkpoint_error_names_the_file(self, tmp_path, capsys, content, why):
+        synth(tmp_path / "d", count=1)
+        model = tmp_path / "m.rsck"
+        model.write_bytes(content)
+        assert run_cli(["segment", "--model", str(model),
+                        "--in", str(tmp_path / "d" / "vol_000.mvf"),
+                        "--out", str(tmp_path / "p.mvf")]) == 1
+        assert capsys.readouterr().err == f"error: {model}: {why}\n"
         assert not (tmp_path / "p.mvf").exists()
 
     @pytest.mark.parametrize("levels, base", [(2, 100000), (10, 16)])

@@ -155,11 +155,40 @@ def _reference_paint_decoy(rng, vol_z, mask_z, yy, xx, h, w,
         vol_z[fg & (mask_z == 0)] = DECOY_INTENSITY
 
 
+def _decoy_calls(monkeypatch, spec):
+    """(generator state, arguments) of each ``_paint_decoy`` call of ``generate_phantom(spec)``."""
+    calls = []
+    paint = data._paint_decoy
+
+    def record(rng, vol_z, mask_z, *rest):
+        calls.append((rng.bit_generator.state, (vol_z.copy(), mask_z.copy(), *rest)))
+        paint(rng, vol_z, mask_z, *rest)
+
+    monkeypatch.setattr(data, "_paint_decoy", record)
+    generate_phantom(spec)
+    monkeypatch.setattr(data, "_paint_decoy", paint)
+    return calls
+
+
+def _generator(state):
+    rng = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = state
+    return rng
+
+
+def _state(rng):
+    """``rng.bit_generator.state`` with its arrays as lists, so that states compare by ``==``."""
+    state = rng.bit_generator.state
+    return {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
+            "buffer": state["buffer"].tolist()}
+
+
 class TestDecoySearchOracle:
-    # 8x32x32 runs all 80 tries in most slices; the rest are the train-small
-    # and infer-eval benchmark shapes
-    @pytest.mark.parametrize("dims", [(8, 32, 32), (8, 48, 48), (8, 53, 55), (9, 50, 46),
-                                      (10, 45, 47), (11, 41, 43), (12, 37, 39), (8, 33, 61)])
+    # 8x32x32 runs all 80 tries in most slices; the rest are the default spec,
+    # the train-small and the infer-eval benchmark shapes
+    @pytest.mark.parametrize("dims", [(8, 32, 32), (16, 48, 48), (8, 48, 48), (8, 53, 55),
+                                      (9, 50, 46), (10, 45, 47), (11, 41, 43), (12, 37, 39),
+                                      (8, 33, 61)])
     def test_same_bytes_as_the_pair_array_search(self, dims, monkeypatch):
         specs = [PhantomSpec(dims=dims, decoys=True, artifact_streaks=streaks, seed=seed)
                  for streaks in (False, True) for seed in (0, 1, 2)]
@@ -169,6 +198,26 @@ class TestDecoySearchOracle:
             ref_vol, ref_mask = generate_phantom(spec)
             assert vol.intensities.tobytes() == ref_vol.intensities.tobytes(), spec
             assert mask.voxels.tobytes() == ref_mask.voxels.tobytes(), spec
+
+    # one slice that tries all 80 poses, one that stops part-way, one that
+    # stops at the first candidate
+    @pytest.mark.parametrize("dims, seed, z, tries", [((8, 32, 32), 2, 0, 80),
+                                                      ((8, 48, 48), 1, 1, 15),
+                                                      ((8, 48, 48), 0, 0, 1)])
+    def test_generator_ends_where_the_pair_array_search_leaves_it(self, monkeypatch, dims,
+                                                                  seed, z, tries):
+        state, (vol_z, mask_z, *rest) = _decoy_calls(
+            monkeypatch, PhantomSpec(dims=dims, decoys=True, seed=seed))[z]
+        ends = []
+        for paint in (data._paint_decoy, _reference_paint_decoy):
+            rng, vol = _generator(state), vol_z.copy()
+            paint(rng, vol, mask_z, *rest)
+            ends.append((_state(rng), vol.tobytes()))
+        assert ends[0] == ends[1]
+        # three draws for each pose tried
+        drawn = _generator(state)
+        drawn.random(3 * tries)
+        assert ends[1][0] == _state(drawn)
 
 
 class TestStreaks:

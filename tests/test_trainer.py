@@ -345,7 +345,7 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"JUNK"
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="magic"):
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*magic"):
             load_checkpoint(path)
 
     def test_unsupported_version_rejected(self, tmp_path):
@@ -363,7 +363,7 @@ class TestCheckpoint:
         path = tmp_path / "m.rsck"
         save_checkpoint(store, path)
         path.write_bytes(resealed(path.read_bytes()[:-14]))
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: truncated"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -371,7 +371,7 @@ class TestCheckpoint:
         path = tmp_path / "m.rsck"
         save_checkpoint(store, path)
         path.write_bytes(resealed(path.read_bytes()[:-4] + b"\x00"))
-        with pytest.raises(ValueError, match="trailing"):
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: trailing"):
             load_checkpoint(path)
 
     def test_damaged_payload_fails_the_checksum(self, tmp_path):
@@ -389,7 +389,7 @@ class TestCheckpoint:
         path = tmp_path / "m.rsck"
         save_checkpoint(store, path)
         path.write_bytes(resealed(path.read_bytes()[:-4].replace(b"head.w", b"head.q")))
-        with pytest.raises(ValueError, match="head.q"):
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*head.q"):
             load_checkpoint(path)
 
     def _save_edited(self, path, edit):
@@ -406,14 +406,15 @@ class TestCheckpoint:
         path = tmp_path / "m.rsck"
         self._save_edited(path, lambda n, a: None if n == "head.b" else a)
         with pytest.raises(ValueError, match=re.escape(
-                "checkpoint is missing parameters: ['head.b']...")):
+                f"{path}: checkpoint is missing parameters: ['head.b']...")):
             load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = tmp_path / "m.rsck"
         self._save_edited(path, lambda n, a: a.reshape(4, 1, 1, 1) if n == "head.w" else a)
         with pytest.raises(ValueError, match=re.escape(
-                "parameter 'head.w' has shape (4, 1, 1, 1) in file, expected (1, 4, 1, 1)")):
+                f"{path}: parameter 'head.w' has shape (4, 1, 1, 1) in file, "
+                "expected (1, 4, 1, 1)")):
             load_checkpoint(path)
 
     def test_duplicate_parameter_rejected(self, tmp_path):
@@ -424,14 +425,15 @@ class TestCheckpoint:
         # holds head.w twice
         path.write_bytes(resealed(path.read_bytes()[:-4].replace(b"head.b", b"head.w")))
         with pytest.raises(ValueError, match=re.escape(
-                "duplicate parameter 'head.w' in checkpoint")):
+                f"{path}: duplicate parameter 'head.w' in checkpoint")):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_parameter_rejected(self, tmp_path, bad):
         path = tmp_path / "m.rsck"
         self._save_edited(path, lambda n, a: np.full_like(a, bad) if n == "head.b" else a)
-        with pytest.raises(ValueError, match="'head.b' has non-finite values"):
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: parameter 'head.b' "
+                                             "has non-finite values"):
             load_checkpoint(path)
 
     def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):

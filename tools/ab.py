@@ -32,12 +32,14 @@ sums each side's two:
   bytes compared are the CSVs.
 
 One untimed warm-up request per side comes first. The report gives each
-round's ratio (work / base), the median ratio, the number of rounds in
-which the work side was faster, the exact two-sided sign-test p, each
-side's minor page faults per timed request (``getrusage``), each side's
-traced peak over one more untimed request (``tracemalloc``: the most
-memory that request's Python and numpy allocations held at once), and
-whether both sides wrote the same checkpoint, history, mask or report bytes.
+round's ratio (work / base), the median ratio, with ``--setup`` each side's
+median ms per phantom (a round's time over the phantoms it generated), the
+number of rounds in which the work side was faster, the exact two-sided
+sign-test p, each side's minor page faults per timed request
+(``getrusage``), each side's traced peak over one more untimed request
+(``tracemalloc``: the most memory that request's Python and numpy
+allocations held at once), and whether both sides wrote the same
+checkpoint, history, mask or report bytes.
 ``--json FILE`` also writes the table.
 
 Both sides share one process and so one allocator: whichever side first
@@ -317,7 +319,7 @@ def compare(base_dir, work_dir, workload, rounds, seed, setup=False, evaluate=Fa
     ratios = [w / b for b, w in zip(times["rseg_base"], times["rseg_work"])]
     wins = sum(r < 1.0 for r in ratios)
     decided = sum(r != 1.0 for r in ratios)
-    return {
+    report = {
         "workload": workload, "setup": setup, "evaluate": evaluate, "rounds": rounds,
         "seed": seed,
         "base_ms": [round(1e3 * t, 3) for t in times["rseg_base"]],
@@ -332,6 +334,13 @@ def compare(base_dir, work_dir, workload, rounds, seed, setup=False, evaluate=Fa
         "work_traced_peak_mb": peaks["rseg_work"],
         "same_outputs": same,
     }
+    if setup:
+        # a round is two requests, each generating every phantom of one set-up
+        phantoms = 2 * len(requests.phantoms)
+        for side in ("base", "work"):
+            report[f"{side}_ms_per_phantom"] = round(
+                1e3 * statistics.median(times[f"rseg_{side}"]) / phantoms, 3)
+    return report
 
 
 def main(argv=None) -> None:
@@ -361,7 +370,9 @@ def main(argv=None) -> None:
         print(f"{i:5d} {b:9.3f} {w:9.3f} {r:7.4f}")
     label = (f"{args.workload} set-up" if args.setup
              else f"{args.workload} evaluate" if args.evaluate else args.workload)
-    print(f"{label}: median ratio {report['median_ratio']:.4f}, work faster in "
+    per_phantom = (f"ms per phantom base {report['base_ms_per_phantom']} "
+                   f"work {report['work_ms_per_phantom']}, " if args.setup else "")
+    print(f"{label}: median ratio {report['median_ratio']:.4f}, {per_phantom}work faster in "
           f"{report['work_faster']}/{args.rounds}, sign-test p {report['sign_test_p']:.3g}, "
           f"minor faults per request base {report['base_faults_per_request']} "
           f"work {report['work_faults_per_request']}, "
