@@ -72,7 +72,8 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a one-element tensor, of any shape."""
+        return float(self.data.item())
 
     def detach(self) -> "Tensor":
         """Same values, cut off from the graph."""

@@ -288,7 +288,11 @@ def load_checkpoint(path) -> ParamStore:
     if zlib.crc32(body) != struct.unpack("<I", raw[-4:])[0]:
         raise ValueError(f"{path}: checksum mismatch, the checkpoint is damaged")
     (blob_len,) = reader.unpack("<I")
-    config = _parse_config(bytes(reader.take(blob_len)))
+    blob = bytes(reader.take(blob_len))
+    try:
+        config = _parse_config(blob)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     (count,) = reader.unpack("<I")
     arrays = {}
     for _ in range(count):

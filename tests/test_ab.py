@@ -1,9 +1,11 @@
 """tools/ab.py's sign test, its traced peak, its import of a second copy of the package,
-its set-up rounds and its evaluate rounds."""
+its set-up rounds and its evaluate rounds on perfbench's own set-ups, and its exit on a
+revision git does not know."""
 
 import importlib.util
 import pathlib
 import shutil
+import subprocess
 import sys
 import tracemalloc
 
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import rseg
-from rseg import autodiff, data
+from rseg import autodiff
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 AB = ROOT / "tools" / "ab.py"
@@ -20,15 +22,6 @@ AB = ROOT / "tools" / "ab.py"
 @pytest.fixture(scope="module")
 def ab():
     spec = importlib.util.spec_from_file_location("tools_ab", AB)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@pytest.fixture(scope="module")
-def bench():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -73,42 +66,6 @@ def test_copied_tree_imports_under_another_name(ab, tmp_path):
             del sys.modules[name]
 
 
-def test_workloads_are_perfbench_workloads(ab, bench):
-    assert ab.WORKLOADS == tuple(bench.WORKLOADS)
-    for name, (args, dims) in ab.TRAIN.items():
-        workload = bench.WORKLOADS[name]()
-        assert args == [str(a) for a in workload.model_args], name
-        assert dims == workload.dims, name
-    assert ab.SEGMENT_SHAPES == bench.InferEvalWorkload.SHAPES
-    assert ab.THRESHOLD_BAND == bench.THRESHOLD_BAND
-
-
-@pytest.mark.parametrize("workload", ["train-small", "train-wide", "infer-eval"])
-def test_setup_phantoms_are_a_perfbench_setup(ab, bench, workload, tmp_path, monkeypatch):
-    made = []
-
-    def pair(directory, index, dims, seed, streaks, scored=True):
-        made.append((index, tuple(dims), seed, streaks, scored))
-
-    monkeypatch.setattr(bench, "Pair", pair)
-    bench.WORKLOADS[workload]().setup(str(tmp_path), 7)
-    assert [m[:4] for m in made] == [(i, dims, 7, streaks)
-                                     for i, dims, streaks in ab.setup_phantoms(workload)]
-    scored = [(i, dims, streaks) for i, dims, _, streaks, scored in made if scored]
-    assert scored == ab.scored_phantoms(workload)
-    assert len(scored) == (18 if workload == "infer-eval" else 16)
-
-
-def test_scored_pair_files_are_perfbench_files(ab, bench, tmp_path):
-    ours, theirs = tmp_path / "ab", tmp_path / "bench"
-    ours.mkdir()
-    theirs.mkdir()
-    thr, gt = ab.write_scored_pair(data, ours, 3, (8, 33, 61), 5, True)
-    bench.Pair(str(theirs), 3, (8, 33, 61), 5, streaks=True)
-    for path in (thr, gt):
-        assert path.read_bytes() == (theirs / path.name).read_bytes(), path.name
-
-
 def forget_sides():
     for name in [m for m in sys.modules if m.split(".")[0] in ("rseg_base", "rseg_work")]:
         del sys.modules[name]
@@ -116,8 +73,6 @@ def forget_sides():
 
 def test_setup_rounds_compare_the_phantom_bytes(ab, tmp_path, monkeypatch):
     monkeypatch.setattr(ab, "BUILD", tmp_path)
-    monkeypatch.setattr(ab, "setup_phantoms",
-                        lambda workload: [(0, (8, 32, 32), False), (1, (8, 33, 37), True)])
     package = pathlib.Path(rseg.__file__).parent
     # the same generator with a brighter decoy
     brighter = tmp_path / "brighter" / "rseg"
@@ -132,18 +87,16 @@ def test_setup_rounds_compare_the_phantom_bytes(ab, tmp_path, monkeypatch):
             report = ab.compare(base, package, "train-wide", 1, 3, setup=True)
             assert report["setup"] and report["same_outputs"] is same
             assert len(report["ratios"]) == 1 and report["base_ms"][0] > 0
-            # one round is two requests of the two phantoms
+            # one round is two requests of the set-up's 18 phantoms
             for side in ("base", "work"):
                 assert report[f"{side}_ms_per_phantom"] == pytest.approx(
-                    report[f"{side}_ms"][0] / 4, abs=1e-3)
+                    report[f"{side}_ms"][0] / 36, abs=1e-3)
     finally:
         forget_sides()
 
 
 def test_evaluate_rounds_compare_the_report_bytes(ab, tmp_path, monkeypatch):
     monkeypatch.setattr(ab, "BUILD", tmp_path)
-    monkeypatch.setattr(ab, "scored_phantoms",
-                        lambda workload: [(2, (8, 32, 32), False), (3, (8, 33, 37), True)])
     package = pathlib.Path(rseg.__file__).parent
     # the same metrics with one decimal fewer in the report
     shorter = tmp_path / "shorter" / "rseg"
@@ -162,3 +115,10 @@ def test_evaluate_rounds_compare_the_report_bytes(ab, tmp_path, monkeypatch):
             assert len(report["ratios"]) == 1 and report["base_ms"][0] > 0
     finally:
         forget_sides()
+
+
+def test_an_unknown_base_revision_is_one_line():
+    proc = subprocess.run([sys.executable, str(AB), "--base", "no-such-rev", "--workload",
+                           "train-small"], cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "ab: unknown revision 'no-such-rev'\n")

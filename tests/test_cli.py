@@ -322,7 +322,7 @@ class TestExitCodes:
                                             ("recurrent", "yes")])
     def test_badly_typed_config_echo_names_the_key(self, tmp_path, capsys, key, value):
         err = self._segment_with_patched_checkpoint(tmp_path, capsys, key, value)
-        assert err.startswith(f"error: config key {key!r}: ")
+        assert err.startswith(f"error: {tmp_path / 'm.rsck'}: config key {key!r}: ")
 
     def test_version_1_checkpoint_asks_for_retraining(self, tmp_path, capsys):
         # version 1 kept running batch-norm buffers
@@ -432,7 +432,8 @@ class TestExitCodes:
                         "--in", str(tmp_path / "d" / "vol_000.mvf"),
                         "--out", str(tmp_path / "p.mvf")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err
+        # every config echo error names the file first, as the format's errors do
+        assert err.startswith(f"error: {model}: ") and key in err
         assert not (tmp_path / "p.mvf").exists()
         return err
 
@@ -682,6 +683,15 @@ class TestThreads:
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         synth(tmp_path / "d", count=1, extra=("--threads", "2"))
         assert os.environ["OMP_NUM_THREADS"] == "2"
+
+    def test_parser_loads_no_numpy(self):
+        # --threads takes full effect only if it is set before numpy first loads
+        code = ("import sys, rseg.cli; rseg.cli.build_parser(); "
+                "print('numpy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=child_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
 
 
 class TestAllocator:

@@ -231,6 +231,13 @@ class TestPerItem:
             assert losses.data[t].tobytes() == loss.data.tobytes(), t
             assert stack.grad[t:t + 1].tobytes() == solo.grad.tobytes(), t
 
+    def test_one_item_loss_is_a_python_float(self):
+        preds, targets = self._stack(np.random.default_rng(14), np.float32)
+        pred, target = Tensor(preds[:1]), Tensor(targets[:1])
+        loss = combined_loss(pred, target, items=1)
+        assert loss.shape == (1,)
+        assert loss.item() == float(combined_loss(pred, target).data)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_sequence_total_is_the_chain_of_slice_losses(self, dtype):
         preds, targets = self._stack(np.random.default_rng(13), dtype)

@@ -11,25 +11,28 @@ is imported as ``rseg_work``. rseg uses only relative imports, so a copied
 tree imports under any name. With ``--base HEAD`` on a clean tree, both
 sides run the same code.
 
-One set-up writes the workload's phantoms with the working tree's
-generator. Each round then times two requests per side, in the order
-A B B A with A drawn from the seed, with BLAS pinned to one thread, and
-sums each side's two:
+The inputs are perfbench's own: one ``setup`` of the workload from
+``perfbench/workloads.py``, which imports ``rseg`` from the working tree,
+writes them, and every request reads its files and settings from that
+set-up. Each round then times two requests per side, in the order A B B A
+with A drawn from the seed, with BLAS pinned to one thread, and sums each
+side's two:
 
-- ``train-small``, ``train-wide``: one ``rseg train`` of the benchmark
-  workload's model (one volume, one epoch), each side into its own files;
-- ``infer-eval``: ``rseg segment`` of one volume of each of the six shapes,
-  summed, each side with a segunet L3C16 checkpoint it wrote itself;
+- ``train-small``, ``train-wide``: one ``rseg train`` of the set-up's
+  model flags, training and validation volumes, epochs and seed, each side
+  into its own files;
+- ``infer-eval``: ``rseg segment`` of the set-up's first volume of each
+  shape, summed, each side with a checkpoint it wrote itself, of the model
+  config echoed in the set-up's ``segunet.rsck``;
 - with ``--setup``, in place of the above: each side generates, in memory,
-  the 18 phantoms of one perfbench set-up of the workload (its shapes,
-  decoys, streaks and ``derive_seed`` indices), and the bytes compared are
-  their volumes and masks. perfbench's ``setup_s`` is wall seconds and
-  drifts with the host; this ratio does not;
+  every phantom the set-up generated, each side's ``PhantomSpec`` built
+  from the arguments the set-up passed, and the bytes compared are their
+  volumes and masks. perfbench's ``setup_s`` is wall seconds and drifts
+  with the host; this ratio does not;
 - with ``--evaluate``, in place of the above: each side runs ``rseg
-  evaluate`` on every threshold/ground-truth pair that one perfbench
-  set-up of the workload scores (its 16 held-out pairs on a train
-  workload, its 18 pairs on infer-eval), each into its own CSV, and the
-  bytes compared are the CSVs.
+  evaluate`` on every threshold/ground-truth pair the set-up scores (its 16
+  held-out pairs on a train workload, its 18 pairs on infer-eval), each
+  into its own CSV, and the bytes compared are the CSVs.
 
 One untimed warm-up request per side comes first. The report gives each
 round's ratio (work / base), the median ratio, with ``--setup`` each side's
@@ -55,12 +58,13 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
+import functools
 import importlib
 import importlib.util
 import io
 import json
 import math
-import os
 import random
 import resource
 import statistics
@@ -74,22 +78,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BUILD = ROOT / ".bench_build"
-THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-# model flags and training volume extent of perfbench's train workloads
-TRAIN = {
-    "train-small": (["--backbone", "unet", "--levels", "2", "--base-channels", "8",
-                     "--recurrent", "--teacher-forcing"], (8, 48, 48)),
-    "train-wide": (["--backbone", "attunet", "--levels", "4", "--base-channels", "16",
-                    "--recurrent", "--bptt", "full"], (8, 32, 32)),
-}
-# perfbench's infer-eval volume shapes: no extent divides by 2^3
-SEGMENT_SHAPES = ((8, 53, 55), (9, 50, 46), (10, 45, 47), (11, 41, 43), (12, 37, 39),
-                  (8, 33, 61))
-# perfbench's intensity band of the threshold mask that evaluate scores
-THRESHOLD_BAND = (700.0, 2100.0)
-WORKLOADS = tuple(TRAIN) + ("infer-eval",)
 
 
 def sign_test_p(wins: int, n: int) -> float:
@@ -120,8 +108,11 @@ def import_tree(package_dir, name: str):
 
 def extract(rev: str) -> Path:
     """``src/rseg`` of revision ``rev``, extracted once under .bench_build/."""
-    sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
-                         check=True, capture_output=True, text=True).stdout.strip()
+    try:
+        sha = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                             check=True, capture_output=True, text=True).stdout.strip()
+    except subprocess.CalledProcessError:
+        raise SystemExit(f"ab: unknown revision {rev!r}") from None
     dest = BUILD / sha
     if not (dest / "src" / "rseg" / "__init__.py").is_file():
         blob = subprocess.run(["git", "archive", "--format=tar", sha, "src/rseg"], cwd=ROOT,
@@ -165,38 +156,28 @@ class Side:
 
 
 class TrainRequests:
-    def __init__(self, workload, seed, data, workdir):
-        self.args, dims = TRAIN[workload]
-        self.seed = seed
-        self.train_dir, self.val_dir = Path(workdir) / "train", Path(workdir) / "val"
-        for index, d in enumerate((self.train_dir, self.val_dir)):
-            d.mkdir()
-            write_phantom(data, d, index, dims, seed, streaks=False)
-
-    def prepare(self, side) -> None:
-        pass
+    def __init__(self, inputs):
+        self.args = ["--data", inputs.train_dir, "--val", inputs.val_dir, *inputs.model_args,
+                     "--epochs", inputs.epochs, "--patience", inputs.epochs, "--lr", "1e-3",
+                     "--seed", inputs.seed, "--threads", 1]
 
     def run(self, side) -> float:
-        return side.run(["train", "--data", self.train_dir, "--val", self.val_dir,
-                         "--out", side.dir / "model.rsck", *self.args, "--epochs", 1,
-                         "--patience", 1, "--lr", "1e-3", "--seed", self.seed,
-                         "--threads", 1])
+        return side.run(["train", "--out", side.dir / "model.rsck", *self.args])
 
     def outputs(self, side):
         return [(side.dir / f).read_bytes() for f in ("model.rsck", "model.csv")]
 
 
 class SegmentRequests:
-    def __init__(self, workload, seed, data, workdir):
-        self.volumes = [write_phantom(data, workdir, i, dims, seed, streaks=True)
-                        for i, dims in enumerate(SEGMENT_SHAPES)]
-
-    def prepare(self, side) -> None:
-        backbones = side.module("backbones")
-        config = backbones.ModelConfig(backbone="segunet", levels=3, base_channels=16,
-                                       recurrent=True)
-        side.module("trainer").save_checkpoint(backbones.build_model(config, seed=0),
-                                               str(side.dir / "segunet.rsck"))
+    def __init__(self, inputs, sides):
+        # one volume of each shape
+        self.volumes = [p.vol_path for p in inputs.pairs[:len(inputs.SHAPES)]]
+        # read by the tree that wrote it; each side builds and writes its own
+        config = dataclasses.asdict(perfbench().load_checkpoint(inputs.model).config)
+        for side in sides:
+            backbones = side.module("backbones")
+            model = backbones.build_model(backbones.ModelConfig(**config), seed=0)
+            side.module("trainer").save_checkpoint(model, str(side.dir / "segunet.rsck"))
 
     def run(self, side) -> float:
         return sum(side.run(["segment", "--model", side.dir / "segunet.rsck", "--in", vol,
@@ -208,19 +189,14 @@ class SegmentRequests:
 
 
 class SetupRequests:
-    def __init__(self, workload, seed, data, workdir):
-        self.phantoms = setup_phantoms(workload)
-        self.seed = seed
+    def __init__(self, specs):
+        self.specs = specs
         self.made = {}  # each side's last phantoms
-
-    def prepare(self, side) -> None:
-        pass
 
     def run(self, side) -> float:
         data = side.module("data")
         dt, self.made[side.name] = side.timed(
-            lambda: [phantom(data, index, dims, self.seed, streaks)
-                     for index, dims, streaks in self.phantoms])
+            lambda: [data.generate_phantom(data.PhantomSpec(**spec)) for spec in self.specs])
         return dt
 
     def outputs(self, side):
@@ -229,12 +205,8 @@ class SetupRequests:
 
 
 class EvaluateRequests:
-    def __init__(self, workload, seed, data, workdir):
-        self.pairs = [write_scored_pair(data, workdir, index, dims, seed, streaks)
-                      for index, dims, streaks in scored_phantoms(workload)]
-
-    def prepare(self, side) -> None:
-        pass
+    def __init__(self, inputs):
+        self.pairs = [(p.thr_path, p.gt_path) for p in inputs.pairs]
 
     def run(self, side) -> float:
         return sum(side.run(["evaluate", "--pred", thr, "--gt", gt,
@@ -245,62 +217,54 @@ class EvaluateRequests:
         return [(side.dir / f"report_{i}.csv").read_bytes() for i in range(len(self.pairs))]
 
 
-def setup_phantoms(workload):
-    """(index, dims, streaks) of the 18 phantoms one perfbench set-up of ``workload`` writes.
+@functools.cache
+def perfbench():
+    """``perfbench/workloads.py``, which imports ``rseg``: the working tree's, on the path."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
-    A train set-up writes one training volume, one validation volume and 16
-    held-out pairs; an infer-eval set-up writes three volumes of each shape.
+
+def set_up(workload, directory, seed):
+    """perfbench's set-up of ``workload`` in the new ``directory``; it and its phantom specs.
+
+    The specs are the keyword arguments of each ``PhantomSpec`` the set-up made, in order.
     """
-    if workload in TRAIN:
-        return [(i, TRAIN[workload][1], False) for i in range(18)]
-    return [(i, SEGMENT_SHAPES[i % len(SEGMENT_SHAPES)], True) for i in range(18)]
+    Path(directory).mkdir()
+    bench = perfbench()
+    inputs = bench.WORKLOADS[workload]()
+    specs = []
+    phantom_spec = bench.PhantomSpec
 
+    def recorded(**kwargs):
+        specs.append(kwargs)
+        return phantom_spec(**kwargs)
 
-def scored_phantoms(workload):
-    """(index, dims, streaks) of the phantoms whose threshold mask a perfbench set-up scores.
-
-    A train set-up scores its 16 held-out pairs, after the training and the
-    validation volume; an infer-eval set-up scores all 18.
-    """
-    phantoms = setup_phantoms(workload)
-    return phantoms[2:] if workload in TRAIN else phantoms
-
-
-def phantom(data, index, dims, seed, streaks):
-    """Phantom ``index`` of a workload drawn from ``seed``, as perfbench generates it."""
-    return data.generate_phantom(data.PhantomSpec(
-        dims=dims, decoys=True, artifact_streaks=streaks, seed=data.derive_seed(seed, index)))
-
-
-def write_phantom(data, directory, index, dims, seed, streaks) -> Path:
-    vol, mask = phantom(data, index, dims, seed, streaks)
-    path = Path(directory) / f"vol_{index:03d}.mvf"
-    data.save_volume(vol, str(path))
-    data.save_volume(mask, str(Path(directory) / f"mask_{index:03d}.mvf"))
-    return path
-
-
-def write_scored_pair(data, directory, index, dims, seed, streaks):
-    """(threshold mask path, ground truth path) of one scored pair, as perfbench writes it."""
-    vol, mask = phantom(data, index, dims, seed, streaks)
-    lo, hi = THRESHOLD_BAND
-    thr = ((vol.intensities > lo) & (vol.intensities < hi)).astype("uint8")
-    paths = Path(directory) / f"thr_{index:03d}.mvf", Path(directory) / f"mask_{index:03d}.mvf"
-    data.save_volume(data.VolumeMask(thr, vol.spacing_mm), str(paths[0]))
-    data.save_volume(mask, str(paths[1]))
-    return paths
+    bench.PhantomSpec = recorded
+    try:
+        inputs.setup(str(directory), seed)
+    finally:
+        bench.PhantomSpec = phantom_spec
+    return inputs, specs
 
 
 def compare(base_dir, work_dir, workload, rounds, seed, setup=False, evaluate=False) -> dict:
     """Time ``rounds`` rounds of one workload's requests, set-up or evaluations; the report."""
     with tempfile.TemporaryDirectory(prefix="ab_", dir=BUILD) as workdir:
+        inputs, specs = set_up(workload, Path(workdir) / "inputs", seed)
         base = Side(base_dir, "rseg_base", workdir)
         work = Side(work_dir, "rseg_work", workdir)
-        kind = (SetupRequests if setup else EvaluateRequests if evaluate
-                else TrainRequests if workload in TRAIN else SegmentRequests)
-        requests = kind(workload, seed, work.module("data"), workdir)
+        if setup:
+            requests = SetupRequests(specs)
+        elif evaluate:
+            requests = EvaluateRequests(inputs)
+        elif isinstance(inputs, perfbench().TrainWorkload):
+            requests = TrainRequests(inputs)
+        else:
+            requests = SegmentRequests(inputs, (base, work))
         for side in (base, work):
-            requests.prepare(side)
             requests.run(side)  # warm-up
             side.faults.clear()
         order = random.Random(seed)
@@ -336,7 +300,7 @@ def compare(base_dir, work_dir, workload, rounds, seed, setup=False, evaluate=Fa
     }
     if setup:
         # a round is two requests, each generating every phantom of one set-up
-        phantoms = 2 * len(requests.phantoms)
+        phantoms = 2 * len(requests.specs)
         for side in ("base", "work"):
             report[f"{side}_ms_per_phantom"] = round(
                 1e3 * statistics.median(times[f"rseg_{side}"]) / phantoms, 3)
@@ -346,7 +310,7 @@ def compare(base_dir, work_dir, workload, rounds, seed, setup=False, evaluate=Fa
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision of the base side")
-    parser.add_argument("--workload", choices=WORKLOADS, required=True)
+    parser.add_argument("--workload", choices=list(perfbench().WORKLOADS), required=True)
     kind = parser.add_mutually_exclusive_group()
     kind.add_argument("--setup", action="store_true",
                       help="time the workload's set-up phantoms instead of its requests")
@@ -358,9 +322,6 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    # before numpy first loads, which both trees import
-    for var in THREAD_ENV:
-        os.environ[var] = "1"
     BUILD.mkdir(exist_ok=True)
     report = compare(extract(args.base), ROOT / "src" / "rseg", args.workload, args.rounds,
                      args.seed, args.setup, args.evaluate)
@@ -384,4 +345,9 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+    from rseg import cli
+
+    # before numpy first loads, which perfbench and both trees import
+    cli._set_threads(1)
     main()

@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import random
 import statistics
 import sys
@@ -42,8 +41,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-              "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 # (backbone, levels, base channels, recurrent, slice extents, backward timed)
 WORKLOADS = {
     "train-small": ("unet", 2, 8, True, [(48, 48)], True),
@@ -205,7 +202,6 @@ def main(argv=None) -> None:
     batches = args.batch or [1, 8]
     if args.samples < 1 or min(batches) < 1:
         parser.error("--samples and --batch must be at least 1")
-    sys.path.insert(0, str(ROOT / "src"))
     from rseg import cli
 
     cli.pin_malloc()
@@ -218,7 +214,9 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+    from rseg import cli
+
     # before numpy first loads: every module here imports it only when called
-    for var in THREAD_ENV:
-        os.environ[var] = "1"
+    cli._set_threads(1)
     main()
