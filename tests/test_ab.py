@@ -1,6 +1,6 @@
 """tools/ab.py's sign test, its traced peak, its import of a second copy of the package,
-its set-up rounds and its evaluate rounds on perfbench's own set-ups, and its exit on a
-revision git does not know."""
+its record of the phantom specs of perfbench's set-ups, its set-up rounds and its
+evaluate rounds on those set-ups, and its exit on a revision git does not know."""
 
 import importlib.util
 import pathlib
@@ -64,6 +64,22 @@ def test_copied_tree_imports_under_another_name(ab, tmp_path):
     finally:
         for name in [m for m in sys.modules if m.split(".")[0] == "rseg_ab_copy"]:
             del sys.modules[name]
+
+
+@pytest.mark.parametrize("workload", ["train-small", "train-wide", "infer-eval"])
+def test_set_up_records_the_spec_of_every_phantom_it_wrote(ab, tmp_path, workload):
+    from rseg import data
+
+    _, specs = ab.set_up(workload, tmp_path / "inputs", 3)
+    assert ab.perfbench().PhantomSpec is data.PhantomSpec  # the recorder is gone again
+    written = sorted(p.read_bytes() for p in (tmp_path / "inputs").rglob("vol_*.mvf"))
+    assert len(specs) == len(written) > 0
+    made = []
+    for i, spec in enumerate(specs):
+        path = tmp_path / f"made_{i}.mvf"
+        data.save_volume(data.generate_phantom(data.PhantomSpec(**spec))[0], path)
+        made.append(path.read_bytes())
+    assert sorted(made) == written
 
 
 def forget_sides():
